@@ -1,4 +1,4 @@
-"""Generic linear AC networks and a modified-nodal-analysis solver.
+"""Generic linear AC networks and a batched modified-nodal-analysis solver.
 
 This is the brute-force oracle for every closed-form result in
 :mod:`bodychannel.channel`: any channel configuration can be rendered as a
@@ -7,13 +7,25 @@ netlist and solved exactly, node by node.
 The MNA system stacks node-voltage unknowns (every node except the earth
 reference, node 0) with one branch-current unknown per voltage source:
 
-    [ Y  B ] [ v ]   [ 0 ]
-    [ B' 0 ] [ i ] = [ e ]
+    [ Y(w)  B ] [ v ]   [ 0 ]
+    [ B'    0 ] [ i ] = [ e ]
 
-Y holds admittance stamps (1/R, j*w*C, 1/(j*w*L)), B the source incidence,
-and e the source phasors.  Networks here have fewer than ten nodes, so a
-dense direct solve with partial pivoting (plus one step of iterative
-refinement) is both exact enough for 1e-9 oracle comparisons and simple.
+A netlist is stamped once into real conductance, capacitance and
+inverse-inductance matrices G, C and Gamma over the node unknowns, the
+source incidence B and the source phasors e, so that at angular frequency w
+
+    Y(w) = G + j*w*C + Gamma / (j*w)
+
+(Ho, Ruehli & Brennan, "The modified nodal approach to network analysis",
+IEEE TCAS 1975).  :func:`solve_many` builds this system for a whole grid of
+points, in blocks of :data:`BLOCK` points so that memory does not grow with
+the grid, and solves each block with one stacked dense solve with partial
+pivoting plus one step of iterative refinement.  One element may take a
+different value at every point, so load, inductance and drive-amplitude
+sweeps reuse one stamping.  Every point must pass a KCL residual check.
+Networks here have fewer than twenty nodes, so the dense solve is exact
+enough for 1e-9 oracle comparisons.  :func:`solve` and :func:`sweep` are
+thin wrappers over the same blocked solve.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -120,6 +132,11 @@ class Netlist:
                 raise NetlistError(f"element {e} references an undeclared node")
             if e.node_a == e.node_b:
                 raise NetlistError(f"element {e} is shorted to itself")
+            if not (math.isfinite(e.value) and math.isfinite(e.phase)):
+                raise NetlistError(
+                    f"{e.kind.name} between {e.node_a!r} and {e.node_b!r} must have a "
+                    f"finite value and phase, got value={e.value!r}, phase={e.phase!r}"
+                )
             if e.kind is not Kind.VSOURCE and not e.value > 0.0:
                 raise NetlistError(
                     f"{e.kind.name} between {e.node_a!r} and {e.node_b!r} "
@@ -168,6 +185,20 @@ class SolveResult:
     probe_voltage: complex
 
 
+@dataclass(frozen=True)
+class SolveManyResult:
+    """Solved states over a grid, one entry per point in grid order.
+
+    ``node_voltages`` maps every node id (including ground) to an array of
+    complex phasors; ``source_current`` is the current through the first
+    voltage source, flowing a -> b externally."""
+
+    frequencies: np.ndarray
+    node_voltages: dict
+    source_current: np.ndarray
+    probe_voltage: np.ndarray
+
+
 def impedance(element: Element, f: float):
     """Complex impedance of a passive element at frequency ``f`` in hertz."""
     if not f > 0.0:
@@ -184,6 +215,206 @@ def impedance(element: Element, f: float):
     raise ValueError(f"{element.kind.name} has no impedance")
 
 
+#: Points per stacked solve.  A stacked array of 8x8 complex systems (a
+#: 7-node channel) takes 1 MiB per block, so peak memory does not grow with
+#: the grid.
+BLOCK = 1024
+
+
+class _PointFailure(Exception):
+    """Point ``index`` of a grid cannot be solved; the message says why."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+class _Stamped:
+    """A netlist stamped once over its node unknowns: per-element incidence
+    rows and the weights of Y(w) = G + j*w*C + Gamma/(j*w), bordered by the
+    source incidence B.  Element ``swept`` (an index into ``elements``, or
+    None) takes one value per point instead of its own."""
+
+    def __init__(self, netlist: Netlist, swept: Optional[int]):
+        self.nodes = [node for node in netlist.nodes if node != GROUND]
+        index = {node: i for i, node in enumerate(self.nodes)}
+        passive_at = [i for i, e in enumerate(netlist.elements) if e.kind is not Kind.VSOURCE]
+        source_at = [i for i, e in enumerate(netlist.elements) if e.kind is Kind.VSOURCE]
+        n, m = len(self.nodes), len(source_at)
+        self.n, self.size = n, n + m
+        self.probe = netlist.output_probe
+
+        # Incidence rows (+1 at node_a, -1 at node_b) of passives and sources.
+        incidence = np.zeros((len(netlist.elements), n))
+        for k, e in enumerate(netlist.elements):
+            if e.node_a in index:
+                incidence[k, index[e.node_a]] = 1.0
+            if e.node_b in index:
+                incidence[k, index[e.node_b]] = -1.0
+        self.inc = incidence[passive_at]
+        self.src_inc = incidence[source_at]
+        # Per-element weights, one row per matrix: 1/R into G, C into C, 1/L into Gamma.
+        self.weights = np.zeros((3, len(passive_at)))
+        for k, i in enumerate(passive_at):
+            e = netlist.elements[i]
+            if e.kind is Kind.RESISTOR:
+                self.weights[0, k] = 1.0 / e.value
+            elif e.kind is Kind.CAPACITOR:
+                self.weights[1, k] = e.value
+            else:
+                self.weights[2, k] = 1.0 / e.value
+        sources = [netlist.elements[i] for i in source_at]
+        self.emf = np.array([e.value * cmath.exp(1j * e.phase) for e in sources])
+
+        self.swept_kind = None if swept is None else netlist.elements[swept].kind
+        if self.swept_kind is Kind.VSOURCE:
+            self.swept_col = n + source_at.index(swept)
+            self.swept_phasor = cmath.exp(1j * netlist.elements[swept].phase)
+        elif swept is not None:
+            self.swept_col = passive_at.index(swept)
+            self.weights[:, self.swept_col] = 0.0
+            self.swept_outer = np.outer(self.inc[self.swept_col], self.inc[self.swept_col])
+
+        g, self.cap, self.gam = np.einsum("ke,ei,ej->kij", self.weights, self.inc, self.inc)
+        self.base = np.zeros((self.size, self.size))
+        self.base[:n, :n] = g
+        self.base[:n, n:] = self.src_inc.T
+        self.base[n:, :n] = self.src_inc
+
+    def _swept_admittance(self, s: np.ndarray, values: np.ndarray) -> np.ndarray:
+        if self.swept_kind is Kind.RESISTOR:
+            return 1.0 / values
+        if self.swept_kind is Kind.CAPACITOR:
+            return s * values
+        return 1.0 / (s * values)
+
+    def solve(self, f: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
+        """Unknowns (node voltages, then source currents) at each point of
+        ``f``; raises :class:`_PointFailure` for the first point that is
+        singular or fails the KCL check."""
+        n = self.n
+        s = 1j * (TWO_PI * f)
+        a = np.empty((len(f), self.size, self.size), dtype=complex)
+        a[:] = self.base
+        a[:, :n, :n] += s[:, None, None] * self.cap + self.gam / s[:, None, None]
+        rhs = np.zeros((len(f), self.size, 1), dtype=complex)
+        rhs[:, n:, 0] = self.emf
+        y_swept = None
+        if self.swept_kind is Kind.VSOURCE:
+            rhs[:, self.swept_col, 0] = values * self.swept_phasor
+        elif self.swept_kind is not None:
+            y_swept = self._swept_admittance(s, values)
+            a[:, :n, :n] += y_swept[:, None, None] * self.swept_outer
+
+        try:
+            x = np.linalg.solve(a, rhs)
+            # One step of iterative refinement keeps oracle comparisons at the
+            # 1e-9 level even for badly scaled admittance spreads.
+            x += np.linalg.solve(a, rhs - a @ x)
+        except np.linalg.LinAlgError:
+            if len(f) == 1:
+                raise _PointFailure(0, _diagnose_singular(a[0], self.nodes)) from None
+            # Name the first failing point: solve the block one point at a time.
+            for k in range(len(f)):
+                try:
+                    self.solve(f[k : k + 1], None if values is None else values[k : k + 1])
+                except _PointFailure as exc:
+                    raise _PointFailure(k, str(exc)) from None
+            raise
+        x = x[:, :, 0]
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            # KCL at every node: branch currents out of the node, including
+            # the source currents, must cancel to 1e-9 of the largest one.
+            g, c, gamma = self.weights
+            y = g + s[:, None] * c + gamma / s[:, None]
+            if y_swept is not None:
+                y[:, self.swept_col] = y_swept
+            i_branch = y * (x[:, :n] @ self.inc.T)
+            i_src = x[:, n:]
+            residual = np.abs(i_branch @ self.inc + i_src @ self.src_inc).max(axis=1)
+            max_branch = np.abs(np.concatenate((i_branch, i_src), axis=1)).max(axis=1)
+            finite = np.isfinite(x).all(axis=1)
+            bad = ~finite | (residual > 1e-9 * max_branch)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if not finite[k]:
+                raise _PointFailure(k, _diagnose_singular(a[k], self.nodes))
+            raise _PointFailure(
+                k,
+                f"KCL residual {residual[k]:.3e} exceeds 1e-9 of max branch current "
+                f"{max_branch[k]:.3e} at {f[k]:.6g} Hz; system is ill conditioned",
+            )
+        return x
+
+
+def _solve_grid(
+    netlist: Netlist, freqs: np.ndarray, element: Optional[int], values: Optional[np.ndarray]
+) -> SolveManyResult:
+    """Blocked solve over a validated grid; raises :class:`_PointFailure`
+    with the grid index of the first failing point."""
+    stamped = _Stamped(netlist, element)
+    x = np.empty((len(freqs), stamped.size), dtype=complex)
+    for start in range(0, len(freqs), BLOCK):
+        stop = start + BLOCK
+        try:
+            x[start:stop] = stamped.solve(
+                freqs[start:stop], None if values is None else values[start:stop]
+            )
+        except _PointFailure as exc:
+            raise _PointFailure(start + exc.index, str(exc)) from None
+    voltages = {GROUND: np.zeros(len(freqs), dtype=complex)}
+    for i, node in enumerate(stamped.nodes):
+        voltages[node] = x[:, i]
+    v_plus, v_minus = stamped.probe
+    return SolveManyResult(
+        frequencies=freqs,
+        node_voltages=voltages,
+        source_current=x[:, stamped.n],
+        probe_voltage=voltages[v_plus] - voltages[v_minus],
+    )
+
+
+def solve_many(
+    netlist: Netlist, freqs, element: Optional[int] = None, values=None
+) -> SolveManyResult:
+    """Solve the network at every point of a grid of finite, positive
+    frequencies in any order.
+
+    ``element`` optionally indexes one entry of ``netlist.elements`` that
+    takes ``values[k]`` at point k in place of its own value: a load
+    resistor or an inductor for load and inductance sweeps, or a voltage
+    source, whose values are then per-point amplitudes.  ``freqs`` and
+    ``values`` broadcast against each other, so a fixed frequency may be a
+    scalar.
+
+    Raises :class:`SingularNetworkError` naming the frequency of the first
+    point that cannot be solved or fails the KCL check (see :func:`solve`).
+    """
+    if (element is None) != (values is None):
+        raise ValueError("element and values must be given together")
+    freqs = np.asarray(freqs, dtype=float)
+    if values is not None:
+        freqs, values = np.broadcast_arrays(freqs, np.atleast_1d(np.asarray(values, dtype=float)))
+        kind = netlist.elements[element].kind
+        ok = np.isfinite(values) if kind is Kind.VSOURCE else np.isfinite(values) & (values > 0.0)
+        if not np.all(ok):
+            raise ValueError(
+                f"values for element {element} ({kind.name}) must be finite"
+                f"{'' if kind is Kind.VSOURCE else ' and > 0'}"
+            )
+    freqs = np.ascontiguousarray(np.atleast_1d(freqs))
+    if freqs.ndim != 1 or len(freqs) == 0:
+        raise ValueError("frequencies must form a nonempty one-dimensional grid")
+    if not np.all(np.isfinite(freqs) & (freqs > 0.0)):
+        raise ValueError("all frequencies must be finite and > 0")
+    try:
+        return _solve_grid(netlist, freqs, element, values)
+    except _PointFailure as exc:
+        f = freqs[exc.index]
+        raise SingularNetworkError(f"sweep failed at {f:.6g} Hz: {exc}") from None
+
+
 def solve(netlist: Netlist, f: float) -> SolveResult:
     """Solve node voltages and source currents at one frequency.
 
@@ -191,67 +422,17 @@ def solve(netlist: Netlist, f: float) -> SolveResult:
     the solution fails the KCL residual check (residual at every node below
     1e-9 of the largest branch-current magnitude).
     """
-    if not f > 0.0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
-    w = TWO_PI * f
-
-    unknown_nodes = [n for n in netlist.nodes if n != GROUND]
-    index = {n: i for i, n in enumerate(unknown_nodes)}
-    sources = [e for e in netlist.elements if e.kind is Kind.VSOURCE]
-    n, m = len(unknown_nodes), len(sources)
-
-    a = np.zeros((n + m, n + m), dtype=complex)
-    rhs = np.zeros(n + m, dtype=complex)
-
-    for e in netlist.elements:
-        if e.kind is Kind.VSOURCE:
-            continue
-        y = 1.0 / impedance(e, f)
-        ia = index.get(e.node_a)
-        ib = index.get(e.node_b)
-        if ia is not None:
-            a[ia, ia] += y
-        if ib is not None:
-            a[ib, ib] += y
-        if ia is not None and ib is not None:
-            a[ia, ib] -= y
-            a[ib, ia] -= y
-
-    for k, e in enumerate(sources):
-        row = n + k
-        ia = index.get(e.node_a)
-        ib = index.get(e.node_b)
-        if ia is not None:
-            a[ia, row] += 1.0
-            a[row, ia] += 1.0
-        if ib is not None:
-            a[ib, row] -= 1.0
-            a[row, ib] -= 1.0
-        rhs[row] = e.value * cmath.exp(1j * e.phase)
-
+    if not (f > 0.0 and math.isfinite(f)):
+        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
     try:
-        x = np.linalg.solve(a, rhs)
-        # One step of iterative refinement keeps oracle comparisons at the
-        # 1e-9 level even for badly scaled admittance spreads.
-        x += np.linalg.solve(a, rhs - a @ x)
-    except np.linalg.LinAlgError:
-        raise SingularNetworkError(_diagnose_singular(a, unknown_nodes)) from None
-
-    if not np.all(np.isfinite(x.view(float))):
-        raise SingularNetworkError(_diagnose_singular(a, unknown_nodes))
-
-    voltages = {GROUND: 0j}
-    for node, i in index.items():
-        voltages[node] = complex(x[i])
-
-    _check_kcl(netlist, f, voltages, x[n:], index)
-
-    v_plus, v_minus = netlist.output_probe
+        res = _solve_grid(netlist, np.array([f], dtype=float), None, None)
+    except _PointFailure as exc:
+        raise SingularNetworkError(str(exc)) from None
     return SolveResult(
         frequency=f,
-        node_voltages=voltages,
-        source_current=complex(x[n]) if m else 0j,
-        probe_voltage=voltages[v_plus] - voltages[v_minus],
+        node_voltages={node: complex(v[0]) for node, v in res.node_voltages.items()},
+        source_current=complex(res.source_current[0]),
+        probe_voltage=complex(res.probe_voltage[0]),
     )
 
 
@@ -261,33 +442,6 @@ def _diagnose_singular(a: np.ndarray, unknown_nodes: list) -> str:
         names = ", ".join(repr(unknown_nodes[i]) for i in dead)
         return f"singular network: node(s) {names} have no admittance to the rest"
     return "singular network: MNA matrix is not invertible (check for source loops)"
-
-
-def _check_kcl(netlist, f, voltages, source_currents, index) -> None:
-    residual = {n: 0j for n in index}
-    max_branch = 0.0
-    for e in netlist.elements:
-        if e.kind is Kind.VSOURCE:
-            continue
-        i_branch = (voltages[e.node_a] - voltages[e.node_b]) / impedance(e, f)
-        max_branch = max(max_branch, abs(i_branch))
-        if e.node_a in residual:
-            residual[e.node_a] += i_branch
-        if e.node_b in residual:
-            residual[e.node_b] -= i_branch
-    for k, e in enumerate(x for x in netlist.elements if x.kind is Kind.VSOURCE):
-        i_src = source_currents[k]
-        max_branch = max(max_branch, abs(i_src))
-        if e.node_a in residual:
-            residual[e.node_a] += i_src
-        if e.node_b in residual:
-            residual[e.node_b] -= i_src
-    worst = max((abs(r) for r in residual.values()), default=0.0)
-    if max_branch > 0.0 and worst > 1e-9 * max_branch:
-        raise SingularNetworkError(
-            f"KCL residual {worst:.3e} exceeds 1e-9 of max branch current "
-            f"{max_branch:.3e} at {f:.6g} Hz; system is ill conditioned"
-        )
 
 
 def sweep(netlist: Netlist, freqs: Sequence[float]) -> list:
@@ -301,13 +455,15 @@ def sweep(netlist: Netlist, freqs: Sequence[float]) -> list:
         raise ValueError("all sweep frequencies must be > 0")
     if np.any(np.diff(arr) <= 0.0):
         raise ValueError("sweep frequencies must be strictly increasing")
-    out = []
-    for f in freqs:
-        try:
-            out.append(solve(netlist, f))
-        except SingularNetworkError as exc:
-            raise SingularNetworkError(f"sweep failed at {f:.6g} Hz: {exc}") from exc
-    return out
+    res = solve_many(netlist, arr)
+    nodes = list(res.node_voltages)
+    rows = np.stack([res.node_voltages[node] for node in nodes], axis=1).tolist()
+    currents, probes = res.source_current.tolist(), res.probe_voltage.tolist()
+    return [
+        SolveResult(frequency=f, node_voltages=dict(zip(nodes, row)), source_current=i,
+                    probe_voltage=v)
+        for f, row, i, v in zip(freqs, rows, currents, probes)
+    ]
 
 
 def linear_frequencies(lo: float, hi: float, points: int) -> np.ndarray:

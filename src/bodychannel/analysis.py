@@ -18,11 +18,14 @@ from scipy.signal import find_peaks
 
 from . import acnet
 from .channel import (
+    TWO_PI,
     BodyModel,
+    NonResonantReceiverError,
     ReceiverParams,
     SourceModel,
     GroundedTx,
     body_potential,
+    channel_response,
     received_power,
     resonant_frequency,
     resonant_gain,
@@ -129,19 +132,7 @@ def simulate_load_sweep(
     rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float, loads
 ) -> SweepResult:
     """Channel response versus load resistance at a fixed frequency."""
-    loads = np.asarray(loads, dtype=float)
-
-    def point(r_l: float):
-        return received_power(replace(rx, r_l=r_l), src, body, f)
-
-    points = [point(float(r)) for r in loads]
-    return SweepResult(
-        axis="load",
-        values=loads,
-        p_out_rms=np.array([pt.p_out_rms for pt in points]),
-        v_o=np.array([pt.v_o for pt in points]),
-        model=lambda r: point(r).p_out_rms,
-    )
+    return _closed_form_sweep("load", rx, src, body, loads, f)
 
 
 def simulate_inductance_sweep(
@@ -149,20 +140,7 @@ def simulate_inductance_sweep(
 ) -> SweepResult:
     """Channel response versus series inductance, each evaluated at the
     resonant frequency that inductance produces."""
-    inductances = np.asarray(inductances, dtype=float)
-
-    def point(l: float):
-        rx_l = replace(rx, l=l)
-        return received_power(rx_l, src, body, resonant_frequency(rx_l))
-
-    points = [point(float(l)) for l in inductances]
-    return SweepResult(
-        axis="inductance",
-        values=inductances,
-        p_out_rms=np.array([pt.p_out_rms for pt in points]),
-        v_o=np.array([pt.v_o for pt in points]),
-        model=lambda l: point(l).p_out_rms,
-    )
+    return _closed_form_sweep("inductance", rx, src, body, inductances)
 
 
 def simulate_input_voltage_sweep(
@@ -170,18 +148,80 @@ def simulate_input_voltage_sweep(
 ) -> SweepResult:
     """Channel response versus drive amplitude (in the source's own
     convention) at a fixed frequency."""
-    v_ins = np.asarray(v_ins, dtype=float)
+    return _closed_form_sweep("input_voltage", rx, src, body, v_ins, f)
 
-    def point(v: float):
-        return received_power(rx, replace(src, v_in=v), body, f)
 
-    points = [point(float(v)) for v in v_ins]
+def simulate_mna_sweep(
+    axis: str, rx: ReceiverParams, src: SourceModel, body: BodyModel, values, f=None
+) -> SweepResult:
+    """Node-level (MNA) channel response along any sweep axis.
+
+    ``f`` is the fixed frequency of the load and input-voltage axes; the
+    inductance axis evaluates each inductance at its own resonance, as
+    :func:`simulate_inductance_sweep` does.  The netlist is stamped once and
+    the swept element takes one value per point.
+    """
+    values = np.asarray(values, dtype=float)
+    freqs, _ = _sweep_points(axis, rx, values, f)
+    if axis == "inductance":
+        rx = replace(rx, l=float(values[0]))  # the netlist needs an inductor to sweep
+    net = acnet.build_channel_netlist(rx, src, body)
+    element = swept = None
+    if axis == "load":
+        element, swept = _element_at(net, acnet.Kind.RESISTOR, net.output_probe), values
+    elif axis == "inductance":
+        element, swept = _element_at(net, acnet.Kind.INDUCTOR), values
+    elif axis == "input_voltage":
+        # The source amplitude is linear in the drive voltage for every source kind.
+        element = _element_at(net, acnet.Kind.VSOURCE)
+        swept = net.elements[element].value * (values / src.v_in)
+    v_o = acnet.solve_many(net, freqs, element, swept).probe_voltage
+    r_l = values if axis == "load" else rx.r_l
+    return SweepResult(axis=axis, values=values, p_out_rms=np.abs(v_o) ** 2 / r_l, v_o=v_o)
+
+
+def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple:
+    """Per-point frequencies of a sweep along ``axis``, and the
+    :func:`channel_response` keyword that carries the swept values."""
+    if axis == "frequency":
+        return values, {}
+    if axis == "inductance":
+        if not np.all(values > 0.0):
+            raise NonResonantReceiverError(
+                "an inductance sweep needs every l > 0; l = 0 has no resonant frequency"
+            )
+        return 1.0 / (TWO_PI * np.sqrt(values * (rx.c_ret + rx.c_gb))), {"l": values}
+    if axis not in AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
+    if f is None:
+        raise ValueError(f"a sweep along {axis!r} needs a fixed frequency f")
+    return f, {"r_l" if axis == "load" else "v_in": values}
+
+
+def _closed_form_sweep(axis, rx, src, body, values, f=None) -> SweepResult:
+    """Closed-form sweep along a receiver or source axis, model attached."""
+
+    def response(x: np.ndarray) -> tuple:
+        freqs, swept = _sweep_points(axis, rx, x, f)
+        return channel_response(rx, src, body, freqs, **swept)
+
+    values = np.asarray(values, dtype=float)
+    v_o, p = response(values)
     return SweepResult(
-        axis="input_voltage",
-        values=v_ins,
-        p_out_rms=np.array([pt.p_out_rms for pt in points]),
-        v_o=np.array([pt.v_o for pt in points]),
-        model=lambda v: point(v).p_out_rms,
+        axis=axis,
+        values=values,
+        p_out_rms=p,
+        v_o=v_o,
+        model=lambda x: float(response(np.asarray(x, dtype=float))[1]),
+    )
+
+
+def _element_at(net: acnet.Netlist, kind: acnet.Kind, nodes=None) -> int:
+    """Index of the first element of ``kind`` (between ``nodes``, if given)."""
+    return next(
+        i
+        for i, e in enumerate(net.elements)
+        if e.kind is kind and (nodes is None or (e.node_a, e.node_b) == tuple(nodes))
     )
 
 
@@ -544,13 +584,9 @@ def oracle_gap(rx: ReceiverParams, freqs) -> np.ndarray:
     """
     src = GroundedTx(v_in=1.0, convention="rms")
     body = BodyModel(c_b=100e-12)
-    net = acnet.build_channel_netlist(rx, src, body)
-    gaps = np.empty(len(freqs))
-    for k, f in enumerate(np.asarray(freqs, dtype=float)):
-        h_mna = acnet.solve(net, float(f)).probe_voltage
-        h = transfer_function(rx, float(f))
-        gaps[k] = abs(h - h_mna) / abs(h_mna)
-    return gaps
+    freqs = np.asarray(freqs, dtype=float)
+    h_mna = acnet.solve_many(acnet.build_channel_netlist(rx, src, body), freqs).probe_voltage
+    return np.abs(transfer_function(rx, freqs) - h_mna) / np.abs(h_mna)
 
 
 def approximation_gap(
@@ -562,11 +598,8 @@ def approximation_gap(
     resonant wearable's small-ratio divider); the netlist includes them.
     This makes the size of those approximations visible instead of hidden.
     """
-    net = acnet.build_channel_netlist(rx, src, body)
-    gaps = np.empty(len(freqs))
-    for k, f in enumerate(np.asarray(freqs, dtype=float)):
-        p_closed = received_power(rx, src, body, float(f)).p_out_rms
-        v = acnet.solve(net, float(f)).probe_voltage
-        p_mna = abs(v) ** 2 / rx.r_l
-        gaps[k] = (p_closed - p_mna) / p_mna
-    return gaps
+    freqs = np.asarray(freqs, dtype=float)
+    _, p_closed = channel_response(rx, src, body, freqs)
+    v = acnet.solve_many(acnet.build_channel_netlist(rx, src, body), freqs).probe_voltage
+    p_mna = np.abs(v) ** 2 / rx.r_l
+    return (p_closed - p_mna) / p_mna

@@ -201,7 +201,11 @@ def body_potential(src: SourceModel, body: BodyModel, f: float) -> float:
     """
     if not f > 0.0:
         raise ValueError(f"frequency must be > 0, got {f!r}")
-    vin = v_in_rms(src)
+    return _body_potential(src, body, v_in_rms(src))
+
+
+def _body_potential(src: SourceModel, body: BodyModel, vin):
+    """Body potential for an rms drive ``vin`` (a scalar or an array)."""
     if isinstance(src, GroundedTx):
         return vin
     if isinstance(src, WearableTx):
@@ -223,13 +227,19 @@ def transfer_function(rx: ReceiverParams, f):
     w = TWO_PI * np.asarray(f, dtype=float)
     if np.any(w <= 0.0):
         raise ValueError("frequency must be > 0")
-    z_load = rx.r_l / (1.0 + 1j * w * rx.c_l * rx.r_l)
-    z_series = rx.r_s + 1j * w * rx.l
-    ratio = 1.0 + rx.c_gb / rx.c_ret
-    h = z_load / ((z_series + z_load) * ratio + 1.0 / (1j * w * rx.c_ret))
+    h = _transfer(rx, w, rx.r_l, rx.l)
     if np.ndim(h) == 0:
         return complex(h)
     return np.asarray(h)
+
+
+def _transfer(rx: ReceiverParams, w, r_l, l):
+    """H at angular frequency ``w`` with ``r_l`` and ``l`` in place of the
+    receiver's own; the three broadcast against each other."""
+    z_load = r_l / (1.0 + 1j * w * rx.c_l * r_l)
+    z_series = rx.r_s + 1j * w * l
+    ratio = 1.0 + rx.c_gb / rx.c_ret
+    return z_load / ((z_series + z_load) * ratio + 1.0 / (1j * w * rx.c_ret))
 
 
 def resonant_frequency(rx: ReceiverParams) -> float:
@@ -294,6 +304,27 @@ def received_power(
     v_o = v_b * transfer_function(rx, f)
     p = abs(v_o) ** 2 / rx.r_l
     return OperatingPoint(frequency=f, v_b=v_b, v_o=v_o, p_out_rms=p)
+
+
+def channel_response(
+    rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None, l=None, v_in=None
+) -> tuple:
+    """Closed-form rms load voltages and powers ``(v_o, p_out_rms)`` as arrays.
+
+    Broadcasts over ``f`` and, where given, per-point values of the load
+    resistance ``r_l``, the series inductance ``l`` and the drive amplitude
+    ``v_in`` (in the source's own convention), which replace the fields of
+    ``rx`` and ``src``.  Each point equals :func:`received_power` of the
+    receiver and source with those values.
+    """
+    w = TWO_PI * np.asarray(f, dtype=float)
+    r_l = rx.r_l if r_l is None else np.asarray(r_l, dtype=float)
+    l = rx.l if l is None else np.asarray(l, dtype=float)
+    vin = v_in_rms(src) if v_in is None else to_rms(np.asarray(v_in, dtype=float), src.convention)
+    if not (np.all(w > 0.0) and np.all(r_l > 0.0) and np.all(l >= 0.0) and np.all(vin > 0.0)):
+        raise ValueError("need frequency, r_l and v_in > 0 and l >= 0 at every point")
+    v_o = _body_potential(src, body, vin) * _transfer(rx, w, r_l, l)
+    return v_o, np.abs(v_o) ** 2 / r_l
 
 
 #: Quantities deliberately not represented by the lumped model (they require

@@ -467,28 +467,6 @@ def _operating_frequency(config: ScenarioConfig) -> float:
     return resonant_frequency(config.receiver)
 
 
-def _mna_sweep(config: ScenarioConfig, axis: str, xs: np.ndarray, f_fixed=None) -> SweepResult:
-    rx, src, body = config.receiver, config.source, config.body
-    values, powers = [], []
-    for x in xs:
-        x = float(x)
-        if axis == "frequency":
-            rx_i, f_i = rx, x
-        elif axis == "load":
-            rx_i, f_i = replace(rx, r_l=x), f_fixed
-        elif axis == "inductance":
-            rx_i = replace(rx, l=x)
-            f_i = resonant_frequency(rx_i)
-        else:  # input_voltage
-            rx_i, f_i = rx, f_fixed
-            src = replace(config.source, v_in=x)
-        net = acnet.build_channel_netlist(rx_i, src, body)
-        v = acnet.solve(net, f_i).probe_voltage
-        values.append(v)
-        powers.append(abs(v) ** 2 / rx_i.r_l)
-    return SweepResult(axis=axis, values=xs, p_out_rms=np.asarray(powers), v_o=np.asarray(values))
-
-
 def run(
     command: str,
     config: ScenarioConfig,
@@ -513,7 +491,7 @@ def run(
         spec = _require_axis(config, "frequency")
         xs = spec.grid(points)
         sweep = (
-            _mna_sweep(config, "frequency", xs)
+            analysis.simulate_mna_sweep("frequency", rx, src, body, xs)
             if oracle
             else analysis.simulate_frequency_sweep(rx, src, body, xs)
         )
@@ -524,7 +502,7 @@ def run(
         f = _operating_frequency(config)
         xs = spec.grid(points)
         sweep = (
-            _mna_sweep(config, "load", xs, f_fixed=f)
+            analysis.simulate_mna_sweep("load", rx, src, body, xs, f)
             if oracle
             else analysis.simulate_load_sweep(rx, src, body, f, xs)
         )
@@ -535,7 +513,7 @@ def run(
         spec = _require_axis(config, "inductance")
         xs = spec.grid(points)
         sweep = (
-            _mna_sweep(config, "inductance", xs)
+            analysis.simulate_mna_sweep("inductance", rx, src, body, xs)
             if oracle
             else analysis.simulate_inductance_sweep(rx, src, body, xs)
         )
@@ -546,7 +524,7 @@ def run(
         f = _operating_frequency(config)
         xs = spec.grid(points)
         sweep = (
-            _mna_sweep(config, "input_voltage", xs, f_fixed=f)
+            analysis.simulate_mna_sweep("input_voltage", rx, src, body, xs, f)
             if oracle
             else analysis.simulate_input_voltage_sweep(rx, src, body, f, xs)
         )
@@ -557,7 +535,7 @@ def run(
         f0 = resonant_frequency(rx)
         xs = np.array([f0])
         sweep = (
-            _mna_sweep(config, "frequency", xs)
+            analysis.simulate_mna_sweep("frequency", rx, src, body, xs)
             if oracle
             else analysis.simulate_frequency_sweep(rx, src, body, xs)
         )
@@ -774,6 +752,16 @@ _MODEL_ERRORS = (
 )
 
 
+def _points_arg(text: str) -> int:
+    try:
+        points = int(text)
+    except ValueError:
+        points = None
+    if points is None or points < 2:
+        raise argparse.ArgumentTypeError(f"need an integer >= 2, got {text!r}")
+    return points
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bodychannel",
@@ -784,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="-", help="output CSV path, or - for stdout")
     parser.add_argument("--plot-data", action="store_true", help="also write two-column plot files")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
-    parser.add_argument("--points", type=int, help="override sweep.points")
+    parser.add_argument("--points", type=_points_arg, help="override sweep.points (an integer >= 2)")
     parser.add_argument("--tolerance", type=float, help="relative tolerance for oracle-check")
     parser.add_argument("--joint", action="store_true", help="multi: verify against the joint network")
     parser.add_argument("--oracle", action="store_true", help="force the node-level MNA path")

@@ -343,11 +343,11 @@ def joint_loading_check(
     """
     independent = multi_receiver_power(receivers, src, body)
     netlist, probes = acnet.build_multi_receiver_netlist(receivers, src, body)
+    solved = acnet.solve_many(netlist, [point.frequency for point in independent])
     records = []
     for i, (rx, point) in enumerate(zip(receivers, independent)):
-        solved = acnet.solve(netlist, point.frequency)
         out, fg = probes[i]
-        v = solved.node_voltages[out] - solved.node_voltages[fg]
+        v = complex(solved.node_voltages[out][i] - solved.node_voltages[fg][i])
         p_joint = abs(v) ** 2 / rx.r_l
         deviation = (p_joint - point.p_out_rms) / point.p_out_rms
         if abs(deviation) > warn_threshold:

@@ -1,10 +1,14 @@
 """MNA solver: element impedances, canonical circuits, invariants, and the
 channel netlist builder."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodychannel import acnet
 from bodychannel.acnet import (
@@ -20,13 +24,18 @@ from bodychannel.acnet import (
     inductor,
     resistor,
     solve,
+    solve_many,
     sweep,
     vsource,
 )
 from bodychannel.channel import (
+    TWO_PI,
     BodyModel,
     GroundedTx,
     ReceiverParams,
+    ResonantWearableTx,
+    WearableTx,
+    channel_response,
     resonant_frequency,
     transfer_function,
 )
@@ -266,6 +275,21 @@ def test_netlist_rejects_nonpositive_passive_values():
         )
 
 
+@pytest.mark.parametrize(
+    "element",
+    [
+        resistor("a", 0, math.inf),
+        capacitor("a", 0, math.nan),
+        vsource("b", 0, math.nan),
+        vsource("b", 0, 1.0, phase=math.inf),
+    ],
+)
+def test_netlist_rejects_non_finite_values_naming_the_element(element):
+    elements = (vsource("a", 0, 1.0), element, resistor("b", 0, 1e3))
+    with pytest.raises(NetlistError, match=f"{element.kind.name} between .* finite"):
+        Netlist(nodes=(0, "a", "b"), elements=elements, output_probe=("b", 0))
+
+
 def test_parallel_ideal_sources_are_singular():
     net = Netlist(
         nodes=(0, "a"),
@@ -330,3 +354,166 @@ def test_frequency_grid_helpers():
         acnet.linear_frequencies(1e6, 1e5, 10)
     with pytest.raises(ValueError):
         acnet.log_frequencies(1e5, 1e6, 1)
+
+
+# ── batched solve ───────────────────────────────────────────────────────
+
+
+def _dense_solve(net: Netlist, f: float) -> tuple:
+    """Node voltages by one plain dense solve stamped from ``net.elements``,
+    and the 2-norm condition number of the stamped matrix."""
+    nodes = [n for n in net.nodes if n != GROUND]
+    index = {n: i for i, n in enumerate(nodes)}
+    sources = [e for e in net.elements if e.kind is Kind.VSOURCE]
+    size = len(nodes) + len(sources)
+    a = np.zeros((size, size), dtype=complex)
+    b = np.zeros(size, dtype=complex)
+    for e in net.elements:
+        ia, ib = index.get(e.node_a), index.get(e.node_b)
+        if e.kind is Kind.VSOURCE:
+            k = len(nodes) + sources.index(e)
+            b[k] = e.value * cmath.exp(1j * e.phase)
+            for i, sign in ((ia, 1.0), (ib, -1.0)):
+                if i is not None:
+                    a[i, k] += sign
+                    a[k, i] += sign
+            continue
+        y = 1.0 / impedance(e, f)
+        for i, j, sign in ((ia, ia, 1.0), (ib, ib, 1.0), (ia, ib, -1.0), (ib, ia, -1.0)):
+            if i is not None and j is not None:
+                a[i, j] += sign * y
+    x = np.linalg.solve(a, b)
+    return {n: complex(x[index[n]]) if n in index else 0j for n in net.nodes}, np.linalg.cond(a)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _channels(draw):
+    """A receiver, source and body of one of the six netlist kinds: three
+    source kinds, with R_S, R_B and r_s all zero or all nonzero.  The first
+    item says whether the closed form models the same circuit."""
+    kind = draw(st.sampled_from(("grounded", "wearable", "resonant-wearable")))
+    lossy = draw(st.booleans())
+
+    def loss(lo, hi):
+        return draw(_log_uniform(lo, hi)) if lossy else 0.0
+
+    rx = ReceiverParams(
+        c_ret=draw(_log_uniform(0.2e-12, 5e-12)),
+        c_gb=draw(st.just(0.0) | _log_uniform(0.1e-12, 10e-12)),
+        l=draw(_log_uniform(0.05e-3, 10e-3)),
+        r_l=draw(_log_uniform(100.0, 10e3)),
+        c_l=draw(st.just(0.0) | _log_uniform(0.05e-12, 5e-12)),
+        r_s=loss(10.0, 2e3),
+    )
+    body = BodyModel(c_b=draw(_log_uniform(50e-12, 300e-12)), r_b=loss(10.0, 1e3))
+    v_in = draw(st.floats(1.0, 12.0))
+    if kind == "grounded":
+        src = GroundedTx(v_in, "rms", r_src=loss(10.0, 1e3))
+    elif kind == "wearable":
+        src = WearableTx(v_in, "rms", c_ret_tx=draw(_log_uniform(0.5e-12, 5e-12)))
+    else:
+        src = ResonantWearableTx(
+            v_in, "rms", c_ret_tx=draw(_log_uniform(0.5e-12, 5e-12)), q=draw(st.floats(2.0, 20.0))
+        )
+    return kind == "grounded" and not lossy, rx, src, body
+
+
+#: The element each swept axis varies; the load is the last resistor.
+_SWEPT_KIND = {"load": Kind.RESISTOR, "inductance": Kind.INDUCTOR, "amplitude": Kind.VSOURCE}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    channel=_channels(),
+    f=_log_uniform(1.5e5, 8e6),
+    axis=st.sampled_from(("frequency", "load", "inductance", "amplitude")),
+)
+def test_solve_many_matches_dense_solve_and_closed_form(channel, f, axis):
+    same_circuit, rx, src, body = channel
+    net = build_channel_netlist(rx, src, body)
+    scale = np.geomspace(0.5, 2.0, 5)
+    if axis == "frequency":
+        element = values = None
+        freqs = f * scale
+        nets = [net] * len(scale)
+    else:
+        element = max(i for i, e in enumerate(net.elements) if e.kind is _SWEPT_KIND[axis])
+        values = net.elements[element].value * scale
+        freqs = np.full(len(scale), f)
+        nets = []
+        for x in values:
+            elements = list(net.elements)
+            elements[element] = dataclasses.replace(elements[element], value=float(x))
+            nets.append(Netlist(net.nodes, elements, net.output_probe))
+    res = solve_many(net, freqs, element, values)
+
+    for k, (net_k, f_k) in enumerate(zip(nets, freqs)):
+        ref, cond = _dense_solve(net_k, float(f_k))
+        scale_v = max(abs(v) for v in ref.values())
+        err = max(abs(res.node_voltages[n][k] - ref[n]) for n in net.nodes) / scale_v
+        # Two backward-stable solves of one system agree to about eps * cond;
+        # near a high-Q resonance that is above 1e-12 for any double solver.
+        assert err <= max(1e-12, np.finfo(float).eps * cond), f"point {k}: {err:.3e}"
+
+    if same_circuit:
+        overrides = {"load": {"r_l": values}, "inductance": {"l": values}, "amplitude": {"v_in": values}}
+        v_o, _ = channel_response(rx, src, body, freqs, **overrides.get(axis, {}))
+        assert np.max(np.abs(res.probe_voltage - v_o) / np.abs(v_o)) <= 1e-9
+
+
+def test_grid_longer_than_a_block_equals_points_solved_alone():
+    rx = ReceiverParams(c_ret=3e-12, c_gb=1.5e-12, r_l=2e3, l=2e-3, c_l=0.4e-12, r_s=150.0)
+    net = build_channel_netlist(rx, ResonantWearableTx(6.0, "pp", 3e-12, 7.0), BodyModel(150e-12, 200.0))
+    freqs = np.geomspace(1e5, 1e7, 2 * acnet.BLOCK + 37)
+    load = max(i for i, e in enumerate(net.elements) if e.kind is Kind.RESISTOR)
+    loads = np.geomspace(100.0, 1e4, len(freqs))
+    whole = solve_many(net, freqs)
+    swept = solve_many(net, freqs, load, loads)
+    for k in (0, 1, acnet.BLOCK - 1, acnet.BLOCK, acnet.BLOCK + 1, 2 * acnet.BLOCK, len(freqs) - 1):
+        alone = solve_many(net, freqs[k])
+        for node, v in alone.node_voltages.items():
+            assert v[0] == whole.node_voltages[node][k]
+        assert solve_many(net, freqs[k], load, loads[k]).probe_voltage[0] == swept.probe_voltage[k]
+        assert solve(net, freqs[k]).probe_voltage == whole.probe_voltage[k]
+
+
+def test_singular_point_inside_a_stack_names_its_frequency():
+    # A parallel L-C tank alone between node m and ground: at w = 2**20 rad/s
+    # every admittance is a power of two, so j*w*C and 1/(j*w*L) cancel
+    # exactly and the row of node m vanishes at that one point.
+    f_res = 2.0**20 / TWO_PI
+    assert TWO_PI * f_res == 2.0**20
+    net = Netlist(
+        nodes=(0, "in", "m"),
+        elements=(
+            vsource("in", 0, 1.0),
+            resistor("in", 0, 1e3),
+            capacitor("m", 0, 2.0**-30),
+            inductor("m", 0, 2.0**-10),
+        ),
+        output_probe=("in", 0),
+    )
+    freqs = [0.5 * f_res, 0.9 * f_res, f_res, 1.1 * f_res]
+    with pytest.raises(SingularNetworkError, match=f"sweep failed at {f_res:.6g} Hz: .*'m'"):
+        solve_many(net, freqs)
+    with pytest.raises(SingularNetworkError, match=f"sweep failed at {f_res:.6g} Hz"):
+        sweep(net, freqs)
+    assert solve_many(net, freqs[:2]).probe_voltage == pytest.approx([1.0, 1.0])
+
+
+def test_solve_many_input_validation():
+    net = _divider()
+    with pytest.raises(ValueError, match="finite and > 0"):
+        solve_many(net, [1e6, math.inf])
+    with pytest.raises(ValueError, match="finite and > 0"):
+        solve_many(net, [1e6, -1e6])
+    with pytest.raises(ValueError, match="nonempty"):
+        solve_many(net, [])
+    with pytest.raises(ValueError, match="together"):
+        solve_many(net, [1e6], element=1)
+    with pytest.raises(ValueError, match="RESISTOR"):
+        solve_many(net, [1e6, 2e6], element=1, values=[1e3, 0.0])

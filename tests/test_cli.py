@@ -18,6 +18,7 @@ from bodychannel.cli import (
     load_scenario,
     main,
     parse_quantity,
+    run,
     sweep_to_table,
 )
 from helpers import SCENARIO_DIR
@@ -243,6 +244,34 @@ def test_oracle_flag_matches_closed_form(tmp_path):
     assert np.max(np.abs(a.p_out_rms - b.p_out_rms) / b.p_out_rms) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        "axis = frequency\nlo = 100k\nhi = 10M\npoints = 301\nspacing = log\n",
+        "axis = load\nlo = 100\nhi = 10k\npoints = 301\nspacing = log\nfrequency = 2.3M\n",
+        "axis = inductance\nlo = 0.1m\nhi = 10m\npoints = 301\nspacing = log\n",
+        "axis = input_voltage\nlo = 1\nhi = 12\npoints = 301\nspacing = lin\n",
+    ],
+)
+def test_every_oracle_axis_matches_closed_form(tmp_path, sweep):
+    # Grounded source with R_S = R_B = 0: closed form and netlist model one circuit.
+    text = BASE_SCENARIO.replace("r_s = 0", "r_s = 120").split("[sweep]")[0] + "[sweep]\n" + sweep
+    config = load_scenario(_scenario(tmp_path, text))
+    command = {
+        "frequency": "sweep-freq",
+        "load": "sweep-load",
+        "inductance": "sweep-inductance",
+        "input_voltage": "sweep-vin",
+    }[config.sweep.axis]
+    closed, _ = run(command, config)
+    mna, _ = run(command, config, oracle=True)
+    a, b = np.asarray(closed.rows), np.asarray(mna.rows)
+    assert np.array_equal(a[:, 0], b[:, 0])
+    v_closed, v_mna = a[:, 1] + 1j * a[:, 2], b[:, 1] + 1j * b[:, 2]
+    assert np.max(np.abs(v_closed - v_mna) / np.abs(v_mna)) <= 1e-9
+    assert np.max(np.abs(a[:, 4] - b[:, 4]) / b[:, 4]) <= 1e-9
+
+
 # ── determinism ─────────────────────────────────────────────────────────
 
 
@@ -262,6 +291,15 @@ def test_validation_failure_exits_2(tmp_path):
     assert main(["sweep-freq", "--config", str(bad)]) == 2
     missing = tmp_path / "nope.scn"
     assert main(["sweep-freq", "--config", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("points", ["0", "1", "-5", "2.5", "many"])
+def test_points_must_be_an_integer_of_at_least_two(tmp_path, points, capsys):
+    path = _scenario(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-freq", "--config", str(path), "--points", points])
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err
 
 
 def test_axis_mismatch_exits_2(tmp_path):
