@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from bodychannel.analysis import fit_total_capacitance, simulate_inductance_sweep
+from bodychannel.analysis import fit_total_capacitance, simulate
 from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, resonant_frequency
 from bodychannel.optimize import optimal_inductor
 
@@ -22,7 +22,7 @@ for target in (0.5e6, 1.0e6, 1.6e6, 3.0e6, 6.0e6):
 
 print("\nresonant frequency as the inductance is swept:")
 inductances = np.geomspace(0.05e-3, 5e-3, 9)
-sweep = simulate_inductance_sweep(rx, src, body, inductances)
+sweep = simulate("inductance", rx, src, body, inductances)
 for l_val in inductances:
     rx_l = ReceiverParams(c_ret=rx.c_ret, r_l=rx.r_l, l=float(l_val))
     print(f"  L = {l_val * 1e3:7.3f} mH -> f0 = {resonant_frequency(rx_l) / 1e6:6.3f} MHz")

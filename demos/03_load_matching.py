@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from bodychannel.analysis import simulate_load_sweep
+from bodychannel.analysis import simulate
 from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, resonant_frequency
 from bodychannel.optimize import max_power_under_current_limit, optimal_load
 
@@ -19,7 +19,7 @@ f0 = resonant_frequency(rx)
 print(f"lossy resonant receiver (r_s = {rx.r_s:.0f} ohm) at f0 = {f0 / 1e6:.3f} MHz")
 print("-" * 60)
 
-sweep = simulate_load_sweep(rx, src, body, f0, np.geomspace(100, 10e3, 13))
+sweep = simulate("load", rx, src, body, np.geomspace(100, 10e3, 13), f=f0)
 p_max = sweep.p_out_rms.max()
 for r, p in zip(sweep.values, sweep.p_out_rms):
     bar = "#" * int(50 * p / p_max)

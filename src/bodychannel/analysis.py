@@ -113,71 +113,59 @@ class SweepResult:
         return list(zip(self.values.tolist(), v, self.p_out_rms.tolist()))
 
 
+def simulate(
+    axis: str, rx: ReceiverParams, src: SourceModel, body: BodyModel, values, f=None, mna=False
+) -> SweepResult:
+    """Channel response along one sweep axis, closed form or node-level (MNA).
+
+    ``f`` is the fixed frequency of the load and input-voltage axes; the
+    inductance axis evaluates each inductance at the resonant frequency it
+    produces; input voltages are in the source's own convention.  The closed
+    form attaches a continuous axis -> power model.  With ``mna=True`` the
+    netlist is stamped once and the swept element takes one value per point.
+    """
+    values = np.asarray(values, dtype=float)
+    freqs, swept = _sweep_points(axis, rx, values, f)
+    if mna:
+        if axis == "inductance":
+            rx = replace(rx, l=float(values[0]))  # the netlist needs an inductor to sweep
+        net = acnet.build_channel_netlist(rx, src, body)
+        element = per_point = None
+        if axis == "load":
+            element, per_point = _element_at(net, acnet.Kind.RESISTOR, net.output_probe), values
+        elif axis == "inductance":
+            element, per_point = _element_at(net, acnet.Kind.INDUCTOR), values
+        elif axis == "input_voltage":
+            # The source amplitude is linear in the drive voltage for every source kind.
+            element = _element_at(net, acnet.Kind.VSOURCE)
+            per_point = net.elements[element].value * (values / src.v_in)
+        v_o = acnet.solve_many(net, freqs, element, per_point).probe_voltage
+        p = np.abs(v_o) ** 2 / swept.get("r_l", rx.r_l)
+        return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o)
+
+    v_o, p = channel_response(rx, src, body, freqs, **swept)
+    if axis == "frequency":
+        # The body potential does not depend on frequency; a scalar model keeps
+        # each step of the peak search to one transfer_function call.
+        v_b = body_potential(src, body, float(values[0]))
+
+        def model(x: float) -> float:
+            return abs(v_b * transfer_function(rx, x)) ** 2 / rx.r_l
+
+    else:
+
+        def model(x: float) -> float:
+            fx, sx = _sweep_points(axis, rx, np.asarray(x, dtype=float), f)
+            return float(channel_response(rx, src, body, fx, **sx)[1])
+
+    return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o, model=model)
+
+
 def simulate_frequency_sweep(
     rx: ReceiverParams, src: SourceModel, body: BodyModel, freqs
 ) -> SweepResult:
-    """Closed-form channel response over a frequency grid, model attached."""
-    freqs = np.asarray(freqs, dtype=float)
-    v_b = body_potential(src, body, float(freqs[0]))
-    v_o = v_b * transfer_function(rx, freqs)
-    p = np.abs(v_o) ** 2 / rx.r_l
-
-    def model(f: float) -> float:
-        return abs(v_b * transfer_function(rx, f)) ** 2 / rx.r_l
-
-    return SweepResult(axis="frequency", values=freqs, p_out_rms=p, v_o=v_o, model=model)
-
-
-def simulate_load_sweep(
-    rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float, loads
-) -> SweepResult:
-    """Channel response versus load resistance at a fixed frequency."""
-    return _closed_form_sweep("load", rx, src, body, loads, f)
-
-
-def simulate_inductance_sweep(
-    rx: ReceiverParams, src: SourceModel, body: BodyModel, inductances
-) -> SweepResult:
-    """Channel response versus series inductance, each evaluated at the
-    resonant frequency that inductance produces."""
-    return _closed_form_sweep("inductance", rx, src, body, inductances)
-
-
-def simulate_input_voltage_sweep(
-    rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float, v_ins
-) -> SweepResult:
-    """Channel response versus drive amplitude (in the source's own
-    convention) at a fixed frequency."""
-    return _closed_form_sweep("input_voltage", rx, src, body, v_ins, f)
-
-
-def simulate_mna_sweep(
-    axis: str, rx: ReceiverParams, src: SourceModel, body: BodyModel, values, f=None
-) -> SweepResult:
-    """Node-level (MNA) channel response along any sweep axis.
-
-    ``f`` is the fixed frequency of the load and input-voltage axes; the
-    inductance axis evaluates each inductance at its own resonance, as
-    :func:`simulate_inductance_sweep` does.  The netlist is stamped once and
-    the swept element takes one value per point.
-    """
-    values = np.asarray(values, dtype=float)
-    freqs, _ = _sweep_points(axis, rx, values, f)
-    if axis == "inductance":
-        rx = replace(rx, l=float(values[0]))  # the netlist needs an inductor to sweep
-    net = acnet.build_channel_netlist(rx, src, body)
-    element = swept = None
-    if axis == "load":
-        element, swept = _element_at(net, acnet.Kind.RESISTOR, net.output_probe), values
-    elif axis == "inductance":
-        element, swept = _element_at(net, acnet.Kind.INDUCTOR), values
-    elif axis == "input_voltage":
-        # The source amplitude is linear in the drive voltage for every source kind.
-        element = _element_at(net, acnet.Kind.VSOURCE)
-        swept = net.elements[element].value * (values / src.v_in)
-    v_o = acnet.solve_many(net, freqs, element, swept).probe_voltage
-    r_l = values if axis == "load" else rx.r_l
-    return SweepResult(axis=axis, values=values, p_out_rms=np.abs(v_o) ** 2 / r_l, v_o=v_o)
+    """Closed-form frequency sweep, model attached."""
+    return simulate("frequency", rx, src, body, freqs)
 
 
 def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple:
@@ -196,24 +184,6 @@ def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple
     if f is None:
         raise ValueError(f"a sweep along {axis!r} needs a fixed frequency f")
     return f, {"r_l" if axis == "load" else "v_in": values}
-
-
-def _closed_form_sweep(axis, rx, src, body, values, f=None) -> SweepResult:
-    """Closed-form sweep along a receiver or source axis, model attached."""
-
-    def response(x: np.ndarray) -> tuple:
-        freqs, swept = _sweep_points(axis, rx, x, f)
-        return channel_response(rx, src, body, freqs, **swept)
-
-    values = np.asarray(values, dtype=float)
-    v_o, p = response(values)
-    return SweepResult(
-        axis=axis,
-        values=values,
-        p_out_rms=p,
-        v_o=v_o,
-        model=lambda x: float(response(np.asarray(x, dtype=float))[1]),
-    )
 
 
 def _element_at(net: acnet.Netlist, kind: acnet.Kind, nodes=None) -> int:

@@ -28,6 +28,10 @@ from typing import Union
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+#: Upper end of the field range checks: ``lo < x < _INF`` rejects NaN and both
+#: infinities in one comparison chain (a module global: dataclass construction
+#: sits inside the optimizers' inner loops).
+_INF = math.inf
 
 #: Multiplicative factor taking a tagged amplitude to rms.
 RMS_FACTOR = {
@@ -84,18 +88,18 @@ class ReceiverParams:
     r_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.c_ret > 0.0:
-            raise ValueError(f"c_ret must be > 0, got {self.c_ret!r}")
-        if not self.r_l > 0.0:
-            raise ValueError(f"r_l must be > 0 (degenerate load), got {self.r_l!r}")
-        if self.l < 0.0:
-            raise ValueError(f"l must be >= 0, got {self.l!r}")
-        if self.c_gb < 0.0:
-            raise ValueError(f"c_gb must be >= 0, got {self.c_gb!r}")
-        if self.c_l < 0.0:
-            raise ValueError(f"c_l must be >= 0, got {self.c_l!r}")
-        if self.r_s < 0.0:
-            raise ValueError(f"r_s must be >= 0, got {self.r_s!r}")
+        if not 0.0 < self.c_ret < _INF:
+            raise ValueError(f"c_ret must be finite and > 0, got {self.c_ret!r}")
+        if not 0.0 < self.r_l < _INF:
+            raise ValueError(f"r_l must be finite and > 0 (degenerate load), got {self.r_l!r}")
+        if not 0.0 <= self.l < _INF:
+            raise ValueError(f"l must be finite and >= 0, got {self.l!r}")
+        if not 0.0 <= self.c_gb < _INF:
+            raise ValueError(f"c_gb must be finite and >= 0, got {self.c_gb!r}")
+        if not 0.0 <= self.c_l < _INF:
+            raise ValueError(f"c_l must be finite and >= 0, got {self.c_l!r}")
+        if not 0.0 <= self.r_s < _INF:
+            raise ValueError(f"r_s must be finite and >= 0, got {self.r_s!r}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,10 @@ class BodyModel:
     r_b: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.c_b > 0.0:
-            raise ValueError(f"c_b must be > 0, got {self.c_b!r}")
-        if self.r_b < 0.0:
-            raise ValueError(f"r_b must be >= 0, got {self.r_b!r}")
+        if not 0.0 < self.c_b < _INF:
+            raise ValueError(f"c_b must be finite and > 0, got {self.c_b!r}")
+        if not 0.0 <= self.r_b < _INF:
+            raise ValueError(f"r_b must be finite and >= 0, got {self.r_b!r}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,8 @@ class GroundedTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        if self.r_src < 0.0:
-            raise ValueError(f"r_src must be >= 0, got {self.r_src!r}")
+        if not 0.0 <= self.r_src < _INF:
+            raise ValueError(f"r_src must be finite and >= 0, got {self.r_src!r}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,8 @@ class WearableTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        if not self.c_ret_tx > 0.0:
-            raise ValueError(f"c_ret_tx must be > 0, got {self.c_ret_tx!r}")
+        if not 0.0 < self.c_ret_tx < _INF:
+            raise ValueError(f"c_ret_tx must be finite and > 0, got {self.c_ret_tx!r}")
 
 
 @dataclass(frozen=True)
@@ -156,18 +160,18 @@ class ResonantWearableTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        if not self.c_ret_tx > 0.0:
-            raise ValueError(f"c_ret_tx must be > 0, got {self.c_ret_tx!r}")
-        if not self.q >= 1.0:
-            raise ValueError(f"q must be >= 1, got {self.q!r}")
+        if not 0.0 < self.c_ret_tx < _INF:
+            raise ValueError(f"c_ret_tx must be finite and > 0, got {self.c_ret_tx!r}")
+        if not 1.0 <= self.q < _INF:
+            raise ValueError(f"q must be finite and >= 1, got {self.q!r}")
 
 
 SourceModel = Union[GroundedTx, WearableTx, ResonantWearableTx]
 
 
 def _check_source_common(src) -> None:
-    if not src.v_in > 0.0:
-        raise ValueError(f"v_in must be > 0, got {src.v_in!r}")
+    if not 0.0 < src.v_in < _INF:
+        raise ValueError(f"v_in must be finite and > 0, got {src.v_in!r}")
     if src.convention not in RMS_FACTOR:
         raise ValueError(
             f"unknown amplitude convention {src.convention!r}; "

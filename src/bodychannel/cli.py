@@ -15,7 +15,9 @@ import math
 import os
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -37,23 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_SAFETY = 4
-
-COMMANDS = (
-    "sweep-freq",
-    "sweep-load",
-    "sweep-inductance",
-    "sweep-vin",
-    "resonance",
-    "optimize-load",
-    "optimize-inductor",
-    "safety",
-    "max-safe-vin",
-    "fit",
-    "multi",
-    "compare-topologies",
-    "oracle-check",
-)
-
 
 class ConfigError(ValueError):
     """Scenario validation failure; messages carry the section.key path."""
@@ -103,8 +88,10 @@ class SweepSpec:
     spacing: str  # "lin" | "log"
     frequency: Optional[float] = None  # fixed operating f for non-frequency axes
 
-    def grid(self, points_override: Optional[int] = None) -> np.ndarray:
-        n = points_override or self.points
+    def grid(self, points: Optional[int] = None) -> np.ndarray:
+        n = self.points if points is None else points
+        if n < 2:
+            raise ConfigError(f"points: need at least 2, got {n}")
         if self.spacing == "log":
             return np.geomspace(self.lo, self.hi, n)
         return np.linspace(self.lo, self.hi, n)
@@ -123,7 +110,6 @@ class ScenarioConfig:
     body: BodyModel
     sweep: Optional[SweepSpec]
     limit_table_path: Optional[Path]
-    seed: Optional[int]
     fit: Optional[FitSpec]
     sha256: str
     base_dir: Path
@@ -266,7 +252,7 @@ def load_scenario(path) -> ScenarioConfig:
             if not suffix.isdigit() or int(suffix) < 2:
                 raise ConfigError(f"[{name}]: extra receivers are named receiver2, receiver3, ...")
             receiver_sections.append(name)
-        elif name not in ("receiver", "source", "body", "sweep", "safety", "run", "fit"):
+        elif name not in ("receiver", "source", "body", "sweep", "safety", "fit"):
             raise ConfigError(f"[{name}]: unknown section")
     receiver_sections = ["receiver"] + sorted(
         (n for n in receiver_sections if n != "receiver"), key=lambda n: int(n[len("receiver"):])
@@ -298,16 +284,6 @@ def load_scenario(path) -> ScenarioConfig:
         if not limit_table_path.exists():
             raise ConfigError(f"safety.limit_table: file not found: {limit_table_path}")
 
-    seed = None
-    run_items = _section(cp, "run", required=False)
-    if run_items is not None:
-        seed_text = _take(run_items, "run", "seed")
-        _reject_unknown(run_items, "run")
-        try:
-            seed = int(seed_text)
-        except ValueError:
-            raise ConfigError(f"run.seed: expected an integer, got {seed_text!r}") from None
-
     fit_spec = None
     fit_items = _section(cp, "fit", required=False)
     if fit_items is not None:
@@ -331,7 +307,6 @@ def load_scenario(path) -> ScenarioConfig:
         body=body,
         sweep=sweep,
         limit_table_path=limit_table_path,
-        seed=seed,
         fit=fit_spec,
         sha256=hashlib.sha256(raw).hexdigest(),
         base_dir=path.parent,
@@ -426,12 +401,13 @@ def import_measured(path, axis: str) -> SweepResult:
     if len(data) < 2:
         raise CsvFormatError(path, lines_seen[-1] if lines_seen else 1, "need at least 2 data rows")
 
+    arr = np.asarray(data, dtype=float)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CsvFormatError(path, lines_seen[i], f"non-finite field in row {data[i]}")
     axis_values = [row[0] for row in data]
-    seen: dict = {}
-    offenders = []
-    for v in axis_values:
-        seen[v] = seen.get(v, 0) + 1
-    offenders = sorted(v for v, n in seen.items() if n > 1)
+    offenders = sorted(v for v, n in Counter(axis_values).items() if n > 1)
     if offenders:
         raise DuplicateAxisError(path, offenders)
     if any(b < a for a, b in zip(axis_values, axis_values[1:])):
@@ -439,9 +415,8 @@ def import_measured(path, axis: str) -> SweepResult:
             UnsortedRowsWarning(f"{path}: rows were not sorted by axis; re-sorted ascending"),
             stacklevel=2,
         )
-        data.sort(key=lambda row: row[0])
+        arr = arr[np.argsort(arr[:, 0])]
 
-    arr = np.asarray(data, dtype=float)
     if power_only:
         return SweepResult(axis=axis, values=arr[:, 0], p_out_rms=arr[:, 1])
     return SweepResult(
@@ -467,6 +442,199 @@ def _operating_frequency(config: ScenarioConfig) -> float:
     return resonant_frequency(config.receiver)
 
 
+@dataclass(frozen=True)
+class RunOptions:
+    """Command-line knobs shared by the command handlers."""
+
+    points: Optional[int] = None
+    tolerance: Optional[float] = None
+    joint: bool = False
+    oracle: bool = False
+
+
+_SWEEP_AXIS = {
+    "sweep-freq": "frequency",
+    "sweep-load": "load",
+    "sweep-inductance": "inductance",
+    "sweep-vin": "input_voltage",
+}
+
+
+def _sweep(axis: str, config: ScenarioConfig, options: RunOptions) -> tuple:
+    spec = _require_axis(config, axis)
+    f = _operating_frequency(config) if axis in ("load", "input_voltage") else None
+    xs = spec.grid(options.points)
+    sweep = analysis.simulate(
+        axis, config.receiver, config.source, config.body, xs, f, mna=options.oracle
+    )
+    return sweep_to_table(sweep), EXIT_OK, {} if f is None else {"frequency_hz": repr(f)}
+
+
+def _resonance(config: ScenarioConfig, options: RunOptions) -> tuple:
+    rx = config.receiver
+    f0 = resonant_frequency(rx)
+    sweep = analysis.simulate("frequency", rx, config.source, config.body, [f0], mna=options.oracle)
+    return sweep_to_table(sweep), EXIT_OK, {}
+
+
+def _optimize_load(config: ScenarioConfig, options: RunOptions) -> tuple:
+    spec = _require_axis(config, "load")
+    f = _operating_frequency(config)
+    bounds = (spec.lo, spec.hi)
+    result = optimize.optimal_load(config.receiver, config.source, config.body, f, bounds)
+    table = ResultTable(
+        columns=["load_opt[ohm]", "p_out_rms[W]", "constraint_active"],
+        rows=[[result.argmax, result.objective_at_argmax, float(result.constraint_active)]],
+    )
+    extra = {"frequency_hz": repr(f), "constraint": result.constraint_name or "none"}
+    return table, EXIT_OK, extra
+
+
+def _optimize_inductor(config: ScenarioConfig, options: RunOptions) -> tuple:
+    if config.sweep is None or config.sweep.frequency is None:
+        raise ConfigError("optimize-inductor needs sweep.frequency as the target")
+    l_opt = optimize.optimal_inductor(config.receiver, config.sweep.frequency)
+    achieved = resonant_frequency(replace(config.receiver, l=l_opt))
+    table = ResultTable(
+        columns=["inductance_opt[H]", "resonant_frequency[Hz]"],
+        rows=[[l_opt, achieved]],
+    )
+    return table, EXIT_OK, {}
+
+
+def _safety(config: ScenarioConfig, options: RunOptions) -> tuple:
+    limits = _load_limits(config)
+    f = _safety_frequency(config)
+    rx = config.receiver if options.oracle else None
+    report = safety.check(config.source, config.body, f, limits, rx=rx, mna=options.oracle)
+    table = ResultTable(
+        columns=["frequency[Hz]", "contact_current_rms[A]", "limit_rms[A]", "margin", "passed"],
+        rows=[[f, report.contact_current_rms, report.limit, report.margin, float(report.passed)]],
+    )
+    code = EXIT_OK if report.passed else EXIT_SAFETY
+    return table, code, {"limit_source": limits.source_label}
+
+
+def _max_safe_vin(config: ScenarioConfig, options: RunOptions) -> tuple:
+    limits = _load_limits(config)
+    f = _safety_frequency(config)
+    src = config.source
+    v_max = safety.max_safe_input(config.body, f, limits, src)
+    unit = {"pp": "Vpp", "amplitude": "Vamp", "rms": "Vrms"}[src.convention]
+    table = ResultTable(
+        columns=[f"v_in_max[{unit}]", "frequency[Hz]", "limit_rms[A]"],
+        rows=[[v_max, f, limits.band_for(f).contact_current_limit]],
+    )
+    return table, EXIT_OK, {"limit_source": limits.source_label}
+
+
+def _fit(config: ScenarioConfig, options: RunOptions) -> tuple:
+    if config.fit is None:
+        raise ConfigError("fit needs a [fit] section with data and free keys")
+    observed = import_measured(config.fit.data, axis="frequency")
+    tokens = config.fit.free
+    free_fields = [PARAM_TOKEN[t] for t in tokens]
+    report = analysis.fit_params(observed, free_fields, config.receiver, config.source, config.body)
+    columns = [f"{t}[{_PARAM_UNIT[t]}]" for t in tokens]
+    columns += ["residual_rms[W]", "iterations", "converged"]
+    row = [report.fitted_params[name] for name in free_fields]
+    row += [report.residual_rms, float(report.iterations), float(report.converged)]
+    return ResultTable(columns=columns, rows=[row]), EXIT_OK, {}
+
+
+def _multi(config: ScenarioConfig, options: RunOptions) -> tuple:
+    receivers, src, body = config.receivers, config.source, config.body
+    points_out = optimize.multi_receiver_power(receivers, src, body)
+    if not options.joint:
+        table = ResultTable(
+            columns=["receiver", "frequency[Hz]", "v_o_mag[V]", "p_out_rms[W]"],
+            rows=[
+                [float(i + 1), pt.frequency, abs(pt.v_o), pt.p_out_rms]
+                for i, pt in enumerate(points_out)
+            ],
+        )
+        return table, EXIT_OK, {}
+    records = optimize.joint_loading_check(receivers, src, body)
+    table = ResultTable(
+        columns=[
+            "receiver",
+            "frequency[Hz]",
+            "v_o_mag[V]",
+            "p_out_rms[W]",
+            "p_joint_rms[W]",
+            "deviation_rel",
+        ],
+        rows=[
+            [
+                float(r.receiver_index + 1),
+                r.frequency,
+                abs(r.independent.v_o),
+                r.independent.p_out_rms,
+                r.joint_power_rms,
+                r.deviation,
+            ]
+            for r in records
+        ],
+    )
+    return table, EXIT_OK, {}
+
+
+_TOPOLOGY_COLUMNS = {
+    "M2M": "m2m_gain[dB]",
+    "M2W": "m2w_gain[dB]",
+    "W2W": "w2w_gain[dB]",
+    "W2W-resonant": "w2w_resonant_gain[dB]",
+}
+
+
+def _compare_topologies(config: ScenarioConfig, options: RunOptions) -> tuple:
+    spec = _require_axis(config, "frequency")
+    src = config.source
+    if not isinstance(src, ResonantWearableTx):
+        raise ConfigError(
+            "compare-topologies needs source.kind = resonant-wearable "
+            "(supplies C_ret_tx and Q for the wearable curves)"
+        )
+    xs = spec.grid(options.points)
+    curves = optimize.compare_topologies(
+        config.receiver, config.body, xs, c_ret_tx=src.c_ret_tx, q=src.q
+    )
+    gains = {c.topology: c.gain_db for c in curves}
+    table = ResultTable(
+        columns=["frequency[Hz]", *_TOPOLOGY_COLUMNS.values()],
+        rows=np.column_stack([xs, *(gains[name] for name in _TOPOLOGY_COLUMNS)]).tolist(),
+    )
+    return table, EXIT_OK, {}
+
+
+def _oracle_check(config: ScenarioConfig, options: RunOptions) -> tuple:
+    xs = _require_axis(config, "frequency").grid(options.points)
+    gaps = analysis.oracle_gap(config.receiver, xs)
+    tol = options.tolerance if options.tolerance is not None else 1e-9
+    table = ResultTable(
+        columns=["frequency[Hz]", "rel_diff"],
+        rows=[[float(x), float(g)] for x, g in zip(xs, gaps)],
+    )
+    code = EXIT_OK if float(np.max(gaps)) <= tol else EXIT_MODEL
+    return table, code, {"tolerance": repr(tol)}
+
+
+_HANDLERS = {
+    **{command: partial(_sweep, axis) for command, axis in _SWEEP_AXIS.items()},
+    "resonance": _resonance,
+    "optimize-load": _optimize_load,
+    "optimize-inductor": _optimize_inductor,
+    "safety": _safety,
+    "max-safe-vin": _max_safe_vin,
+    "fit": _fit,
+    "multi": _multi,
+    "compare-topologies": _compare_topologies,
+    "oracle-check": _oracle_check,
+}
+
+COMMANDS = tuple(_HANDLERS)
+
+
 def run(
     command: str,
     config: ScenarioConfig,
@@ -474,7 +642,6 @@ def run(
     tolerance: Optional[float] = None,
     joint: bool = False,
     oracle: bool = False,
-    seed: Optional[int] = None,
 ) -> tuple:
     """Execute one command against a validated scenario.
 
@@ -482,220 +649,18 @@ def run(
     problems and model-level exceptions for the rest (main() maps both to
     exit codes).
     """
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-    rx, src, body = config.receiver, config.source, config.body
-    extra_provenance: dict = {}
-
-    if command == "sweep-freq":
-        spec = _require_axis(config, "frequency")
-        xs = spec.grid(points)
-        sweep = (
-            analysis.simulate_mna_sweep("frequency", rx, src, body, xs)
-            if oracle
-            else analysis.simulate_frequency_sweep(rx, src, body, xs)
-        )
-        table, code = sweep_to_table(sweep), EXIT_OK
-
-    elif command == "sweep-load":
-        spec = _require_axis(config, "load")
-        f = _operating_frequency(config)
-        xs = spec.grid(points)
-        sweep = (
-            analysis.simulate_mna_sweep("load", rx, src, body, xs, f)
-            if oracle
-            else analysis.simulate_load_sweep(rx, src, body, f, xs)
-        )
-        extra_provenance["frequency_hz"] = repr(f)
-        table, code = sweep_to_table(sweep), EXIT_OK
-
-    elif command == "sweep-inductance":
-        spec = _require_axis(config, "inductance")
-        xs = spec.grid(points)
-        sweep = (
-            analysis.simulate_mna_sweep("inductance", rx, src, body, xs)
-            if oracle
-            else analysis.simulate_inductance_sweep(rx, src, body, xs)
-        )
-        table, code = sweep_to_table(sweep), EXIT_OK
-
-    elif command == "sweep-vin":
-        spec = _require_axis(config, "input_voltage")
-        f = _operating_frequency(config)
-        xs = spec.grid(points)
-        sweep = (
-            analysis.simulate_mna_sweep("input_voltage", rx, src, body, xs, f)
-            if oracle
-            else analysis.simulate_input_voltage_sweep(rx, src, body, f, xs)
-        )
-        extra_provenance["frequency_hz"] = repr(f)
-        table, code = sweep_to_table(sweep), EXIT_OK
-
-    elif command == "resonance":
-        f0 = resonant_frequency(rx)
-        xs = np.array([f0])
-        sweep = (
-            analysis.simulate_mna_sweep("frequency", rx, src, body, xs)
-            if oracle
-            else analysis.simulate_frequency_sweep(rx, src, body, xs)
-        )
-        table, code = sweep_to_table(sweep), EXIT_OK
-
-    elif command == "optimize-load":
-        spec = _require_axis(config, "load")
-        f = _operating_frequency(config)
-        result = optimize.optimal_load(rx, src, body, f, (spec.lo, spec.hi))
-        extra_provenance["frequency_hz"] = repr(f)
-        extra_provenance["constraint"] = result.constraint_name or "none"
-        table = ResultTable(
-            columns=["load_opt[ohm]", "p_out_rms[W]", "constraint_active"],
-            rows=[[result.argmax, result.objective_at_argmax, float(result.constraint_active)]],
-        )
-        code = EXIT_OK
-
-    elif command == "optimize-inductor":
-        if config.sweep is None or config.sweep.frequency is None:
-            raise ConfigError("optimize-inductor needs sweep.frequency as the target")
-        f_target = config.sweep.frequency
-        l_opt = optimize.optimal_inductor(rx, f_target)
-        achieved = resonant_frequency(replace(rx, l=l_opt))
-        table = ResultTable(
-            columns=["inductance_opt[H]", "resonant_frequency[Hz]"],
-            rows=[[l_opt, achieved]],
-        )
-        code = EXIT_OK
-
-    elif command == "safety":
-        table_obj = _load_limits(config)
-        f = _safety_frequency(config)
-        report = safety.check(src, body, f, table_obj, rx=rx if oracle else None, mna=oracle)
-        extra_provenance["limit_source"] = table_obj.source_label
-        table = ResultTable(
-            columns=[
-                "frequency[Hz]",
-                "contact_current_rms[A]",
-                "limit_rms[A]",
-                "margin",
-                "passed",
-            ],
-            rows=[[f, report.contact_current_rms, report.limit, report.margin, float(report.passed)]],
-        )
-        code = EXIT_OK if report.passed else EXIT_SAFETY
-
-    elif command == "max-safe-vin":
-        table_obj = _load_limits(config)
-        f = _safety_frequency(config)
-        v_max = safety.max_safe_input(body, f, table_obj, src)
-        band = table_obj.band_for(f)
-        unit = {"pp": "Vpp", "amplitude": "Vamp", "rms": "Vrms"}[src.convention]
-        extra_provenance["limit_source"] = table_obj.source_label
-        table = ResultTable(
-            columns=[f"v_in_max[{unit}]", "frequency[Hz]", "limit_rms[A]"],
-            rows=[[v_max, f, band.contact_current_limit]],
-        )
-        code = EXIT_OK
-
-    elif command == "fit":
-        if config.fit is None:
-            raise ConfigError("fit needs a [fit] section with data and free keys")
-        observed = import_measured(config.fit.data, axis="frequency")
-        free_fields = [PARAM_TOKEN[t] for t in config.fit.free]
-        report = analysis.fit_params(observed, free_fields, rx, src, body)
-        columns = [f"{t}[{_PARAM_UNIT[t]}]" for t in config.fit.free]
-        row = [report.fitted_params[PARAM_TOKEN[t]] for t in config.fit.free]
-        columns += ["residual_rms[W]", "iterations", "converged"]
-        row += [report.residual_rms, float(report.iterations), float(report.converged)]
-        table = ResultTable(columns=columns, rows=[row])
-        code = EXIT_OK
-
-    elif command == "multi":
-        points_out = optimize.multi_receiver_power(config.receivers, src, body)
-        if joint:
-            records = optimize.joint_loading_check(config.receivers, src, body)
-            table = ResultTable(
-                columns=[
-                    "receiver",
-                    "frequency[Hz]",
-                    "v_o_mag[V]",
-                    "p_out_rms[W]",
-                    "p_joint_rms[W]",
-                    "deviation_rel",
-                ],
-                rows=[
-                    [
-                        float(r.receiver_index + 1),
-                        r.frequency,
-                        abs(r.independent.v_o),
-                        r.independent.p_out_rms,
-                        r.joint_power_rms,
-                        r.deviation,
-                    ]
-                    for r in records
-                ],
-            )
-        else:
-            table = ResultTable(
-                columns=["receiver", "frequency[Hz]", "v_o_mag[V]", "p_out_rms[W]"],
-                rows=[
-                    [float(i + 1), pt.frequency, abs(pt.v_o), pt.p_out_rms]
-                    for i, pt in enumerate(points_out)
-                ],
-            )
-        code = EXIT_OK
-
-    elif command == "compare-topologies":
-        spec = _require_axis(config, "frequency")
-        if not isinstance(src, ResonantWearableTx):
-            raise ConfigError(
-                "compare-topologies needs source.kind = resonant-wearable "
-                "(supplies C_ret_tx and Q for the wearable curves)"
-            )
-        xs = spec.grid(points)
-        curves = optimize.compare_topologies(rx, body, xs, c_ret_tx=src.c_ret_tx, q=src.q)
-        by_name = {c.topology: c for c in curves}
-        table = ResultTable(
-            columns=[
-                "frequency[Hz]",
-                "m2m_gain[dB]",
-                "m2w_gain[dB]",
-                "w2w_gain[dB]",
-                "w2w_resonant_gain[dB]",
-            ],
-            rows=[
-                [
-                    float(xs[i]),
-                    float(by_name["M2M"].gain_db[i]),
-                    float(by_name["M2W"].gain_db[i]),
-                    float(by_name["W2W"].gain_db[i]),
-                    float(by_name["W2W-resonant"].gain_db[i]),
-                ]
-                for i in range(len(xs))
-            ],
-        )
-        code = EXIT_OK
-
-    else:  # oracle-check
-        spec = _require_axis(config, "frequency")
-        xs = spec.grid(points)
-        gaps = analysis.oracle_gap(rx, xs)
-        tol = tolerance if tolerance is not None else 1e-9
-        extra_provenance["tolerance"] = repr(tol)
-        table = ResultTable(
-            columns=["frequency[Hz]", "rel_diff"],
-            rows=[[float(x), float(g)] for x, g in zip(xs, gaps)],
-        )
-        code = EXIT_OK if float(np.max(gaps)) <= tol else EXIT_MODEL
-
-    provenance = {
+    try:
+        handler = _HANDLERS[command]
+    except KeyError:
+        raise ConfigError(f"unknown command {command!r}") from None
+    options = RunOptions(points=points, tolerance=tolerance, joint=joint, oracle=oracle)
+    table, code, extra_provenance = handler(config, options)
+    table.provenance = {
         "config_sha256": config.sha256,
         "command": command,
         "version": __version__,
+        **extra_provenance,
     }
-    effective_seed = seed if seed is not None else config.seed
-    if effective_seed is not None:
-        provenance["seed"] = str(effective_seed)
-    provenance.update(extra_provenance)
-    table.provenance = provenance
     return table, code
 
 
@@ -737,21 +702,6 @@ def _emit_plot_data(out_path: Path, table: ResultTable) -> list:
     return written
 
 
-_MODEL_ERRORS = (
-    acnet.NetlistError,
-    acnet.SingularElementError,
-    acnet.SingularNetworkError,
-    analysis.AmbiguousPeakError,
-    analysis.WindowTruncationError,
-    analysis.InconsistentMeasurementError,
-    analysis.IdentifiabilityError,
-    optimize.UnboundedObjectiveError,
-    optimize.InfeasibleError,
-    safety.UncoveredBandError,
-    safety.IncompleteTableError,
-)
-
-
 def _points_arg(text: str) -> int:
     try:
         points = int(text)
@@ -771,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="scenario file (.scn)")
     parser.add_argument("--out", default="-", help="output CSV path, or - for stdout")
     parser.add_argument("--plot-data", action="store_true", help="also write two-column plot files")
-    parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--points", type=_points_arg, help="override sweep.points (an integer >= 2)")
     parser.add_argument("--tolerance", type=float, help="relative tolerance for oracle-check")
     parser.add_argument("--joint", action="store_true", help="multi: verify against the joint network")
@@ -792,15 +741,11 @@ def main(argv=None) -> int:
             tolerance=args.tolerance,
             joint=args.joint,
             oracle=args.oracle,
-            seed=args.seed,
         )
     except (ConfigError, CsvFormatError, DuplicateAxisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _MODEL_ERRORS as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except ValueError as exc:
+    except (ValueError, acnet.SingularNetworkError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

@@ -20,9 +20,8 @@ from bodychannel.analysis import (
     fit_total_capacitance,
     q_factor,
     sensitivity,
+    simulate,
     simulate_frequency_sweep,
-    simulate_input_voltage_sweep,
-    simulate_load_sweep,
 )
 from bodychannel.channel import (
     BodyModel,
@@ -245,7 +244,7 @@ def test_fit_input_validation():
         fit_params(sweep, ["c_x"], rx, SRC, BODY)
     with pytest.raises(ValueError, match="empty"):
         fit_params(sweep, [], rx, SRC, BODY)
-    load_sweep = simulate_load_sweep(rx, SRC, BODY, 1e6, np.geomspace(100, 1e4, 16))
+    load_sweep = simulate("load", rx, SRC, BODY, np.geomspace(100, 1e4, 16), f=1e6)
     with pytest.raises(ValueError, match="frequency sweep"):
         fit_params(load_sweep, ["c_ret"], rx, SRC, BODY)
     with pytest.raises(ValueError, match="positive starting value"):
@@ -382,6 +381,6 @@ def test_approximation_gap_exposes_source_resistance_drop():
 def test_input_voltage_sweep_is_quadratic():
     rx = ReceiverParams(c_ret=1e-12, c_gb=1.93e-12, l=3.38e-3, r_l=1000.0)
     f0 = resonant_frequency(rx)
-    sweep = simulate_input_voltage_sweep(rx, GroundedTx(12.0, "pp"), BODY, f0, np.linspace(1, 12, 12))
+    sweep = simulate("input_voltage", rx, GroundedTx(12.0, "pp"), BODY, np.linspace(1, 12, 12), f=f0)
     slope = np.polyfit(np.log(sweep.values), np.log(sweep.p_out_rms), 1)[0]
     assert slope == pytest.approx(2.0, abs=1e-6)

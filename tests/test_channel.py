@@ -285,6 +285,26 @@ def test_source_and_body_validation():
         ResonantWearableTx(v_in=1.0, convention="pp", c_ret_tx=1e-12, q=0.5)
 
 
+VALID_FIELDS = {
+    ReceiverParams: dict(c_ret=1e-12, r_l=1e3, l=4e-3, c_gb=5e-12, c_l=1e-12, r_s=10.0),
+    BodyModel: dict(c_b=150e-12, r_b=10.0),
+    GroundedTx: dict(v_in=12.0, convention="pp", r_src=50.0),
+    WearableTx: dict(v_in=12.0, convention="pp", c_ret_tx=1e-12),
+    ResonantWearableTx: dict(v_in=12.0, convention="pp", c_ret_tx=1e-12, q=10.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls, kw in VALID_FIELDS.items() for name in kw if name != "convention"],
+)
+def test_non_finite_fields_are_rejected_by_name(cls, name, bad):
+    cls(**VALID_FIELDS[cls])
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        cls(**{**VALID_FIELDS[cls], name: bad})
+
+
 def test_symbol_audit_map():
     symbols = element_symbols()
     assert symbols["C_ret"] == "ReceiverParams.c_ret"

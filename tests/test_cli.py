@@ -302,6 +302,26 @@ def test_points_must_be_an_integer_of_at_least_two(tmp_path, points, capsys):
     assert "--points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", [0, 1, -5])
+def test_run_rejects_points_below_two(tmp_path, points):
+    config = load_scenario(_scenario(tmp_path))
+    with pytest.raises(ConfigError, match="points"):
+        run("sweep-freq", config, points=points)
+
+
+def test_run_section_is_an_unknown_section(tmp_path, capsys):
+    path = _scenario(tmp_path, BASE_SCENARIO + "\n[run]\nseed = 1\n")
+    assert main(["sweep-freq", "--config", str(path)]) == 2
+    assert "[run]: unknown section" in capsys.readouterr().err
+
+
+def test_seed_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-freq", "--config", str(_scenario(tmp_path)), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_axis_mismatch_exits_2(tmp_path):
     path = _scenario(tmp_path)
     assert main(["sweep-load", "--config", str(path)]) == 2
@@ -474,6 +494,23 @@ def test_import_rejects_nonpositive_axis(tmp_path):
     )
     with pytest.raises(CsvFormatError):
         import_measured(path, axis="frequency")
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ("1e6,nan\n2e6,0.002\n", 2),
+        ("1e6,0.001\n2e6,-inf\n", 3),
+        ("1e6,0.001\n2e6,inf\n", 3),
+        ("1e6,0.001\ninf,0.002\n", 3),
+    ],
+)
+def test_import_rejects_non_finite_fields_with_line(tmp_path, rows, line):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("frequency[Hz],p_out_rms[W]\n" + rows, encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="non-finite") as excinfo:
+        import_measured(path, axis="frequency")
+    assert excinfo.value.line == line
 
 
 def test_import_sorts_with_warning(tmp_path):
