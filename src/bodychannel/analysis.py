@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import acnet
 from .channel import (
@@ -91,6 +90,10 @@ class SweepResult:
         self.p_out_rms = np.asarray(self.p_out_rms, dtype=float)
         if self.values.ndim != 1 or self.values.shape != self.p_out_rms.shape:
             raise ValueError("values and p_out_rms must be 1-d arrays of equal length")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
+        if not np.isfinite(self.p_out_rms).all():
+            raise ValueError("p_out_rms must be finite")
         if np.any(np.diff(self.values) <= 0.0):
             raise ValueError("axis values must be strictly increasing")
         if np.any(self.p_out_rms < 0.0):
@@ -220,7 +223,7 @@ def find_resonant_peak(sweep: SweepResult, noise_floor: float = 1e-6) -> tuple:
         )
         return float(x[i]), float(p[i])
 
-    peaks, _ = find_peaks(p, prominence=noise_floor * p[i])
+    peaks = _prominent_peaks(p, noise_floor * p[i])
     if len(peaks) > 1:
         candidates = [(float(x[j]), float(p[j])) for j in peaks]
         raise AmbiguousPeakError(
@@ -231,6 +234,57 @@ def find_resonant_peak(sweep: SweepResult, noise_floor: float = 1e-6) -> tuple:
     if sweep.model is not None:
         return golden_section_max(sweep.model, float(x[i - 1]), float(x[i + 1]), rel_tol=1e-9)
     return _parabolic_vertex(x[i - 1 : i + 2], p[i - 1 : i + 2])
+
+
+def _prominent_peaks(p: np.ndarray, min_prominence: float) -> list:
+    """Indices of the interior local maxima of ``p`` whose topographic
+    prominence is at least ``min_prominence``, in increasing order.
+
+    A flat-topped maximum counts once, at the middle of its plateau
+    (rounded down).  The prominence of a peak of height h is h minus the
+    higher of the two lowest samples found by walking left and right from
+    it until a strictly higher sample or the border.  This is the
+    definition of ``scipy.signal.find_peaks(p, prominence=min_prominence)``.
+    """
+    # Nonzero steps only: a rise followed by a fall (with any run of equal
+    # samples between them) brackets one maximum or plateau [left, right].
+    d = np.diff(p)
+    steps = np.flatnonzero(d)
+    rises = d[steps] > 0.0
+    tops = np.flatnonzero(rises[:-1] & ~rises[1:])
+    if not tops.size:
+        return []
+    lefts = (steps[tops] + 1).tolist()
+    rights = steps[tops + 1].tolist()
+    peaks = [(a + b) // 2 for a, b in zip(lefts, rights)]
+    heights = p[peaks].tolist()
+    # A walk from a peak first meets a strictly higher sample on the flank of
+    # the nearest strictly higher peak, and every sample from that peak to
+    # there is higher still, so each side's lowest sample is the minimum up
+    # to that peak (or the border).  One reduceat takes every minimum.
+    before = _nearest_higher(peaks, heights, -1)
+    after = _nearest_higher(peaks[::-1], heights[::-1], len(p))[::-1]
+    bounds = []
+    for b, left, right, a in zip(before, lefts, rights, after):
+        bounds += (b + 1, left, right + 1, a)
+    mins = np.minimum.reduceat(np.append(p, np.inf), bounds).tolist()
+    return [
+        k
+        for k, h, lo, hi in zip(peaks, heights, mins[0::4], mins[2::4])
+        if h - max(lo, hi) >= min_prominence
+    ]
+
+
+def _nearest_higher(peaks: list, heights: list, border: int) -> list:
+    """For each peak in order, the position of the nearest earlier peak that
+    is strictly higher, or ``border`` when there is none (a monotone stack)."""
+    found, stack = [], []
+    for k, h in zip(peaks, heights):
+        while stack and stack[-1][1] <= h:
+            stack.pop()
+        found.append(stack[-1][0] if stack else border)
+        stack.append((k, h))
+    return found
 
 
 def _parabolic_vertex(x3, p3) -> tuple:

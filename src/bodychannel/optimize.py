@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import acnet, safety
 from .channel import (
@@ -23,6 +22,7 @@ from .channel import (
     SourceModel,
     TWO_PI,
     body_potential,
+    channel_response,
     received_power,
     resonant_frequency,
     transfer_function,
@@ -117,6 +117,71 @@ def golden_section_max_bracketed(
         if y > best[1]:
             best = (x, y)
     return best[0], best[1], (math.exp(a), math.exp(b))
+
+
+#: Brent root-search tolerances, the defaults of ``scipy.optimize.brentq``.
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _brent_root(fn: Callable[[float], float], a: float, b: float, maxiter: int = 100) -> float:
+    """Root of ``fn`` on [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4).
+
+    The iteration, its update order and its tolerances are those of
+    ``scipy.optimize.brentq``, so both return the same root bit for bit.
+    The bracket may be given in either order; fn(a) and fn(b) must have
+    opposite signs (or one be zero).  Converged when the bracket half-width
+    is below (2e-12 + 4*eps*|x|)/2.  Raises ``ValueError`` for a bracket
+    without a sign change or a NaN value, ``RuntimeError`` after
+    ``maxiter`` iterations without convergence.
+    """
+
+    def value(x: float) -> float:
+        y = float(fn(x))
+        if math.isnan(y):
+            raise ValueError(f"the function value at x={x} is NaN; the root search cannot go on")
+        return y
+
+    # cur: best estimate; blk: the other end of the sign-changing bracket;
+    # pre: the previous estimate.  s: the current and the previous step.
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f(a) = {fpre!r} and f(b) = {fcur!r} must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"root search failed to converge after {maxiter} iterations, at {xcur!r}")
 
 
 def _load_power(rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float):
@@ -247,7 +312,12 @@ def max_power_under_current_limit(
         return v_b * abs(transfer_function(replace(rx, r_l=r_l), f)) / r_l
 
     grid = np.geomspace(lo, hi, 128)
-    currents = np.array([load_current(float(r)) for r in grid])
+    currents = np.abs(channel_response(rx, src, body, f, r_l=grid)[0]) / grid
+    # The broadcast kernel and the scalar load_current that brackets the root
+    # round differently (a few ulp); points that close to the limit take the
+    # scalar value, so the bracket found below always changes sign.
+    for k in np.flatnonzero(np.abs(currents - i_limit) <= 1e-12 * i_limit):
+        currents[k] = load_current(float(grid[k]))
     feasible = currents <= i_limit
     if not feasible.any():
         k = int(np.argmin(currents))
@@ -277,9 +347,7 @@ def max_power_under_current_limit(
         if first == 0:
             r_c = lo
         else:
-            r_c = float(
-                brentq(lambda r: load_current(r) - i_limit, grid[first - 1], grid[first])
-            )
+            r_c = _brent_root(lambda r: load_current(r) - i_limit, grid[first - 1], grid[first])
         trace: list = []
         golden_section_max(power, r_c, hi, rel_tol=rel_tol, trace=trace)
         argmax, objective = max(trace, key=lambda t: t[1])

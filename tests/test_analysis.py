@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodychannel import acnet, analysis
 from bodychannel.analysis import (
@@ -50,6 +52,21 @@ def test_sweep_result_validation():
     sw = SweepResult(axis="frequency", values=[1e6, 2e6], p_out_rms=[1.0, 2.0])
     assert sw.power_only and len(sw) == 2
     assert sw.rows() == [(1e6, None, 1.0), (2e6, None, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "values, powers, name",
+    [
+        ([1.0, 2.0], [math.nan, 1.0], "p_out_rms"),
+        ([1.0, 2.0], [1.0, math.inf], "p_out_rms"),
+        ([1.0, math.inf], [1.0, 1.0], "values"),
+        ([-math.inf, 1.0], [1.0, 1.0], "values"),
+        ([1.0, math.nan], [1.0, 1.0], "values"),
+    ],
+)
+def test_sweep_result_rejects_non_finite_data(values, powers, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SweepResult("frequency", values, powers)
 
 
 # ── peak detection ──────────────────────────────────────────────────────
@@ -122,6 +139,56 @@ def test_parabolic_refinement_without_model():
     f_peak, p_peak = find_resonant_peak(sweep)
     assert f_peak == pytest.approx(1.05, rel=1e-12)
     assert p_peak == pytest.approx(2.0, rel=1e-12)
+
+
+def _gaussian_pair(params):
+    c1, c2, w1, w2, a2, n = params
+    x = np.linspace(0.0, 1.0, n)
+    return np.exp(-(((x - c1) / w1) ** 2)) + a2 * np.exp(-(((x - c2) / w2) ** 2))
+
+
+def _flat_lorentzian(params):
+    c, width, n = params
+    x = np.linspace(-1.0, 1.0, n)
+    return 1.0 / (1.0 + ((x - c) / width) ** 2)
+
+
+_unit = st.floats(0.0, 1.0)
+_PEAK_PROFILES = st.one_of(
+    # Small integers make plateaus of every width, on the borders too.
+    st.lists(st.integers(0, 3), max_size=40).map(lambda v: np.array(v, dtype=float)),
+    st.lists(_unit, max_size=40).map(np.array),
+    st.tuples(_unit, _unit, st.floats(0.01, 0.3), st.floats(0.01, 0.3), _unit,
+              st.integers(5, 200)).map(_gaussian_pair),
+    st.tuples(st.floats(-0.5, 0.5), st.floats(1.0, 100.0), st.integers(5, 200)).map(
+        _flat_lorentzian
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(p=_PEAK_PROFILES, rel=st.sampled_from((0.0, 1e-6, 1e-3, 0.1, 0.5)))
+def test_prominent_peaks_match_scipy_find_peaks(p, rel):
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    threshold = rel * p.max() if p.size else 0.0
+    expected = find_peaks(p, prominence=threshold)[0].tolist()
+    assert analysis._prominent_peaks(p, threshold) == expected
+
+
+@pytest.mark.parametrize(
+    "p, threshold, expected",
+    [
+        # Plateau 2..5 counts once at (2 + 5) // 2 with prominence 2 - max(1, 0);
+        # the plateaus on the borders are no peaks.
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0, 5.0, 5.0], 0.0, [3]),
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0, 5.0, 5.0], 1.0, [3]),
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 0.0, 5.0, 5.0], 1.0 + 1e-12, []),
+        # Each 3 walks past the other down to the 0 beyond it: prominence 3, not 1.
+        ([0.0, 3.0, 2.0, 3.0, 0.0], 3.0, [1, 3]),
+    ],
+)
+def test_prominent_peaks_examples(p, threshold, expected):
+    assert analysis._prominent_peaks(np.array(p), threshold) == expected
 
 
 # ── capacitance inversions ──────────────────────────────────────────────

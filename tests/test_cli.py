@@ -1,6 +1,9 @@
 """Scenario parsing, command orchestration, CSV schema, exit codes, and
 measured-data import."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,7 +24,7 @@ from bodychannel.cli import (
     run,
     sweep_to_table,
 )
-from helpers import SCENARIO_DIR
+from helpers import REPO_ROOT, SCENARIO_DIR
 
 BASE_SCENARIO = """\
 [receiver]
@@ -55,6 +58,19 @@ def _scenario(tmp_path, text=BASE_SCENARIO, name="case.scn"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# ── dependencies ────────────────────────────────────────────────────────
+
+
+def test_cli_import_loads_no_scipy():
+    # The runtime needs numpy only; scipy is a test oracle.
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    code = (
+        "import bodychannel.cli, sys; "
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ── quantity and scenario parsing ───────────────────────────────────────

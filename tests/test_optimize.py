@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bodychannel.channel import (
     BodyModel,
@@ -13,13 +15,16 @@ from bodychannel.channel import (
     ReceiverParams,
     WearableTx,
     body_potential,
+    channel_response,
     received_power,
     resonant_frequency,
+    transfer_function,
 )
 from bodychannel.optimize import (
     InfeasibleError,
     LoadingAssumptionWarning,
     UnboundedObjectiveError,
+    _brent_root,
     compare_topologies,
     golden_section_max,
     joint_loading_check,
@@ -28,6 +33,7 @@ from bodychannel.optimize import (
     optimal_inductor,
     optimal_load,
 )
+from bodychannel.safety import contact_current
 from helpers import log_uniform
 
 BODY = BodyModel(c_b=150e-12)
@@ -146,6 +152,70 @@ def test_optimal_inductor_round_trip():
         assert resonant_frequency(rx_tuned) == pytest.approx(f_target, rel=1e-12)
 
 
+# ── Brent root search ───────────────────────────────────────────────────
+
+# Root families with a root at ``r``: odd powers (flat and steep roots), a
+# wavy arctangent (which may cross zero again), an exponential, a decreasing
+# current-like curve and a step (bisection only).
+_ROOT_FAMILIES = {
+    "power": lambda r, k, n: lambda x: k * math.copysign(abs(x - r) ** n, x - r),
+    "wavy": lambda r, k, n: lambda x: math.atan(k * (x - r)) + 0.1 * n * (x - r) * math.sin(3 * x),
+    "exp": lambda r, k, n: lambda x: math.exp(k * (x - r) / n) - 1.0,
+    "current": lambda r, k, n: lambda x: 1.0 / (x - r + 10.0) ** (1.0 / n) - 10.0 ** (-1.0 / n),
+    "step": lambda r, k, n: lambda x: math.floor(k * (x - r)) + 0.5,
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(sorted(_ROOT_FAMILIES)),
+    r=st.floats(-5.0, 5.0),
+    k=st.floats(0.1, 50.0),
+    n=st.integers(1, 5),
+    left=st.floats(1e-9, 8.0),
+    right=st.floats(1e-9, 8.0),
+    swap=st.booleans(),
+    maxiter=st.sampled_from((3, 8, 100, 100)),
+)
+def test_brent_root_matches_scipy_brentq_bit_for_bit(family, r, k, n, left, right, swap, maxiter):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    fn = _ROOT_FAMILIES[family](r, k, n)
+    a, b = (r + right, r - left) if swap else (r - left, r + right)
+    outcomes = []
+    for solver in (brentq, _brent_root):
+        try:
+            outcomes.append(float(solver(fn, a, b, maxiter=maxiter)).hex())
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append(type(exc).__name__)
+    assert outcomes[1] == outcomes[0]
+
+
+_BRENT_FAILURES = [
+    (lambda x: x * x + 1.0, 100, ValueError, "different signs"),
+    (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 100, ValueError, "NaN"),
+    (lambda x: math.nan if x > 0.9 else x - 0.5, 100, ValueError, "NaN"),
+    (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 5, RuntimeError, "after 5 iterations"),
+]
+
+
+@pytest.mark.parametrize("fn, maxiter, error, match", _BRENT_FAILURES)
+def test_brent_root_error_paths(fn, maxiter, error, match):
+    with pytest.raises(error, match=match):
+        _brent_root(fn, -1.0, 1.0, maxiter=maxiter)
+
+
+@pytest.mark.parametrize("fn, maxiter, error, match", _BRENT_FAILURES)
+def test_brent_root_errors_match_scipy(fn, maxiter, error, match):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    with pytest.raises(error):
+        brentq(fn, -1.0, 1.0, maxiter=maxiter)
+
+
+def test_brent_root_returns_an_exact_endpoint_root():
+    assert _brent_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+    assert _brent_root(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+
+
 # ── current-limited optimization ────────────────────────────────────────
 
 # Calibrated so the optimum delivers 2.1 mW into 1 kOhm: with r_s = 1 kOhm
@@ -210,6 +280,27 @@ def test_tightening_limit_never_gains_power():
         )
         objectives.append(result.objective_at_argmax)
     assert all(b <= a * (1 + 1e-9) for a, b in zip(objectives, objectives[1:]))
+
+
+def test_limit_equal_to_a_grid_current_still_brackets_the_boundary():
+    # The feasibility grid comes from the broadcast kernel and the boundary
+    # from the scalar load current, which round differently.  A limit set to
+    # the grid's current at any such point must still bracket a root.
+    f = resonant_frequency(_RX_LIMIT)
+    body = BodyModel(c_b=5e-12)
+    grid = np.geomspace(10.0, 1e5, 128)
+    broadcast = np.abs(channel_response(_RX_LIMIT, _SRC12, body, f, r_l=grid)[0]) / grid
+    v_b = body_potential(_SRC12, body, f)
+    scalar = [v_b * abs(transfer_function(replace(_RX_LIMIT, r_l=r), f)) / r for r in grid.tolist()]
+    i_body = contact_current(_SRC12, body, f)
+    differ = [k for k in range(1, len(grid)) if broadcast[k] != scalar[k] and broadcast[k] > i_body]
+    if not differ:
+        pytest.skip("the two evaluations round alike on this platform")
+    for k in differ:
+        result = max_power_under_current_limit(
+            _RX_LIMIT, _SRC12, body, f, float(broadcast[k]), bounds=(10.0, 1e5)
+        )
+        assert result.argmax >= grid[k] * (1.0 - 1e-9)
 
 
 def test_unreachable_load_current_reports_closest_candidate():
