@@ -23,7 +23,7 @@ from .channel import (
     ReceiverParams,
     SourceModel,
     GroundedTx,
-    body_potential,
+    _response,
     channel_response,
     received_power,
     resonant_frequency,
@@ -147,19 +147,10 @@ def simulate(
         return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o)
 
     v_o, p = channel_response(rx, src, body, freqs, **swept)
-    if axis == "frequency":
-        # The body potential does not depend on frequency; a scalar model keeps
-        # each step of the peak search to one transfer_function call.
-        v_b = body_potential(src, body, float(values[0]))
 
-        def model(x: float) -> float:
-            return abs(v_b * transfer_function(rx, x)) ** 2 / rx.r_l
-
-    else:
-
-        def model(x: float) -> float:
-            fx, sx = _sweep_points(axis, rx, np.asarray(x, dtype=float), f)
-            return float(channel_response(rx, src, body, fx, **sx)[1])
+    def model(x: float) -> float:
+        fx, sx = _sweep_points(axis, rx, np.asarray(x, dtype=float), f)
+        return float(_response(rx, src, body, fx, **sx)[1])
 
     return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o, model=model)
 
@@ -198,13 +189,13 @@ def _element_at(net: acnet.Netlist, kind: acnet.Kind, nodes=None) -> int:
     )
 
 
-def find_resonant_peak(sweep: SweepResult, noise_floor: float = 1e-6) -> tuple:
+def find_resonant_peak(sweep: SweepResult) -> tuple:
     """Locate the power peak of a frequency sweep.
 
     The grid argmax is refined by golden-section search on the attached
     model when one exists, otherwise by parabolic interpolation through the
     top three grid points.  Interior local maxima whose prominence exceeds
-    ``noise_floor`` times the peak power make the peak ambiguous; a peak on
+    1e-6 times the peak power make the peak ambiguous; a peak on
     the window edge only warns (the window truncates the resonance).
     Returns ``(axis_value_at_peak, power_at_peak)``.
     """
@@ -223,7 +214,7 @@ def find_resonant_peak(sweep: SweepResult, noise_floor: float = 1e-6) -> tuple:
         )
         return float(x[i]), float(p[i])
 
-    peaks = _prominent_peaks(p, noise_floor * p[i])
+    peaks = _prominent_peaks(p, 1e-6 * p[i])
     if len(peaks) > 1:
         candidates = [(float(x[j]), float(p[j])) for j in peaks]
         raise AmbiguousPeakError(
@@ -351,19 +342,18 @@ def fit_params(
     rx: ReceiverParams,
     src: SourceModel,
     body: BodyModel,
-    init: Optional[dict] = None,
-    max_iterations: int = 200,
-    step_tol: float = 1e-10,
 ) -> FitReport:
     """Calibrate receiver parameters against an observed frequency sweep.
 
     Minimizes the sum of squared log-power residuals (measured powers span
     decades; log space keeps the largest point from dominating) with a
     damped Gauss-Newton iteration and a finite-difference Jacobian.  Free
-    parameters are optimized in log space, which enforces positivity.
+    parameters are optimized in log space, which enforces positivity; the
+    fit converges once a log-space step is below 1e-10 and gives up after
+    200 iterations.
 
-    ``rx`` supplies the fixed parameters and the default starting point for
-    the free ones; ``init`` overrides starting values by name.
+    ``rx`` supplies the fixed parameters and the starting point for the
+    free ones.
     """
     free = list(free)
     if not free:
@@ -380,25 +370,22 @@ def fit_params(
         )
     if np.any(observed.p_out_rms <= 0.0):
         raise ValueError("observed powers must be > 0 to fit in log space")
+    freqs = observed.values
+    if not freqs[0] > 0.0:  # the axis is increasing: the first is the lowest
+        raise ValueError(f"observed frequency must be > 0, got {freqs[0]!r}")
 
-    init = dict(init or {})
     theta = np.empty(len(free))
     for j, name in enumerate(free):
-        start = init.get(name, getattr(rx, name))
+        start = getattr(rx, name)
         if not start > 0.0:
             raise ValueError(f"free parameter {name!r} needs a positive starting value")
         theta[j] = math.log(start)
 
-    freqs = observed.values
-    v_b = body_potential(src, body, float(freqs[0]))
     log_p_obs = np.log(observed.p_out_rms)
 
-    def receiver_at(t: np.ndarray) -> ReceiverParams:
-        return replace(rx, **{name: math.exp(t[j]) for j, name in enumerate(free)})
-
     def model_power(t: np.ndarray) -> np.ndarray:
-        r = receiver_at(t)
-        return np.abs(v_b * transfer_function(r, freqs)) ** 2 / r.r_l
+        r = replace(rx, **{name: math.exp(t[j]) for j, name in enumerate(free)})
+        return _response(r, src, body, freqs)[1]
 
     def residual(t: np.ndarray) -> np.ndarray:
         return np.log(model_power(t)) - log_p_obs
@@ -413,31 +400,14 @@ def fit_params(
             j[:, k] = (residual(up) - residual(dn)) / (2.0 * h)
         return j
 
-    def check_identifiable(j: np.ndarray) -> None:
-        s = np.linalg.svd(j, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-            if len(free) == 1:
-                raise IdentifiabilityError(
-                    f"the data is insensitive to parameter {free[0]!r}"
-                )
-            norms = np.linalg.norm(j, axis=0)
-            norms[norms == 0.0] = 1.0
-            cos = np.abs((j / norms).T @ (j / norms))
-            np.fill_diagonal(cos, 0.0)
-            a, b = np.unravel_index(np.argmax(cos), cos.shape)
-            raise IdentifiabilityError(
-                f"parameters {free[a]!r} and {free[b]!r} are collinear in this "
-                "sweep and cannot be fitted jointly"
-            )
-
     r = residual(theta)
     sse = float(r @ r)
     lam = 1e-3
     iterations = 0
     converged = False
-    for _ in range(max_iterations):
+    for _ in range(200):
         j = jacobian(theta)
-        check_identifiable(j)
+        _check_identifiable(j, free)
         jtj = j.T @ j
         jtr = j.T @ r
         accepted = False
@@ -459,7 +429,7 @@ def fit_params(
         iterations += 1
         if not accepted:
             break
-        if np.max(np.abs(delta)) < step_tol or sse < 1e-28:
+        if np.max(np.abs(delta)) < 1e-10 or sse < 1e-28:
             converged = True
             break
 
@@ -469,6 +439,26 @@ def fit_params(
         residual_rms=float(np.sqrt(np.mean((p_model - observed.p_out_rms) ** 2))),
         iterations=iterations,
         converged=converged,
+    )
+
+
+def _check_identifiable(j: np.ndarray, free: list) -> None:
+    """Reject a rank-deficient Jacobian ``j`` (one column per ``free``
+    parameter), naming a parameter the data does not move, else the most
+    nearly collinear pair of parameters."""
+    s = np.linalg.svd(j, compute_uv=False)
+    if s[0] > 0.0 and s[-1] > 1e-10 * s[0]:
+        return
+    norms = np.linalg.norm(j, axis=0)
+    k = int(np.argmin(norms))
+    if norms[k] <= 1e-10 * s[0]:
+        raise IdentifiabilityError(f"the data is insensitive to parameter {free[k]!r}")
+    cos = np.abs((j / norms).T @ (j / norms))
+    np.fill_diagonal(cos, 0.0)
+    a, b = np.unravel_index(np.argmax(cos), cos.shape)
+    raise IdentifiabilityError(
+        f"parameters {free[a]!r} and {free[b]!r} are collinear in this "
+        "sweep and cannot be fitted jointly"
     )
 
 
@@ -491,7 +481,6 @@ def sensitivity(
     f: Optional[float] = None,
     src: Optional[SourceModel] = None,
     body: Optional[BodyModel] = None,
-    rel_step: float = 1e-6,
 ) -> Sensitivity:
     """d(target)/d(param) at the receiver's current operating parameters.
 
@@ -528,7 +517,7 @@ def sensitivity(
     def central(h: float) -> float:
         return (evaluate(x0 + h) - evaluate(x0 - h)) / (2.0 * h)
 
-    h = rel_step * x0
+    h = 1e-6 * x0
     d_h = central(h)
     d_h2 = central(h / 2.0)
     value = (4.0 * d_h2 - d_h) / 3.0

@@ -280,6 +280,7 @@ def no_inductor_voltage(
 
         V_o = V_B * (R_L || Z_CL || Z_GB) / (Z_ret + R_L || Z_CL || Z_GB)
 
+    which is ``V_B * transfer_function(rx, f)`` at L = r_s = 0.
     ``simplified=True`` drops the capacitive parallel terms (valid while
     R_L is far below both |Z_CL| and |Z_GB|):
 
@@ -289,15 +290,9 @@ def no_inductor_voltage(
         raise ValueError("no_inductor_voltage requires l = 0; use transfer_function")
     if rx.r_s != 0.0:
         raise ValueError("the inductorless divider has no series-loss term; r_s must be 0")
-    if not f > 0.0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
-    w = TWO_PI * f
-    z_ret = 1.0 / (1j * w * rx.c_ret)
     if simplified:
-        return abs(v_b_rms * rx.r_l / (z_ret + rx.r_l))
-    y = 1.0 / rx.r_l + 1j * w * rx.c_l + 1j * w * rx.c_gb
-    z_par = 1.0 / y
-    return abs(v_b_rms * z_par / (z_ret + z_par))
+        rx = ReceiverParams(c_ret=rx.c_ret, r_l=rx.r_l)
+    return abs(v_b_rms * transfer_function(rx, f))
 
 
 def received_power(
@@ -305,9 +300,8 @@ def received_power(
 ) -> OperatingPoint:
     """Evaluate the channel at ``f``: body potential, load voltage, rms load power."""
     v_b = complex(body_potential(src, body, f))
-    v_o = v_b * transfer_function(rx, f)
-    p = abs(v_o) ** 2 / rx.r_l
-    return OperatingPoint(frequency=f, v_b=v_b, v_o=v_o, p_out_rms=p)
+    v_o, p = _response(rx, src, body, f)
+    return OperatingPoint(frequency=f, v_b=v_b, v_o=complex(v_o), p_out_rms=float(p))
 
 
 def channel_response(
@@ -319,14 +313,27 @@ def channel_response(
     resistance ``r_l``, the series inductance ``l`` and the drive amplitude
     ``v_in`` (in the source's own convention), which replace the fields of
     ``rx`` and ``src``.  Each point equals :func:`received_power` of the
-    receiver and source with those values.
+    receiver and source with those values.  This is the one closed-form
+    evaluation of the channel: the sweeps, the load optimizers and the fit
+    run the same kernel, checking their inputs once at entry.
     """
+    if not (
+        np.all(np.asarray(f, dtype=float) > 0.0)
+        and (r_l is None or np.all(np.asarray(r_l, dtype=float) > 0.0))
+        and (l is None or np.all(np.asarray(l, dtype=float) >= 0.0))
+        and (v_in is None or np.all(np.asarray(v_in, dtype=float) > 0.0))
+    ):
+        raise ValueError("need frequency, r_l and v_in > 0 and l >= 0 at every point")
+    return _response(rx, src, body, f, r_l, l, v_in)
+
+
+def _response(rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None, l=None, v_in=None):
+    """:func:`channel_response` without its input checks, for callers that
+    validated their inputs once at entry and evaluate in an inner loop."""
     w = TWO_PI * np.asarray(f, dtype=float)
     r_l = rx.r_l if r_l is None else np.asarray(r_l, dtype=float)
     l = rx.l if l is None else np.asarray(l, dtype=float)
     vin = v_in_rms(src) if v_in is None else to_rms(np.asarray(v_in, dtype=float), src.convention)
-    if not (np.all(w > 0.0) and np.all(r_l > 0.0) and np.all(l >= 0.0) and np.all(vin > 0.0)):
-        raise ValueError("need frequency, r_l and v_in > 0 and l >= 0 at every point")
     v_o = _body_potential(src, body, vin) * _transfer(rx, w, r_l, l)
     return v_o, np.abs(v_o) ** 2 / r_l
 

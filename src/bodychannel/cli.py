@@ -419,12 +419,10 @@ def import_measured(path, axis: str) -> SweepResult:
 
     if power_only:
         return SweepResult(axis=axis, values=arr[:, 0], p_out_rms=arr[:, 1])
-    return SweepResult(
-        axis=axis,
-        values=arr[:, 0],
-        p_out_rms=arr[:, 4],
-        v_o=arr[:, 1] + 1j * arr[:, 2],
-    )
+    # Assigned part by part: re + 1j*im would turn a written -0.0 into +0.0.
+    v_o = np.empty(len(arr), dtype=complex)
+    v_o.real, v_o.imag = arr[:, 1], arr[:, 2]
+    return SweepResult(axis=axis, values=arr[:, 0], p_out_rms=arr[:, 4], v_o=v_o)
 
 
 def _require_axis(config: ScenarioConfig, axis: str) -> SweepSpec:

@@ -21,14 +21,15 @@ from .channel import (
     ReceiverParams,
     SourceModel,
     TWO_PI,
-    body_potential,
-    channel_response,
+    _response,
     received_power,
     resonant_frequency,
     transfer_function,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Relative bracket width at which the load searches stop.
+_LOAD_REL_TOL = 1e-3
 
 
 class UnboundedObjectiveError(ValueError):
@@ -185,11 +186,8 @@ def _brent_root(fn: Callable[[float], float], a: float, b: float, maxiter: int =
 
 
 def _load_power(rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float):
-    v_b = body_potential(src, body, f)
-
     def power(r_l: float) -> float:
-        h = transfer_function(replace(rx, r_l=r_l), f)
-        return (v_b * abs(h)) ** 2 / r_l
+        return float(_response(rx, src, body, f, r_l=r_l)[1])
 
     return power
 
@@ -200,7 +198,6 @@ def optimal_load(
     body: BodyModel,
     f: float,
     bounds: tuple,
-    rel_tol: float = 1e-3,
 ) -> OptimizationResult:
     """Load resistance maximizing received power at fixed frequency.
 
@@ -213,6 +210,8 @@ def optimal_load(
     If the sampled objective turns out not to be unimodal, the search falls
     back to a 256-point grid plus local refinement and flags it.
     """
+    if not f > 0.0:
+        raise ValueError(f"frequency must be > 0, got {f!r}")
     lo, hi = bounds
     if not (lo > 0.0 and hi > lo):
         raise ValueError(f"need 0 < lo < hi, got bounds={bounds!r}")
@@ -225,26 +224,26 @@ def optimal_load(
     power = _load_power(rx, src, body, f)
     trace: list = []
     x_best, y_best, bracket = golden_section_max_bracketed(
-        power, lo, hi, rel_tol=rel_tol, trace=trace
+        power, lo, hi, rel_tol=_LOAD_REL_TOL, trace=trace
     )
 
     # Unimodality audit: if the objective is unimodal, no point outside the
     # final bracket can beat it.  A violation means a second mode exists.
     fallback = False
     grid = np.geomspace(lo, hi, 33)
-    grid_vals = [(float(r), power(float(r))) for r in grid]
+    grid_vals = list(zip(grid.tolist(), _response(rx, src, body, f, r_l=grid)[1].tolist()))
     trace.extend(grid_vals)
-    lo_ok = bracket[0] * (1.0 - 2.0 * rel_tol)
-    hi_ok = bracket[1] * (1.0 + 2.0 * rel_tol)
+    lo_ok = bracket[0] * (1.0 - 2.0 * _LOAD_REL_TOL)
+    hi_ok = bracket[1] * (1.0 + 2.0 * _LOAD_REL_TOL)
     if any(v > y_best and not lo_ok <= r <= hi_ok for r, v in grid_vals):
         fallback = True
         fine = np.geomspace(lo, hi, 256)
-        fine_vals = [(float(r), power(float(r))) for r in fine]
+        fine_vals = list(zip(fine.tolist(), _response(rx, src, body, f, r_l=fine)[1].tolist()))
         trace.extend(fine_vals)
         k = max(range(len(fine_vals)), key=lambda i: fine_vals[i][1])
         lo_k = fine_vals[max(k - 1, 0)][0]
         hi_k = fine_vals[min(k + 1, len(fine_vals) - 1)][0]
-        golden_section_max(power, lo_k, hi_k, rel_tol=rel_tol, trace=trace)
+        golden_section_max(power, lo_k, hi_k, rel_tol=_LOAD_REL_TOL, trace=trace)
 
     argmax, objective = max(trace, key=lambda t: t[1])
     constraint = None
@@ -278,7 +277,6 @@ def max_power_under_current_limit(
     f: float,
     i_limit: float,
     bounds: tuple = (1.0, 1e6),
-    rel_tol: float = 1e-3,
 ) -> OptimizationResult:
     """Maximize P(R_L) subject to rms current limits.
 
@@ -289,6 +287,8 @@ def max_power_under_current_limit(
     it binds, the optimum sits on the constraint boundary and the result
     says so.
     """
+    if not f > 0.0:
+        raise ValueError(f"frequency must be > 0, got {f!r}")
     if not i_limit > 0.0:
         raise ValueError(f"i_limit must be > 0, got {i_limit!r}")
     lo, hi = bounds
@@ -306,16 +306,17 @@ def max_power_under_current_limit(
         )
 
     power = _load_power(rx, src, body, f)
-    v_b = body_potential(src, body, f)
 
     def load_current(r_l: float) -> float:
-        return v_b * abs(transfer_function(replace(rx, r_l=r_l), f)) / r_l
+        return float(abs(_response(rx, src, body, f, r_l=r_l)[0]) / r_l)
 
     grid = np.geomspace(lo, hi, 128)
-    currents = np.abs(channel_response(rx, src, body, f, r_l=grid)[0]) / grid
-    # The broadcast kernel and the scalar load_current that brackets the root
-    # round differently (a few ulp); points that close to the limit take the
-    # scalar value, so the bracket found below always changes sign.
+    v_o, powers = _response(rx, src, body, f, r_l=grid)
+    currents = np.abs(v_o) / grid
+    # numpy rounds a 0-d kernel evaluation and the same point inside an array
+    # apart (by an ulp), and the root search below evaluates scalars: grid
+    # points that close to the limit take the scalar value, so the bracket
+    # found below always changes sign.
     for k in np.flatnonzero(np.abs(currents - i_limit) <= 1e-12 * i_limit):
         currents[k] = load_current(float(grid[k]))
     feasible = currents <= i_limit
@@ -335,7 +336,7 @@ def max_power_under_current_limit(
                 "current limit never binds on these bounds and the receiver is "
                 "lossless (r_s = 0), so the objective is unbounded; see optimal_load"
             )
-        result = optimal_load(rx, src, body, f, bounds, rel_tol=rel_tol)
+        result = optimal_load(rx, src, body, f, bounds)
         result.constraint_active = False
         result.constraint_name = None
         return result
@@ -349,7 +350,7 @@ def max_power_under_current_limit(
         else:
             r_c = _brent_root(lambda r: load_current(r) - i_limit, grid[first - 1], grid[first])
         trace: list = []
-        golden_section_max(power, r_c, hi, rel_tol=rel_tol, trace=trace)
+        golden_section_max(power, r_c, hi, rel_tol=_LOAD_REL_TOL, trace=trace)
         argmax, objective = max(trace, key=lambda t: t[1])
         active = argmax == r_c
         return OptimizationResult(
@@ -362,10 +363,10 @@ def max_power_under_current_limit(
         )
 
     # Scattered feasibility (exotic load networks): best feasible grid cell.
-    trace = [(float(r), power(float(r))) for r in grid[feasible]]
+    trace = list(zip(grid[feasible].tolist(), powers[feasible].tolist()))
     k = max(range(len(trace)), key=lambda i: trace[i][1])
     argmax, objective = trace[k]
-    near_limit = load_current(argmax) >= 0.999 * i_limit
+    near_limit = bool(currents[feasible][k] >= 0.999 * i_limit)
     return OptimizationResult(
         argmax=argmax,
         objective_at_argmax=objective,
@@ -401,13 +402,12 @@ def joint_loading_check(
     receivers: Sequence[ReceiverParams],
     src: SourceModel,
     body: BodyModel,
-    warn_threshold: float = 0.10,
 ) -> list:
     """Solve one network containing every receiver branch and compare each
     receiver's power against the independent calculation.
 
     Emits a :class:`LoadingAssumptionWarning` for any receiver whose joint
-    power deviates from the independent value by more than ``warn_threshold``.
+    power deviates from the independent value by more than 10%.
     """
     independent = multi_receiver_power(receivers, src, body)
     netlist, probes = acnet.build_multi_receiver_netlist(receivers, src, body)
@@ -418,7 +418,7 @@ def joint_loading_check(
         v = complex(solved.node_voltages[out][i] - solved.node_voltages[fg][i])
         p_joint = abs(v) ** 2 / rx.r_l
         deviation = (p_joint - point.p_out_rms) / point.p_out_rms
-        if abs(deviation) > warn_threshold:
+        if abs(deviation) > 0.10:
             warnings.warn(
                 LoadingAssumptionWarning(
                     f"receiver {i}: joint power {p_joint:.4g} W deviates from "
@@ -454,7 +454,6 @@ def compare_topologies(
     freqs,
     c_ret_tx: float,
     q: float,
-    tx_center: Optional[float] = None,
 ) -> list:
     """Gain curves for the four transmitter/receiver pairings.
 
@@ -462,7 +461,7 @@ def compare_topologies(
     transmitter's capacitive divider c_ret_tx / (c_b + c_ret_tx); the
     resonant W2W variant recovers a factor q, but only inside its tank's
     band, modeled as a second-order band-pass of quality ``q`` centered on
-    ``tx_center`` (the receiver's resonant frequency by default).  M2M keeps
+    the receiver's resonant frequency.  M2M keeps
     the drive and upgrades the receiver's return path to a near-ideal
     c_ret = 1000 * c_gb, with the inductor re-chosen so the operating
     frequency stays put.
@@ -478,12 +477,10 @@ def compare_topologies(
         raise ValueError(f"q must be >= 1, got {q!r}")
 
     f0 = resonant_frequency(rx)
-    center = tx_center if tx_center is not None else f0
-
     h_m2w = np.abs(transfer_function(rx, freqs))
     w2w_factor = c_ret_tx / (body.c_b + c_ret_tx)
     h_w2w = w2w_factor * h_m2w
-    bandpass = 1.0 / np.sqrt(1.0 + q**2 * (freqs / center - center / freqs) ** 2)
+    bandpass = 1.0 / np.sqrt(1.0 + q**2 * (freqs / f0 - f0 / freqs) ** 2)
     h_w2w_res = h_w2w * q * bandpass
 
     c_ret_m2m = 1000.0 * rx.c_gb if rx.c_gb > 0.0 else rx.c_ret

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import acnet
-from .channel import BodyModel, SourceModel, TWO_PI, body_potential, from_rms
+from .channel import BodyModel, SourceModel, TWO_PI, _body_potential, body_potential, from_rms
 
 BASIC_RESTRICTIONS_NOTE = (
     "basic-restrictions not evaluated: SAR and induced in-body fields require "
@@ -226,7 +226,5 @@ def max_safe_input(body: BodyModel, f: float, table: LimitTable, src: SourceMode
             "has no contact-current limit"
         )
     v_b_max_rms = band.contact_current_limit / (TWO_PI * f * body.c_b)
-    # V_B per rms input volt for this source kind.
-    unit = type(src)(**{**src.__dict__, "v_in": 1.0, "convention": "rms"})
-    slope = body_potential(unit, body, f)
+    slope = _body_potential(src, body, 1.0)  # V_B per rms input volt
     return from_rms(v_b_max_rms / slope, src.convention)

@@ -318,6 +318,56 @@ def test_fit_input_validation():
         fit_params(sweep, ["c_gb"], replace(rx, c_gb=0.0), SRC, BODY)
 
 
+def test_fit_rejects_a_non_positive_observed_frequency():
+    rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
+    sweep = _observed_sweep(rx)
+    for f_low in (0.0, -1e3):
+        values = np.concatenate(([f_low], sweep.values[1:]))
+        observed = SweepResult(axis="frequency", values=values, p_out_rms=sweep.p_out_rms)
+        with pytest.raises(ValueError, match="frequency must be > 0"):
+            fit_params(observed, ["c_ret"], rx, SRC, BODY)
+
+
+def test_fit_names_a_parameter_the_data_does_not_move():
+    # r_s = 1 nOhm leaves the log-power Jacobian column exactly zero.
+    rx = ReceiverParams(c_ret=30e-12, r_l=1e3, l=330e-6, r_s=1e-9)
+    src = GroundedTx(5.0, "pp")
+    f0 = resonant_frequency(rx)
+    observed = simulate_frequency_sweep(rx, src, BODY, np.linspace(0.8 * f0, 1.2 * f0, 41))
+    for free in (["c_ret", "r_s"], ["r_s", "c_ret"], ["r_s"]):
+        with pytest.raises(IdentifiabilityError, match="insensitive to parameter 'r_s'"):
+            fit_params(observed, free, rx, src, BODY)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_free=st.integers(2, 4),
+    kind=st.sampled_from(("zero", "scaled copy", "sum")),
+)
+def test_identifiability_error_names_the_degenerate_parameters(seed, n_free, kind):
+    rng = np.random.default_rng(seed)
+    free = list(rng.permutation(analysis.FIT_PARAMETERS)[:n_free])
+    j = rng.normal(size=(3 * n_free, n_free)) * rng.uniform(0.1, 10.0, n_free)
+    a, b, *rest = rng.permutation(n_free).tolist()
+    if kind == "zero":
+        j[:, a] = 0.0
+    elif kind == "scaled copy":
+        j[:, a] = -2.5 * j[:, b]
+    else:
+        j[:, a] = j[:, b] + (j[:, rest[0]] if rest else 0.0)
+    with pytest.raises(IdentifiabilityError) as excinfo:
+        analysis._check_identifiable(j, free)
+    message = str(excinfo.value)
+    named = [name for name in free if repr(name) in message]
+    if kind == "zero":
+        assert named == [free[a]] and "insensitive" in message
+    else:
+        assert "collinear" in message and len(named) == 2
+        if kind == "scaled copy":
+            assert set(named) == {free[a], free[b]}
+
+
 # ── sensitivities ───────────────────────────────────────────────────────
 
 

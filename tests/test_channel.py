@@ -17,6 +17,7 @@ from bodychannel.channel import (
     ResonantWearableTx,
     WearableTx,
     body_potential,
+    channel_response,
     element_symbols,
     from_rms,
     ground_coupling_ratio,
@@ -203,6 +204,24 @@ def test_no_inductor_rejects_resonant_receiver():
         no_inductor_voltage(ReceiverParams(c_ret=1e-12, r_l=1e3, l=1e-3), 1.0, 1e6)
     with pytest.raises(ValueError):
         no_inductor_voltage(ReceiverParams(c_ret=1e-12, r_l=1e3, r_s=10.0), 1.0, 1e6)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(f=[1e6, 0.0]),
+        dict(f=[1e6, -1e6]),
+        dict(f=[1e6, math.nan]),
+        dict(r_l=[1e3, 0.0]),
+        dict(r_l=[1e3, math.nan]),
+        dict(l=[1e-3, -1e-3]),
+        dict(v_in=[5.0, 0.0]),
+        dict(v_in=[5.0, math.nan]),
+    ],
+)
+def test_channel_response_rejects_a_bad_point(kwargs):
+    with pytest.raises(ValueError, match="at every point"):
+        channel_response(RX_SIXTH, GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12), **{"f": 1e6, **kwargs})
 
 
 # ── received power ──────────────────────────────────────────────────────

@@ -8,8 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bodychannel.analysis import simulate_frequency_sweep
+from bodychannel.analysis import AXES, SweepResult, simulate_frequency_sweep
 from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, resonant_frequency
 from bodychannel.cli import (
     ConfigError,
@@ -527,6 +529,58 @@ def test_import_rejects_non_finite_fields_with_line(tmp_path, rows, line):
     with pytest.raises(CsvFormatError, match="non-finite") as excinfo:
         import_measured(path, axis="frequency")
     assert excinfo.value.line == line
+
+
+# Zeros of either sign and subnormals, drawn often on purpose.
+_TINY = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308))
+_POWER = st.one_of(_TINY, st.floats(min_value=0.0, allow_infinity=False)).filter(lambda p: p >= 0.0)
+# |v_o| is written too, so the parts stay where their magnitude is finite.
+_PART = st.one_of(_TINY, st.floats(min_value=-1e150, max_value=1e150))
+
+
+@st.composite
+def _sweeps(draw):
+    """Sweeps on any axis and schema: subnormal and zero powers, signed zeros
+    and subnormals in both parts of v_o."""
+    values = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                           min_size=2, max_size=8, unique=True))
+    n = len(values)
+    powers = draw(st.lists(_POWER, min_size=n, max_size=n))
+    v_o = None
+    if draw(st.booleans()):
+        v_o = np.empty(n, dtype=complex)
+        v_o.real = draw(st.lists(_PART, min_size=n, max_size=n))
+        v_o.imag = draw(st.lists(_PART, min_size=n, max_size=n))
+    axis = draw(st.sampled_from(AXES))
+    return SweepResult(axis=axis, values=sorted(values), p_out_rms=powers, v_o=v_o)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sweep=_sweeps())
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, sweep):
+    path = tmp_path_factory.mktemp("round_trip") / "sweep.csv"
+    path.write_text(sweep_to_table(sweep).to_csv(), encoding="utf-8")
+    back = import_measured(path, axis=sweep.axis)
+    assert back.power_only == sweep.power_only
+    assert back.values.tobytes() == sweep.values.tobytes()
+    assert back.p_out_rms.tobytes() == sweep.p_out_rms.tobytes()
+    if not sweep.power_only:
+        assert back.v_o.tobytes() == sweep.v_o.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sweep=_sweeps(), data=st.data(), token=st.sampled_from(("nan", "inf", "-inf", "NaN", "+inf")))
+def test_import_rejects_a_non_finite_field_with_its_line(tmp_path_factory, sweep, data, token):
+    lines = sweep_to_table(sweep).to_csv().splitlines()
+    row = data.draw(st.integers(1, len(lines) - 1))  # line 1 is the header
+    fields = lines[row].split(",")
+    fields[data.draw(st.integers(0, len(fields) - 1))] = token
+    lines[row] = ",".join(fields)
+    path = tmp_path_factory.mktemp("non_finite") / "sweep.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError) as excinfo:
+        import_measured(path, axis=sweep.axis)
+    assert excinfo.value.line == row + 1
 
 
 def test_import_sorts_with_warning(tmp_path):

@@ -303,6 +303,50 @@ def test_limit_equal_to_a_grid_current_still_brackets_the_boundary():
         assert result.argmax >= grid[k] * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("f", [0.0, -1.0, math.nan])
+def test_load_optimizers_reject_a_bad_frequency(f):
+    rx = _lossy_rx(100.0)
+    with pytest.raises(ValueError, match="frequency"):
+        optimal_load(rx, SRC, BODY, f, (100.0, 1e4))
+    with pytest.raises(ValueError, match="frequency"):
+        max_power_under_current_limit(rx, SRC, BODY, f, 1e-3, bounds=(100.0, 1e4))
+
+
+def _two_humped_response(rx, src, body, f, r_l=None, l=None, v_in=None):
+    """A stand-in kernel: a broad power hump at 20 kOhm and a taller, narrow
+    one at 63 Ohm that golden-section search started on [10, 1e6] misses."""
+    r = np.asarray(r_l, dtype=float)
+    x = np.log10(r)
+    p = np.exp(-(((x - 4.3) / 0.6) ** 2)) + 2.0 * np.exp(-(((x - 1.8) / 0.15) ** 2))
+    return np.sqrt(p * r), p
+
+
+def test_second_mode_takes_the_grid_fallback(monkeypatch):
+    monkeypatch.setattr("bodychannel.optimize._response", _two_humped_response)
+    result = optimal_load(_lossy_rx(100.0), SRC, BODY, 1e6, (10.0, 1e6))
+    assert result.used_grid_fallback
+    assert result.argmax == pytest.approx(10**1.8, rel=1e-2)
+    assert result.objective_at_argmax == pytest.approx(2.0, rel=1e-6)
+    assert all(type(x) is float and type(y) is float for x, y in result.trace)
+
+
+def test_scattered_feasibility_takes_the_best_feasible_grid_load(monkeypatch):
+    monkeypatch.setattr("bodychannel.optimize._response", _two_humped_response)
+    i_limit = 2e-3  # load current sqrt(P/R): over the limit on both humps only
+    result = max_power_under_current_limit(
+        _lossy_rx(100.0), SRC, BodyModel(c_b=1e-12), 1e6, i_limit, bounds=(10.0, 1e6)
+    )
+    assert result.used_grid_fallback
+    loads, powers = (np.array(v) for v in zip(*result.trace))
+    grid = np.geomspace(10.0, 1e6, 128)
+    k = np.searchsorted(grid, loads)
+    assert np.array_equal(grid[k], loads) and np.any(np.diff(k) > 1)  # cells with gaps
+    assert np.all(np.sqrt(powers / loads) <= i_limit)
+    assert (result.argmax, result.objective_at_argmax) == result.trace[int(np.argmax(powers))]
+    draw = math.sqrt(result.objective_at_argmax / result.argmax)
+    assert result.constraint_active is (draw >= 0.999 * i_limit)
+
+
 def test_unreachable_load_current_reports_closest_candidate():
     # Bounds capped at 100 ohm: every candidate draws over 2.6 mA while the
     # body return current (0.64 mA) stays under the 1 mA limit.
