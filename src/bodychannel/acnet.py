@@ -24,8 +24,8 @@ pivoting plus one step of iterative refinement.  One element may take a
 different value at every point, so load, inductance and drive-amplitude
 sweeps reuse one stamping.  Every point must pass a KCL residual check.
 Networks here have fewer than twenty nodes, so the dense solve is exact
-enough for 1e-9 oracle comparisons.  :func:`solve` and :func:`sweep` are
-thin wrappers over the same blocked solve.
+enough for 1e-9 oracle comparisons.  :func:`solve` is a one-point wrapper
+over the same blocked solve.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ GROUND: NodeId = 0
 
 class NetlistError(ValueError):
     """Raised for structural problems: missing ground, disconnected nodes, bad probe."""
-
-
-class SingularElementError(ValueError):
-    """Raised for element values that have no finite impedance (e.g. C = 0)."""
 
 
 class SingularNetworkError(RuntimeError):
@@ -197,22 +193,6 @@ class SolveManyResult:
     node_voltages: dict
     source_current: np.ndarray
     probe_voltage: np.ndarray
-
-
-def impedance(element: Element, f: float):
-    """Complex impedance of a passive element at frequency ``f`` in hertz."""
-    if not f > 0.0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
-    w = TWO_PI * f
-    if element.kind is Kind.RESISTOR:
-        return complex(element.value, 0.0)
-    if element.kind is Kind.CAPACITOR:
-        if element.value == 0.0:
-            raise SingularElementError("capacitor with C = 0 has no finite impedance")
-        return 1.0 / (1j * w * element.value)
-    if element.kind is Kind.INDUCTOR:
-        return 1j * w * element.value
-    raise ValueError(f"{element.kind.name} has no impedance")
 
 
 #: Points per stacked solve.  A stacked array of 8x8 complex systems (a
@@ -444,47 +424,6 @@ def _diagnose_singular(a: np.ndarray, unknown_nodes: list) -> str:
     return "singular network: MNA matrix is not invertible (check for source loops)"
 
 
-def sweep(netlist: Netlist, freqs: Sequence[float]) -> list:
-    """Solve at each frequency of a strictly increasing positive grid,
-    returning one :class:`SolveResult` per point in order."""
-    freqs = list(freqs)
-    if not freqs:
-        raise ValueError("frequency list must be nonempty")
-    arr = np.asarray(freqs, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("all sweep frequencies must be > 0")
-    if np.any(np.diff(arr) <= 0.0):
-        raise ValueError("sweep frequencies must be strictly increasing")
-    res = solve_many(netlist, arr)
-    nodes = list(res.node_voltages)
-    rows = np.stack([res.node_voltages[node] for node in nodes], axis=1).tolist()
-    currents, probes = res.source_current.tolist(), res.probe_voltage.tolist()
-    return [
-        SolveResult(frequency=f, node_voltages=dict(zip(nodes, row)), source_current=i,
-                    probe_voltage=v)
-        for f, row, i, v in zip(freqs, rows, currents, probes)
-    ]
-
-
-def linear_frequencies(lo: float, hi: float, points: int) -> np.ndarray:
-    """Linearly spaced frequency grid, endpoints included."""
-    _check_grid(lo, hi, points)
-    return np.linspace(lo, hi, points)
-
-
-def log_frequencies(lo: float, hi: float, points: int) -> np.ndarray:
-    """Log-spaced frequency grid, endpoints included."""
-    _check_grid(lo, hi, points)
-    return np.logspace(math.log10(lo), math.log10(hi), points)
-
-
-def _check_grid(lo: float, hi: float, points: int) -> None:
-    if not (lo > 0.0 and hi > lo):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
-    if points < 2:
-        raise ValueError(f"need at least 2 points, got {points!r}")
-
-
 class _Chain:
     """Series element builder that merges nodes across omitted (zero) elements."""
 
@@ -555,6 +494,41 @@ def _collect_nodes(elements: list) -> tuple:
     return tuple(nodes)
 
 
+def _build_netlist(src: SourceModel, body: BodyModel, receivers: Sequence[ReceiverParams], tags):
+    """Transmit side plus one receiver branch per entry of ``receivers``.
+
+    Receiver ``k`` runs body -> r_s -> L -> ``out<tag>``, its load (r_l
+    parallel c_l) to the floating ground ``fg<tag>``, then c_gb back to the
+    body and c_ret to ground.  Zero-valued optional elements are omitted:
+    resistors become shorts (nodes merge) and capacitors become opens,
+    avoiding artificial poles from epsilon-valued parts.  Returns
+    ``(netlist, probes)``, where ``probes[k]`` is the (output,
+    floating-ground) pair of receiver ``k``; the netlist's own probe is
+    receiver 0, or the body node when there is no receiver.
+    """
+    elements: list = []
+    chain = _Chain(elements, "n")
+    _stamp_transmit_side(elements, chain, src, body)
+    probes = []
+    for rx, tag in zip(receivers, tags):
+        if rx.r_s > 0.0:
+            chain.add(Kind.RESISTOR, rx.r_s)
+        if rx.l > 0.0:
+            chain.add(Kind.INDUCTOR, rx.l)
+        out = f"out{tag}" if chain.pending else "body"
+        chain.connect("body", out)
+        fg = f"fg{tag}"
+        elements.append(resistor(out, fg, rx.r_l))
+        if rx.c_l > 0.0:
+            elements.append(capacitor(out, fg, rx.c_l))
+        if rx.c_gb > 0.0:
+            elements.append(capacitor(fg, "body", rx.c_gb))
+        elements.append(capacitor(fg, GROUND, rx.c_ret))
+        probes.append((out, fg))
+    probe = probes[0] if probes else ("body", GROUND)
+    return Netlist(nodes=_collect_nodes(elements), elements=tuple(elements), output_probe=probe), probes
+
+
 def build_channel_netlist(
     rx: ReceiverParams, src: SourceModel, body: BodyModel
 ) -> Netlist:
@@ -562,43 +536,11 @@ def build_channel_netlist(
 
     Topology: source (with its series coupling) through the body resistance
     to the body node; c_b from body to ground; receiver branch body -> r_s
-    -> L -> output node; load (r_l parallel c_l) from output to the floating
-    ground node; c_gb floating ground -> body; c_ret floating ground ->
-    ground.  Zero-valued optional elements are omitted: resistors become
-    shorts (nodes merge) and capacitors become opens, avoiding artificial
-    poles from epsilon-valued parts.
+    -> L -> output node ``out``; load (r_l parallel c_l) from output to the
+    floating ground node ``fg``; c_gb floating ground -> body; c_ret
+    floating ground -> ground.  Zero-valued optional elements are omitted.
     """
-    elements: list = []
-    chain = _Chain(elements, "n")
-    _stamp_transmit_side(elements, chain, src, body)
-
-    if rx.r_s > 0.0:
-        chain.add(Kind.RESISTOR, rx.r_s)
-    if rx.l > 0.0:
-        chain.add(Kind.INDUCTOR, rx.l)
-    out = "out" if chain.pending else "body"
-    chain.connect("body", out)
-
-    elements.append(resistor(out, "fg", rx.r_l))
-    if rx.c_l > 0.0:
-        elements.append(capacitor(out, "fg", rx.c_l))
-    if rx.c_gb > 0.0:
-        elements.append(capacitor("fg", "body", rx.c_gb))
-    elements.append(capacitor("fg", GROUND, rx.c_ret))
-
-    return Netlist(nodes=_collect_nodes(elements), elements=tuple(elements), output_probe=(out, "fg"))
-
-
-def build_body_netlist(src: SourceModel, body: BodyModel) -> Netlist:
-    """Source and body only (no receiver branch), probed at the body node.
-
-    Useful for body-potential and contact-current checks where the receiver
-    loading is irrelevant or deliberately excluded.
-    """
-    elements: list = []
-    chain = _Chain(elements, "n")
-    _stamp_transmit_side(elements, chain, src, body)
-    return Netlist(nodes=_collect_nodes(elements), elements=tuple(elements), output_probe=("body", GROUND))
+    return _build_netlist(src, body, [rx], [""])[0]
 
 
 def build_multi_receiver_netlist(
@@ -607,33 +549,9 @@ def build_multi_receiver_netlist(
     """All receiver branches on one shared body node, for mutual-loading studies.
 
     Returns ``(netlist, probes)`` where ``probes[i]`` is the (output,
-    floating-ground) node pair of receiver ``i``.  The netlist's own probe
-    points at receiver 0.
+    floating-ground) node pair ``(out<i>, fg<i>)`` of receiver ``i``.  The
+    netlist's own probe points at receiver 0.
     """
     if not receivers:
         raise NetlistError("need at least one receiver")
-    elements: list = []
-    chain = _Chain(elements, "n")
-    _stamp_transmit_side(elements, chain, src, body)
-
-    probes = []
-    for i, rx in enumerate(receivers):
-        if rx.r_s > 0.0:
-            chain.add(Kind.RESISTOR, rx.r_s)
-        if rx.l > 0.0:
-            chain.add(Kind.INDUCTOR, rx.l)
-        out = f"out{i}" if chain.pending else "body"
-        chain.connect("body", out)
-        fg = f"fg{i}"
-        elements.append(resistor(out, fg, rx.r_l))
-        if rx.c_l > 0.0:
-            elements.append(capacitor(out, fg, rx.c_l))
-        if rx.c_gb > 0.0:
-            elements.append(capacitor(fg, "body", rx.c_gb))
-        elements.append(capacitor(fg, GROUND, rx.c_ret))
-        probes.append((out, fg))
-
-    netlist = Netlist(
-        nodes=_collect_nodes(elements), elements=tuple(elements), output_probe=probes[0]
-    )
-    return netlist, probes
+    return _build_netlist(src, body, receivers, range(len(receivers)))

@@ -102,6 +102,8 @@ class SweepResult:
             self.v_o = np.asarray(self.v_o, dtype=complex)
             if self.v_o.shape != self.values.shape:
                 raise ValueError("v_o must match the axis length")
+            if not np.isfinite(self.v_o).all():
+                raise ValueError("v_o must be finite")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -109,11 +111,6 @@ class SweepResult:
     @property
     def power_only(self) -> bool:
         return self.v_o is None
-
-    def rows(self) -> list:
-        """(axis_value, v_o, p_out_rms) tuples; v_o is None in power-only mode."""
-        v = [None] * len(self) if self.power_only else list(self.v_o)
-        return list(zip(self.values.tolist(), v, self.p_out_rms.tolist()))
 
 
 def simulate(
@@ -418,7 +415,11 @@ def fit_params(
                 lam *= 10.0
                 continue
             trial = theta + delta
-            r_trial = residual(trial)
+            try:
+                r_trial = residual(trial)
+            except OverflowError:  # a log-space step past exp's range is rejected
+                lam *= 10.0
+                continue
             sse_trial = float(r_trial @ r_trial)
             if sse_trial < sse:
                 theta, r, sse = trial, r_trial, sse_trial

@@ -264,11 +264,6 @@ def resonant_gain(rx: ReceiverParams) -> float:
     return rx.c_ret / (rx.c_ret + rx.c_gb)
 
 
-def ground_coupling_ratio(rx: ReceiverParams) -> float:
-    """Convenience ratio rho = C_GB / C_ret, so resonant_gain = 1 / (1 + rho)."""
-    return rx.c_gb / rx.c_ret
-
-
 def no_inductor_voltage(
     rx: ReceiverParams, v_b_rms: float, f: float, simplified: bool = False
 ) -> float:
@@ -336,42 +331,3 @@ def _response(rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None
     vin = v_in_rms(src) if v_in is None else to_rms(np.asarray(v_in, dtype=float), src.convention)
     v_o = _body_potential(src, body, vin) * _transfer(rx, w, r_l, l)
     return v_o, np.abs(v_o) ** 2 / r_l
-
-
-#: Quantities deliberately not represented by the lumped model (they require
-#: field-level simulation or hardware, not circuit analysis).
-OUT_OF_SCOPE_SYMBOLS = frozenset(
-    {"SAR", "E_induced", "H_induced", "E_incident", "H_incident"}
-)
-
-_SYMBOL_MAP = {
-    "V_IN": "SourceModel.v_in",
-    "V_B": "OperatingPoint.v_b (via body_potential)",
-    "V_o": "OperatingPoint.v_o",
-    "R_S": "GroundedTx.r_src",
-    "R_B": "BodyModel.r_b",
-    "C_B": "BodyModel.c_b",
-    "C_ret": "ReceiverParams.c_ret",
-    "C_GB": "ReceiverParams.c_gb",
-    "L": "ReceiverParams.l",
-    "R_L": "ReceiverParams.r_l",
-    "C_L": "ReceiverParams.c_l",
-    "r_s": "ReceiverParams.r_s",
-    "omega_0": "channel.resonant_frequency (derived)",
-    "P_out": "OperatingPoint.p_out_rms",
-    "Q": "ResonantWearableTx.q",
-    "C_ret-Tx": "WearableTx.c_ret_tx / ResonantWearableTx.c_ret_tx",
-}
-
-
-def element_symbols() -> dict:
-    """Audit map from conventional circuit symbols to the owning type and field."""
-    return dict(_SYMBOL_MAP)
-
-
-def symbol_location(name: str) -> str:
-    """Look up where a circuit symbol lives; raises KeyError for unknown or
-    deliberately out-of-scope quantities."""
-    if name in OUT_OF_SCOPE_SYMBOLS:
-        raise KeyError(f"{name} is out of scope for the lumped-element model")
-    return _SYMBOL_MAP[name]

@@ -609,6 +609,8 @@ def _oracle_check(config: ScenarioConfig, options: RunOptions) -> tuple:
     xs = _require_axis(config, "frequency").grid(options.points)
     gaps = analysis.oracle_gap(config.receiver, xs)
     tol = options.tolerance if options.tolerance is not None else 1e-9
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tolerance: must be finite and > 0, got {tol!r}")
     table = ResultTable(
         columns=["frequency[Hz]", "rel_diff"],
         rows=[[float(x), float(g)] for x, g in zip(xs, gaps)],

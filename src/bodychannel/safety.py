@@ -10,6 +10,7 @@ simulation and are explicitly not evaluated; every report says so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -56,6 +57,9 @@ class LimitTable:
             raise ValueError("limit table needs a source_label")
         prev_hi = 0.0
         for band in self.bands:
+            for name, value in vars(band).items():
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
             if not (band.f_lo > 0.0 and band.f_hi > band.f_lo):
                 raise ValueError(f"bad band bounds [{band.f_lo!r}, {band.f_hi!r})")
             if band.f_lo < prev_hi:
@@ -155,10 +159,7 @@ def contact_current(
         raise ValueError(f"frequency must be > 0, got {f!r}")
     if not mna:
         return TWO_PI * f * body.c_b * body_potential(src, body, f)
-    if rx is None:
-        net = acnet.build_body_netlist(src, body)
-    else:
-        net = acnet.build_channel_netlist(rx, src, body)
+    net, _ = acnet._build_netlist(src, body, [] if rx is None else [rx], [""])
     v_body = acnet.solve(net, f).node_voltages["body"]
     return abs(v_body * 1j * TWO_PI * f * body.c_b)
 

@@ -1,5 +1,6 @@
 """Shared draw helpers and paths for the test suite."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,3 +50,9 @@ def unit_source():
 
 def random_frequency(rng, lo=1.5e5, hi=8e6):
     return log_uniform(rng, lo, hi)
+
+
+def admittance(element, f):
+    """Textbook admittance 1/R, j*w*C or 1/(j*w*L) of a passive netlist element at ``f`` Hz."""
+    jw = 2j * math.pi * f
+    return {"R": 1.0 / element.value, "C": jw * element.value, "L": 1.0 / (jw * element.value)}[element.kind.value]

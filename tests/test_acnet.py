@@ -1,5 +1,5 @@
 """MNA solver: element impedances, canonical circuits, invariants, and the
-channel netlist builder."""
+channel netlist builders."""
 
 import cmath
 import dataclasses
@@ -16,16 +16,14 @@ from bodychannel.acnet import (
     Kind,
     Netlist,
     NetlistError,
-    SingularElementError,
     SingularNetworkError,
     build_channel_netlist,
+    build_multi_receiver_netlist,
     capacitor,
-    impedance,
     inductor,
     resistor,
     solve,
     solve_many,
-    sweep,
     vsource,
 )
 from bodychannel.channel import (
@@ -39,14 +37,22 @@ from bodychannel.channel import (
     resonant_frequency,
     transfer_function,
 )
-from helpers import random_body, random_frequency, random_receiver, unit_source
+from helpers import admittance, random_body, random_frequency, random_receiver, unit_source
 
 
 # ── element impedances ──────────────────────────────────────────────────
 
 
+def solved_impedance(element, f: float) -> complex:
+    """V / I of ``element`` placed alone across a 1 V source, as solved."""
+    alone = dataclasses.replace(element, node_a="a", node_b=GROUND)
+    net = Netlist(nodes=(0, "a"), elements=(vsource("a", 0, 1.0), alone), output_probe=("a", 0))
+    res = solve(net, f)
+    return res.probe_voltage / -res.source_current
+
+
 def test_capacitor_impedance_half_picofarad_at_1mhz():
-    z = impedance(capacitor("a", "b", 0.5e-12), 1e6)
+    z = solved_impedance(capacitor("a", "b", 0.5e-12), 1e6)
     expected = 1.0 / (2 * math.pi * 1e6 * 0.5e-12)
     assert abs(z) == pytest.approx(expected, rel=1e-12)
     assert abs(z) > 300e3  # return-path impedance dwarfs kilo-ohm loads
@@ -56,12 +62,12 @@ def test_capacitor_impedance_half_picofarad_at_1mhz():
 def test_resistor_impedance_frequency_independent():
     r = resistor("a", "b", 1000.0)
     for f in (1e3, 1e6, 1e9):
-        assert impedance(r, f) == 1000.0 + 0j
+        assert solved_impedance(r, f) == 1000.0 + 0j
 
 
 def test_inductor_impedance_matches_branch_voltage_over_current():
     l_val, f = 0.33e-3, 1.6e6
-    z = impedance(inductor("a", "b", l_val), f)
+    z = solved_impedance(inductor("a", "b", l_val), f)
     assert abs(z) == pytest.approx(2 * math.pi * f * l_val, rel=1e-12)
     assert abs(z) == pytest.approx(3317.5, rel=1e-3)
 
@@ -74,17 +80,6 @@ def test_inductor_impedance_matches_branch_voltage_over_current():
     res = solve(net, f)
     i_branch = -res.source_current  # series loop current
     assert abs(res.probe_voltage / i_branch) == pytest.approx(abs(z), rel=1e-9)
-
-
-def test_impedance_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        impedance(resistor("a", "b", 1.0), 0.0)
-    with pytest.raises(ValueError):
-        impedance(resistor("a", "b", 1.0), -5.0)
-    with pytest.raises(SingularElementError):
-        impedance(acnet.Element(Kind.CAPACITOR, "a", "b", 0.0), 1e6)
-    with pytest.raises(ValueError):
-        impedance(vsource("a", 0, 1.0), 1e6)
 
 
 # ── canonical solves ────────────────────────────────────────────────────
@@ -125,28 +120,16 @@ def test_rc_corner_magnitude_is_inverse_sqrt2():
 
 def test_sweep_single_point_equals_solve():
     net = _divider()
-    rows = sweep(net, [2.5e6])
+    res = solve_many(net, [2.5e6])
     direct = solve(net, 2.5e6)
-    assert len(rows) == 1
-    assert rows[0].probe_voltage == direct.probe_voltage
+    assert len(res.probe_voltage) == 1
+    assert res.probe_voltage[0] == direct.probe_voltage
 
 
 def test_sweep_divider_constant_over_frequency():
-    rows = sweep(_divider(), np.linspace(1e5, 1e7, 10))
-    mags = [abs(r.probe_voltage) for r in rows]
+    res = solve_many(_divider(), np.linspace(1e5, 1e7, 10))
+    mags = np.abs(res.probe_voltage).tolist()
     assert mags == pytest.approx([0.5] * 10, rel=1e-12)
-
-
-def test_sweep_input_validation():
-    net = _divider()
-    with pytest.raises(ValueError):
-        sweep(net, [])
-    with pytest.raises(ValueError):
-        sweep(net, [1e6, 1e6])
-    with pytest.raises(ValueError):
-        sweep(net, [1e6, 1e5])
-    with pytest.raises(ValueError):
-        sweep(net, [-1e6, 1e6])
 
 
 def test_channel_sweep_peak_sits_at_closed_form_resonance():
@@ -154,8 +137,7 @@ def test_channel_sweep_peak_sits_at_closed_form_resonance():
     body = BodyModel(c_b=150e-12)
     net = build_channel_netlist(rx, unit_source(), body)
     freqs = np.geomspace(1e5, 1e7, 1001)
-    rows = sweep(net, freqs)
-    k = int(np.argmax([abs(r.probe_voltage) for r in rows]))
+    k = int(np.argmax(np.abs(solve_many(net, freqs).probe_voltage)))
     f0 = resonant_frequency(rx)
     step = freqs[k + 1] - freqs[k]
     assert abs(freqs[k] - f0) <= step
@@ -173,9 +155,7 @@ def _kcl_residual(net: Netlist, res) -> float:
     for e in net.elements:
         if e.kind is Kind.VSOURCE:
             continue
-        i = (res.node_voltages[e.node_a] - res.node_voltages[e.node_b]) / impedance(
-            e, res.frequency
-        )
+        i = (res.node_voltages[e.node_a] - res.node_voltages[e.node_b]) * admittance(e, res.frequency)
         max_i = max(max_i, abs(i))
         if e.node_a != GROUND:
             currents[e.node_a] += i
@@ -267,12 +247,13 @@ def test_netlist_rejects_missing_source_and_bad_probe():
 
 
 def test_netlist_rejects_nonpositive_passive_values():
-    with pytest.raises(NetlistError, match="value > 0"):
-        Netlist(
-            nodes=(0, "a"),
-            elements=(vsource("a", 0, 1.0), resistor("a", 0, 0.0)),
-            output_probe=("a", 0),
-        )
+    for element in (resistor("a", 0, 0.0), capacitor("a", 0, 0.0)):
+        with pytest.raises(NetlistError, match="value > 0"):
+            Netlist(
+                nodes=(0, "a"),
+                elements=(vsource("a", 0, 1.0), element),
+                output_probe=("a", 0),
+            )
 
 
 @pytest.mark.parametrize(
@@ -345,15 +326,70 @@ def test_builder_full_params_match_closed_form():
         assert h_net == pytest.approx(transfer_function(rx, f), rel=1e-9)
 
 
-def test_frequency_grid_helpers():
-    lin = acnet.linear_frequencies(1e5, 1e6, 10)
-    assert len(lin) == 10 and lin[0] == 1e5 and lin[-1] == 1e6
-    log = acnet.log_frequencies(1e5, 1e7, 3)
-    assert log == pytest.approx([1e5, 1e6, 1e7], rel=1e-12)
-    with pytest.raises(ValueError):
-        acnet.linear_frequencies(1e6, 1e5, 10)
-    with pytest.raises(ValueError):
-        acnet.log_frequencies(1e5, 1e6, 1)
+def test_multi_receiver_builder_lays_out_each_branch_in_order():
+    rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4e-3, r_l=1e3, c_l=2e-12, r_s=250.0)
+    src = GroundedTx(1.0, "rms", r_src=50.0)
+    net, probes = build_multi_receiver_netlist([rx, rx], src, BodyModel(c_b=150e-12, r_b=100.0))
+
+    def branch(k, series):
+        out, fg = f"out{k}", f"fg{k}"
+        return [("R", "body", series), ("L", series, out), ("R", out, fg), ("C", out, fg), ("C", fg, "body"), ("C", fg, 0)]
+
+    transmit = [("V", "vin", 0), ("R", "vin", "n1"), ("R", "n1", "body"), ("C", "body", 0)]
+    layout = [(e.kind.value, e.node_a, e.node_b) for e in net.elements]
+    assert layout == transmit + branch(0, "n2") + branch(1, "n3")
+    assert net.nodes == (0, "vin", "n1", "body", "n2", "out0", "fg0", "n3", "out1", "fg1")
+    assert probes == [("out0", "fg0"), ("out1", "fg1")] and net.output_probe == probes[0]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _sparse_channels(draw):
+    """A receiver, source and body of any of the three source kinds, with
+    R_S, R_B, r_s, L, C_L and C_GB each zero or not."""
+
+    def optional(lo, hi):
+        return draw(st.just(0.0) | _log_uniform(lo, hi))
+
+    rx = ReceiverParams(
+        c_ret=draw(_log_uniform(0.2e-12, 5e-12)),
+        c_gb=optional(0.1e-12, 10e-12),
+        l=optional(0.05e-3, 10e-3),
+        r_l=draw(_log_uniform(100.0, 10e3)),
+        c_l=optional(0.05e-12, 5e-12),
+        r_s=optional(10.0, 2e3),
+    )
+    body = BodyModel(c_b=draw(_log_uniform(50e-12, 300e-12)), r_b=optional(10.0, 1e3))
+    kind = draw(st.sampled_from(("grounded", "wearable", "resonant-wearable")))
+    if kind == "grounded":
+        src = GroundedTx(5.0, "pp", r_src=optional(10.0, 1e3))
+    elif kind == "wearable":
+        src = WearableTx(5.0, "pp", c_ret_tx=draw(_log_uniform(0.5e-12, 5e-12)))
+    else:
+        src = ResonantWearableTx(5.0, "pp", c_ret_tx=draw(_log_uniform(0.5e-12, 5e-12)), q=10.0)
+    return rx, src, body
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(channel=_sparse_channels())
+def test_one_receiver_multi_netlist_is_the_channel_netlist(channel):
+    rx, src, body = channel
+    single = build_channel_netlist(rx, src, body)
+    multi, probes = build_multi_receiver_netlist([rx], src, body)
+
+    def rename(node):
+        return {"out0": "out", "fg0": "fg"}.get(node, node)
+
+    assert tuple(map(rename, multi.nodes)) == single.nodes
+    renamed = [dataclasses.replace(e, node_a=rename(e.node_a), node_b=rename(e.node_b)) for e in multi.elements]
+    assert renamed == list(single.elements)
+    assert tuple(map(rename, multi.output_probe)) == single.output_probe
+    assert [tuple(map(rename, p)) for p in probes] == [single.output_probe]
+    with pytest.raises(NetlistError, match="at least one receiver"):
+        build_multi_receiver_netlist([], src, body)
 
 
 # ── batched solve ───────────────────────────────────────────────────────
@@ -378,16 +414,12 @@ def _dense_solve(net: Netlist, f: float) -> tuple:
                     a[i, k] += sign
                     a[k, i] += sign
             continue
-        y = 1.0 / impedance(e, f)
+        y = admittance(e, f)
         for i, j, sign in ((ia, ia, 1.0), (ib, ib, 1.0), (ia, ib, -1.0), (ib, ia, -1.0)):
             if i is not None and j is not None:
                 a[i, j] += sign * y
     x = np.linalg.solve(a, b)
     return {n: complex(x[index[n]]) if n in index else 0j for n in net.nodes}, np.linalg.cond(a)
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 @st.composite
@@ -500,8 +532,6 @@ def test_singular_point_inside_a_stack_names_its_frequency():
     freqs = [0.5 * f_res, 0.9 * f_res, f_res, 1.1 * f_res]
     with pytest.raises(SingularNetworkError, match=f"sweep failed at {f_res:.6g} Hz: .*'m'"):
         solve_many(net, freqs)
-    with pytest.raises(SingularNetworkError, match=f"sweep failed at {f_res:.6g} Hz"):
-        sweep(net, freqs)
     assert solve_many(net, freqs[:2]).probe_voltage == pytest.approx([1.0, 1.0])
 
 
@@ -513,6 +543,9 @@ def test_solve_many_input_validation():
         solve_many(net, [1e6, -1e6])
     with pytest.raises(ValueError, match="nonempty"):
         solve_many(net, [])
+    for f in (0.0, -5.0, math.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            solve(net, f)
     with pytest.raises(ValueError, match="together"):
         solve_many(net, [1e6], element=1)
     with pytest.raises(ValueError, match="RESISTOR"):

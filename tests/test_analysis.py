@@ -51,7 +51,7 @@ def test_sweep_result_validation():
         SweepResult(axis="voltage", values=[1.0, 2.0], p_out_rms=[1.0, 1.0])
     sw = SweepResult(axis="frequency", values=[1e6, 2e6], p_out_rms=[1.0, 2.0])
     assert sw.power_only and len(sw) == 2
-    assert sw.rows() == [(1e6, None, 1.0), (2e6, None, 2.0)]
+    assert sw.values.tolist() == [1e6, 2e6] and sw.p_out_rms.tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize(
@@ -62,11 +62,13 @@ def test_sweep_result_validation():
         ([1.0, math.inf], [1.0, 1.0], "values"),
         ([-math.inf, 1.0], [1.0, 1.0], "values"),
         ([1.0, math.nan], [1.0, 1.0], "values"),
+        ([1.0, 2.0], [1.0, 1.0], "v_o"),
     ],
 )
 def test_sweep_result_rejects_non_finite_data(values, powers, name):
+    v_o = [complex(math.nan, 0.0), complex(math.inf, 1.0)] if name == "v_o" else None
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        SweepResult("frequency", values, powers)
+        SweepResult("frequency", values, powers, v_o=v_o)
 
 
 # ── peak detection ──────────────────────────────────────────────────────
@@ -435,8 +437,7 @@ def _series_branch_sweep(r_s: float, l: float, c: float, points=2001, span=4.0):
         output_probe=("a", "b"),
     )
     freqs = np.geomspace(f_res / span, f_res * span, points)
-    rows = acnet.sweep(net, freqs)
-    p = np.array([abs(r.probe_voltage) ** 2 / r_s for r in rows])
+    p = np.abs(acnet.solve_many(net, freqs).probe_voltage) ** 2 / r_s
     return SweepResult(axis="frequency", values=freqs, p_out_rms=p)
 
 

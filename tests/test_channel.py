@@ -2,34 +2,31 @@
 identities, and power arithmetic."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bodychannel import acnet
+from bodychannel import acnet, analysis, channel
 from bodychannel.channel import (
     BodyModel,
     GroundedTx,
     NonResonantReceiverError,
-    OUT_OF_SCOPE_SYMBOLS,
     ReceiverParams,
     ResonantWearableTx,
     WearableTx,
     body_potential,
     channel_response,
-    element_symbols,
     from_rms,
-    ground_coupling_ratio,
     no_inductor_voltage,
     received_power,
     resonant_frequency,
     resonant_gain,
-    symbol_location,
     to_rms,
     transfer_function,
 )
-from helpers import random_body, random_frequency, random_receiver, unit_source
+from helpers import REPO_ROOT, random_body, random_frequency, random_receiver, unit_source
 
 RX_SIXTH = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
 
@@ -124,7 +121,8 @@ def test_resonant_gain_cases():
     assert resonant_gain(RX_SIXTH) == pytest.approx(1.0 / 6.0, rel=1e-15)
     assert resonant_gain(ReceiverParams(c_ret=1e-12, r_l=1e3)) == 1.0
     assert resonant_gain(ReceiverParams(c_ret=2e-12, c_gb=2e-12, r_l=1e3)) == 0.5
-    assert ground_coupling_ratio(RX_SIXTH) == pytest.approx(5.0, rel=1e-15)
+    rho = RX_SIXTH.c_gb / RX_SIXTH.c_ret  # the ground-coupling ratio C_GB / C_ret
+    assert resonant_gain(RX_SIXTH) == pytest.approx(1.0 / (1.0 + rho), rel=1e-15)
 
 
 def test_resonance_identity_random_lossless():
@@ -324,14 +322,33 @@ def test_non_finite_fields_are_rejected_by_name(cls, name, bad):
         cls(**{**VALID_FIELDS[cls], name: bad})
 
 
+def _readme_symbol_table() -> dict:
+    """Paper symbol -> the backticked fields and functions of its row in
+    README's symbol table."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Paper symbols", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4:
+            for symbol in re.findall(r"`([^`]+)`", cells[1]):
+                table[symbol] = re.findall(r"`([^`]+)`", cells[2])
+    return table
+
+
 def test_symbol_audit_map():
-    symbols = element_symbols()
-    assert symbols["C_ret"] == "ReceiverParams.c_ret"
-    assert symbol_location("Q") == "ResonantWearableTx.q"
-    assert symbol_location("R_S") == "GroundedTx.r_src"
-    assert "SAR" in OUT_OF_SCOPE_SYMBOLS and "SAR" not in symbols
-    with pytest.raises(KeyError, match="out of scope"):
-        symbol_location("SAR")
-    # Every conventional symbol of the lumped model is housed somewhere.
+    table = _readme_symbol_table()
+    assert table["C_ret"] == ["ReceiverParams.c_ret"]
+    assert table["Q"] == ["ResonantWearableTx.q"]
+    assert table["R_S"] == ["GroundedTx.r_src"]
+    assert table["SAR"] == []  # out of scope for the lumped-element model
+    # Every conventional symbol of the lumped model is housed somewhere, and
+    # every field or function named exists.
     for name in ("V_IN", "V_B", "V_o", "R_B", "C_B", "C_GB", "L", "R_L", "C_L", "omega_0", "P_out", "C_ret-Tx"):
-        assert name in symbols
+        assert table[name]
+    for target in sum(table.values(), []):
+        owner, _, name = target.rpartition(".")
+        if owner:
+            assert name in getattr(channel, owner).__dataclass_fields__, target
+        else:
+            assert callable(getattr(channel, name, None) or getattr(analysis, name)), target

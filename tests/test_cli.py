@@ -358,6 +358,20 @@ def test_safety_without_table_exits_2(tmp_path):
     assert main(["safety", "--config", str(path)]) == 2
 
 
+def test_safety_with_an_infinite_limit_exits_2(tmp_path, capsys):
+    path = _scenario(tmp_path, (SCENARIO_DIR / "safety_example.scn").read_text())
+    (tmp_path / "example_limits.lmt").write_text("source_label x\nband 1e3 1e8 inf\n", encoding="utf-8")
+    assert main(["safety", "--config", str(path)]) == 2
+    assert "contact_current_limit must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+def test_oracle_check_rejects_a_tolerance_that_is_not_finite_and_positive(tolerance, capsys):
+    argv = ["oracle-check", "--config", str(SCENARIO_DIR / "fig4a.scn"), "--points", "7"]
+    assert main(argv + ["--tolerance", tolerance]) == 2
+    assert "tolerance: must be finite and > 0" in capsys.readouterr().err
+
+
 def test_plot_data_needs_out_file(tmp_path):
     path = _scenario(tmp_path)
     assert main(["sweep-freq", "--config", str(path), "--plot-data"]) == 2
@@ -450,6 +464,32 @@ def test_fit_command_recovers_parameters(tmp_path):
     assert row["C_ret[F]"] == pytest.approx(truth.c_ret, rel=5e-3)
     assert row["C_GB[F]"] == pytest.approx(truth.c_gb, rel=5e-3)
     assert row["converged"] == 1.0
+
+
+def test_fit_step_past_exp_range_is_rejected_not_a_crash(tmp_path, capsys):
+    # Noiseless data, started at 1.3x, 0.7x and 1.5x truth: an undamped
+    # log-space step overflows math.exp.  The step is rejected, and the fit
+    # then stops by name on the parameter it has driven out of the data's
+    # reach (a fit that converges here is ROADMAP item 1).
+    truth = ReceiverParams(
+        c_ret=3.3561825205574013e-11, c_gb=1.7017936321731197e-12, l=0.33e-3, r_l=1000.0,
+        r_s=468.83779493693976,
+    )
+    f0 = resonant_frequency(truth)
+    sweep = simulate_frequency_sweep(
+        truth, GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12), np.linspace(0.8 * f0, 1.2 * f0, 101)
+    )
+    (tmp_path / "measured.csv").write_text(sweep_to_table(sweep).to_csv(), encoding="utf-8")
+    text = (
+        BASE_SCENARIO.replace("C_ret = 1p", f"C_ret = {1.3 * truth.c_ret!r}")
+        .replace("C_GB = 5p", f"C_GB = {0.7 * truth.c_gb!r}")
+        .replace("L = 4.222m", "L = 0.33m")
+        .replace("r_s = 0", f"r_s = {1.5 * truth.r_s!r}")
+        .replace("V_in = 12", "V_in = 5")
+    )
+    path = _scenario(tmp_path, text + "\n[fit]\ndata = measured.csv\nfree = C_ret,C_GB,r_s\n")
+    assert main(["fit", "--config", str(path)]) == 3
+    assert "the data is insensitive to parameter 'c_gb'" in capsys.readouterr().err
 
 
 def test_fit_without_section_exits_2(tmp_path):

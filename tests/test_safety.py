@@ -237,3 +237,9 @@ def test_limit_table_invariants():
             source_label="x",
             bands=(LimitBand(f_lo=1e5, f_hi=1e6, contact_current_limit=-1e-3),),
         )
+    valid = dict(f_lo=1e5, f_hi=1e6, contact_current_limit=1e-3, e_field_limit=10.0, h_field_limit=1.0)
+    for name in valid:
+        for bad in (math.inf, math.nan):
+            band = LimitBand(**{**valid, name: bad})
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                LimitTable(source_label="x", bands=(band,))
