@@ -26,9 +26,8 @@ for r, p in zip(sweep.values, sweep.p_out_rms):
     print(f"  R_L = {r:8.1f} ohm  {p * 1e6:8.2f} uW  {bar}")
 
 result = optimal_load(rx, src, body, f0, (100.0, 10e3))
-print(f"\ngolden-section optimum: R_L = {result.argmax:.1f} ohm "
-      f"({result.objective_at_argmax * 1e6:.2f} uW, "
-      f"{len(result.trace)} evaluations)")
+print(f"\nclosed-form optimum: R_L = {result.argmax:.1f} ohm "
+      f"({result.objective_at_argmax * 1e6:.2f} uW)")
 print("matched load equals the series loss, as the derivative of "
       "R/(R+r_s)^2 predicts")
 

@@ -30,7 +30,7 @@ from .channel import (
     resonant_gain,
     transfer_function,
 )
-from .optimize import golden_section_max
+from .optimize import golden_section_max_bracketed
 
 AXES = ("frequency", "load", "inductance", "input_voltage")
 
@@ -220,7 +220,10 @@ def find_resonant_peak(sweep: SweepResult) -> tuple:
         )
 
     if sweep.model is not None:
-        return golden_section_max(sweep.model, float(x[i - 1]), float(x[i + 1]), rel_tol=1e-9)
+        x_peak, p_peak, _ = golden_section_max_bracketed(
+            sweep.model, float(x[i - 1]), float(x[i + 1]), rel_tol=1e-9
+        )
+        return x_peak, p_peak
     return _parabolic_vertex(x[i - 1 : i + 2], p[i - 1 : i + 2])
 
 

@@ -216,8 +216,6 @@ def _build_sweep(items: dict) -> SweepSpec:
         raise ConfigError(f"sweep: need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     if points < 2:
         raise ConfigError(f"sweep.points: need at least 2, got {points}")
-    if spacing == "log" and lo <= 0.0:
-        raise ConfigError("sweep: log spacing needs lo > 0")
     return SweepSpec(axis=axis, lo=lo, hi=hi, points=points, spacing=spacing, frequency=frequency)
 
 
@@ -606,11 +604,11 @@ def _compare_topologies(config: ScenarioConfig, options: RunOptions) -> tuple:
 
 
 def _oracle_check(config: ScenarioConfig, options: RunOptions) -> tuple:
-    xs = _require_axis(config, "frequency").grid(options.points)
-    gaps = analysis.oracle_gap(config.receiver, xs)
     tol = options.tolerance if options.tolerance is not None else 1e-9
     if not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tolerance: must be finite and > 0, got {tol!r}")
+    xs = _require_axis(config, "frequency").grid(options.points)
+    gaps = analysis.oracle_gap(config.receiver, xs)
     table = ResultTable(
         columns=["frequency[Hz]", "rel_diff"],
         rows=[[float(x), float(g)] for x, g in zip(xs, gaps)],

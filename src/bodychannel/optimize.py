@@ -21,15 +21,15 @@ from .channel import (
     ReceiverParams,
     SourceModel,
     TWO_PI,
+    _body_potential,
     _response,
     received_power,
     resonant_frequency,
     transfer_function,
+    v_in_rms,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: Relative bracket width at which the load searches stop.
-_LOAD_REL_TOL = 1e-3
 
 
 class UnboundedObjectiveError(ValueError):
@@ -51,30 +51,15 @@ class LoadingAssumptionWarning(UserWarning):
 
 @dataclass
 class OptimizationResult:
+    """An optimum.  ``trace`` holds the evaluated ``(load, power)`` point; the
+    closed forms need no grid fallback, so ``used_grid_fallback`` is False."""
+
     argmax: float
     objective_at_argmax: float
     constraint_active: bool
     constraint_name: Optional[str]
     trace: list
     used_grid_fallback: bool = False
-
-
-def golden_section_max(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-3,
-    trace: Optional[list] = None,
-) -> tuple:
-    """Maximize a unimodal function on [lo, hi] by golden-section search.
-
-    The search runs in log space (lo must be > 0), shrinking the bracket
-    until hi/lo - 1 <= rel_tol.  Returns the best evaluated (x, fn(x));
-    every evaluation is appended to ``trace`` when given.  The final bracket
-    is available via :func:`golden_section_max_bracketed`.
-    """
-    x, y, _ = golden_section_max_bracketed(fn, lo, hi, rel_tol=rel_tol, trace=trace)
-    return x, y
 
 
 def golden_section_max_bracketed(
@@ -84,9 +69,14 @@ def golden_section_max_bracketed(
     rel_tol: float = 1e-3,
     trace: Optional[list] = None,
 ) -> tuple:
-    """As :func:`golden_section_max`, returning (x, fn(x), (a, b)) where
-    [a, b] is the final bracket known to contain the maximum if the
-    objective really is unimodal."""
+    """Maximize a unimodal function on [lo, hi] by golden-section search.
+
+    The search runs in log space (lo must be > 0), shrinking the bracket
+    until hi/lo - 1 <= rel_tol; every evaluation is appended to ``trace``
+    when given.  Returns ``(x, fn(x), (a, b))``: the best evaluated point
+    and the final bracket [a, b], which holds the maximum if the objective
+    really is unimodal.
+    """
     if not (lo > 0.0 and hi > lo):
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
 
@@ -120,76 +110,31 @@ def golden_section_max_bracketed(
     return best[0], best[1], (math.exp(a), math.exp(b))
 
 
-#: Brent root-search tolerances, the defaults of ``scipy.optimize.brentq``.
-_BRENT_XTOL = 2e-12
-_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+def _load_coefficients(rx: ReceiverParams, f: float) -> tuple:
+    """``(|A|, b, |M|)`` of the load current |V_o| / R_L = |V_B| / |A + R_L*M|.
 
+    Multiplying the channel formula through by 1 + j*w*C_L*R_L gives
+    V_o / R_L = V_B / (A + R_L*M) with k = 1 + C_GB/C_ret,
+    A = k*(r_s + j*w*L) + 1/(j*w*C_ret) and M = j*w*C_L*A + k.  Since
+    Re(A*conj(M)) = k^2*r_s = b,
 
-def _brent_root(fn: Callable[[float], float], a: float, b: float, maxiter: int = 100) -> float:
-    """Root of ``fn`` on [a, b] by Brent's method (Brent, *Algorithms for
-    Minimization Without Derivatives*, 1973, ch. 4).
+        |A + R*M|^2 = |A|^2 + 2*b*R + |M|^2*R^2,
 
-    The iteration, its update order and its tolerances are those of
-    ``scipy.optimize.brentq``, so both return the same root bit for bit.
-    The bracket may be given in either order; fn(a) and fn(b) must have
-    opposite signs (or one be zero).  Converged when the bracket half-width
-    is below (2e-12 + 4*eps*|x|)/2.  Raises ``ValueError`` for a bracket
-    without a sign change or a NaN value, ``RuntimeError`` after
-    ``maxiter`` iterations without convergence.
+    which rises strictly with R for r_s > 0.  So the load current falls
+    strictly with R_L, and P = |V_B|^2 * R / |A + R*M|^2 has its one
+    maximum where |A|^2 = |M|^2*R^2, at R* = |A| / |M|.
     """
-
-    def value(x: float) -> float:
-        y = float(fn(x))
-        if math.isnan(y):
-            raise ValueError(f"the function value at x={x} is NaN; the root search cannot go on")
-        return y
-
-    # cur: best estimate; blk: the other end of the sign-changing bracket;
-    # pre: the previous estimate.  s: the current and the previous step.
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(f"f(a) = {fpre!r} and f(b) = {fcur!r} must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"root search failed to converge after {maxiter} iterations, at {xcur!r}")
+    w = TWO_PI * f
+    k = 1.0 + rx.c_gb / rx.c_ret
+    a = k * complex(rx.r_s, w * rx.l) + 1.0 / (1j * w * rx.c_ret)
+    m = 1j * w * rx.c_l * a + k
+    return abs(a), k * k * rx.r_s, abs(m)
 
 
-def _load_power(rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float):
-    def power(r_l: float) -> float:
-        return float(_response(rx, src, body, f, r_l=r_l)[1])
-
-    return power
+def _at_load(rx, src, body, f, r_l: float) -> tuple:
+    """Load current and power at one load resistance."""
+    v_o, p = _response(rx, src, body, f, r_l=r_l)
+    return float(abs(v_o)) / r_l, float(p)
 
 
 def optimal_load(
@@ -203,12 +148,10 @@ def optimal_load(
 
     Requires a lossy receiver (r_s > 0): without series loss the resonant
     output voltage is load independent, so P = |V_o|^2 / R_L grows without
-    bound as R_L shrinks and no interior optimum exists.  The resonant
-    frequency itself does not move with R_L, so candidates are evaluated at
-    the fixed ``f`` rather than re-resonating per candidate.
-
-    If the sampled objective turns out not to be unimodal, the search falls
-    back to a 256-point grid plus local refinement and flags it.
+    bound as R_L shrinks and no interior optimum exists.  The power has
+    exactly one maximum, at the closed-form matched load R* = |A| / |M|
+    (see :func:`_load_coefficients`), so the result is R* clipped to
+    ``bounds``; ``trace`` holds that one evaluated point.
     """
     if not f > 0.0:
         raise ValueError(f"frequency must be > 0, got {f!r}")
@@ -221,31 +164,9 @@ def optimal_load(
             "independent of R_L, so P = V_o^2 / R_L is unbounded as R_L -> 0; "
             "set a nonzero series loss to model a matched-load optimum"
         )
-    power = _load_power(rx, src, body, f)
-    trace: list = []
-    x_best, y_best, bracket = golden_section_max_bracketed(
-        power, lo, hi, rel_tol=_LOAD_REL_TOL, trace=trace
-    )
-
-    # Unimodality audit: if the objective is unimodal, no point outside the
-    # final bracket can beat it.  A violation means a second mode exists.
-    fallback = False
-    grid = np.geomspace(lo, hi, 33)
-    grid_vals = list(zip(grid.tolist(), _response(rx, src, body, f, r_l=grid)[1].tolist()))
-    trace.extend(grid_vals)
-    lo_ok = bracket[0] * (1.0 - 2.0 * _LOAD_REL_TOL)
-    hi_ok = bracket[1] * (1.0 + 2.0 * _LOAD_REL_TOL)
-    if any(v > y_best and not lo_ok <= r <= hi_ok for r, v in grid_vals):
-        fallback = True
-        fine = np.geomspace(lo, hi, 256)
-        fine_vals = list(zip(fine.tolist(), _response(rx, src, body, f, r_l=fine)[1].tolist()))
-        trace.extend(fine_vals)
-        k = max(range(len(fine_vals)), key=lambda i: fine_vals[i][1])
-        lo_k = fine_vals[max(k - 1, 0)][0]
-        hi_k = fine_vals[min(k + 1, len(fine_vals) - 1)][0]
-        golden_section_max(power, lo_k, hi_k, rel_tol=_LOAD_REL_TOL, trace=trace)
-
-    argmax, objective = max(trace, key=lambda t: t[1])
+    a, _, m = _load_coefficients(rx, f)
+    argmax = min(max(a / m, lo), hi)
+    objective = _at_load(rx, src, body, f, argmax)[1]
     constraint = None
     if argmax == lo:
         constraint = "lower bound"
@@ -256,8 +177,7 @@ def optimal_load(
         objective_at_argmax=objective,
         constraint_active=constraint is not None,
         constraint_name=constraint,
-        trace=trace,
-        used_grid_fallback=fallback,
+        trace=[(argmax, objective)],
     )
 
 
@@ -285,7 +205,9 @@ def max_power_under_current_limit(
     does not depend on the load, so exceeding it is an infeasibility, not a
     trade-off.  The load-current constraint caps how small R_L may get; when
     it binds, the optimum sits on the constraint boundary and the result
-    says so.
+    says so.  In closed form the result is max(R*, r_c) clipped to
+    ``bounds``: R* is the matched load of :func:`optimal_load` and r_c the
+    load whose current equals the limit.
     """
     if not f > 0.0:
         raise ValueError(f"frequency must be > 0, got {f!r}")
@@ -305,75 +227,37 @@ def max_power_under_current_limit(
             violation=i_body - i_limit,
         )
 
-    power = _load_power(rx, src, body, f)
-
-    def load_current(r_l: float) -> float:
-        return float(abs(_response(rx, src, body, f, r_l=r_l)[0]) / r_l)
-
-    grid = np.geomspace(lo, hi, 128)
-    v_o, powers = _response(rx, src, body, f, r_l=grid)
-    currents = np.abs(v_o) / grid
-    # numpy rounds a 0-d kernel evaluation and the same point inside an array
-    # apart (by an ulp), and the root search below evaluates scalars: grid
-    # points that close to the limit take the scalar value, so the bracket
-    # found below always changes sign.
-    for k in np.flatnonzero(np.abs(currents - i_limit) <= 1e-12 * i_limit):
-        currents[k] = load_current(float(grid[k]))
-    feasible = currents <= i_limit
-    if not feasible.any():
-        k = int(np.argmin(currents))
+    # The load current falls strictly with R_L, so the loads it keeps under
+    # the limit are [r_c, inf): r_c is the positive root of
+    # |M|^2*R^2 + 2*b*R + c = 0, or 0 when c >= 0 and every load is feasible.
+    a, b, m = _load_coefficients(rx, f)
+    c = a * a - (_body_potential(src, body, v_in_rms(src)) / i_limit) ** 2
+    r_c = -c / (b + math.sqrt(b * b - m * m * c)) if c < 0.0 else 0.0
+    if r_c > hi:
+        i_hi = _at_load(rx, src, body, f, hi)[0]
         raise InfeasibleError(
             f"no load in [{lo:.4g}, {hi:.4g}] ohm keeps the load current under "
-            f"{i_limit:.4g} A rms; closest is {grid[k]:.4g} ohm drawing "
-            f"{currents[k]:.4g} A rms",
-            candidate=float(grid[k]),
-            violation=float(currents[k] - i_limit),
+            f"{i_limit:.4g} A rms; closest is {hi:.4g} ohm drawing "
+            f"{i_hi:.4g} A rms",
+            candidate=hi,
+            violation=i_hi - i_limit,
         )
 
-    if feasible.all():
-        if rx.r_s == 0.0:
-            raise UnboundedObjectiveError(
-                "current limit never binds on these bounds and the receiver is "
-                "lossless (r_s = 0), so the objective is unbounded; see optimal_load"
-            )
-        result = optimal_load(rx, src, body, f, bounds)
-        result.constraint_active = False
-        result.constraint_name = None
-        return result
-
-    # Load current falls with R_L here, so the feasible set is [r_c, hi].
-    suffix_ok = bool(np.all(np.diff(feasible.astype(int)) >= 0))
-    if suffix_ok:
-        first = int(np.argmax(feasible))
-        if first == 0:
-            r_c = lo
-        else:
-            r_c = _brent_root(lambda r: load_current(r) - i_limit, grid[first - 1], grid[first])
-        trace: list = []
-        golden_section_max(power, r_c, hi, rel_tol=_LOAD_REL_TOL, trace=trace)
-        argmax, objective = max(trace, key=lambda t: t[1])
-        active = argmax == r_c
-        return OptimizationResult(
-            argmax=argmax,
-            objective_at_argmax=objective,
-            constraint_active=active,
-            constraint_name="load-current" if active else None,
-            trace=trace,
-            used_grid_fallback=False,
+    if r_c <= lo and rx.r_s == 0.0:
+        raise UnboundedObjectiveError(
+            "current limit never binds on these bounds and the receiver is "
+            "lossless (r_s = 0), so the objective is unbounded; see optimal_load"
         )
 
-    # Scattered feasibility (exotic load networks): best feasible grid cell.
-    trace = list(zip(grid[feasible].tolist(), powers[feasible].tolist()))
-    k = max(range(len(trace)), key=lambda i: trace[i][1])
-    argmax, objective = trace[k]
-    near_limit = bool(currents[feasible][k] >= 0.999 * i_limit)
+    argmax = min(max(a / m, lo, r_c), hi)
+    objective = _at_load(rx, src, body, f, argmax)[1]
+    active = argmax == r_c
     return OptimizationResult(
         argmax=argmax,
         objective_at_argmax=objective,
-        constraint_active=near_limit,
-        constraint_name="load-current" if near_limit else None,
-        trace=trace,
-        used_grid_fallback=True,
+        constraint_active=active,
+        constraint_name="load-current" if active else None,
+        trace=[(argmax, objective)],
     )
 
 

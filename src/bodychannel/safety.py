@@ -57,18 +57,8 @@ class LimitTable:
             raise ValueError("limit table needs a source_label")
         prev_hi = 0.0
         for band in self.bands:
-            for name, value in vars(band).items():
-                if value is not None and not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
-            if not (band.f_lo > 0.0 and band.f_hi > band.f_lo):
-                raise ValueError(f"bad band bounds [{band.f_lo!r}, {band.f_hi!r})")
-            if band.f_lo < prev_hi:
-                raise ValueError("limit bands must be sorted and non-overlapping")
+            _check_band(band, prev_hi)
             prev_hi = band.f_hi
-            for name in ("contact_current_limit", "e_field_limit", "h_field_limit"):
-                value = getattr(band, name)
-                if value is not None and not value > 0.0:
-                    raise ValueError(f"{name} must be > 0 where present, got {value!r}")
 
     def band_for(self, f: float) -> LimitBand:
         for band in self.bands:
@@ -77,6 +67,21 @@ class LimitTable:
         raise UncoveredBandError(
             f"{f:.6g} Hz is not covered by any band of table {self.source_label!r}"
         )
+
+
+def _check_band(band: LimitBand, prev_hi: float) -> None:
+    """Check one band, given where the band before it ends (0 for the first)."""
+    for name, value in vars(band).items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not (band.f_lo > 0.0 and band.f_hi > band.f_lo):
+        raise ValueError(f"bad band bounds [{band.f_lo!r}, {band.f_hi!r})")
+    if band.f_lo < prev_hi:
+        raise ValueError("limit bands must be sorted and non-overlapping")
+    for name in ("contact_current_limit", "e_field_limit", "h_field_limit"):
+        value = getattr(band, name)
+        if value is not None and not value > 0.0:
+            raise ValueError(f"{name} must be > 0 where present, got {value!r}")
 
 
 def load_limit_table(path) -> LimitTable:
@@ -97,24 +102,23 @@ def load_limit_table(path) -> LimitTable:
             if label is not None:
                 raise ValueError(f"{path}:{lineno}: duplicate source_label")
             label = rest.strip()
+            if not label:
+                raise ValueError(f"{path}:{lineno}: source_label has no text")
         elif head == "band":
-            fields = rest.split()
-            if not 3 <= len(fields) <= 5:
-                raise ValueError(f"{path}:{lineno}: band needs 3 to 5 fields")
-            values = [None if tok == "-" else float(tok) for tok in fields]
-            values += [None] * (5 - len(values))
-            f_lo, f_hi, contact_ma, e_lim, h_lim = values
-            if f_lo is None or f_hi is None:
-                raise ValueError(f"{path}:{lineno}: band bounds may not be '-'")
-            bands.append(
-                LimitBand(
-                    f_lo=f_lo,
-                    f_hi=f_hi,
-                    contact_current_limit=None if contact_ma is None else contact_ma * 1e-3,
-                    e_field_limit=e_lim,
-                    h_field_limit=h_lim,
-                )
-            )
+            try:
+                tokens = rest.split()
+                if not 3 <= len(tokens) <= 5:
+                    raise ValueError("band needs 3 to 5 fields")
+                values = [None if tok == "-" else float(tok) for tok in tokens]
+                f_lo, f_hi, contact_ma, e_lim, h_lim = values + [None] * (5 - len(values))
+                if f_lo is None or f_hi is None:
+                    raise ValueError("band bounds may not be '-'")
+                contact = None if contact_ma is None else contact_ma * 1e-3
+                band = LimitBand(f_lo, f_hi, contact, e_lim, h_lim)
+                _check_band(band, bands[-1].f_hi if bands else 0.0)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            bands.append(band)
         else:
             raise ValueError(f"{path}:{lineno}: unknown directive {head!r}")
     if label is None:
@@ -164,6 +168,17 @@ def contact_current(
     return abs(v_body * 1j * TWO_PI * f * body.c_b)
 
 
+def _contact_band(table: LimitTable, f: float) -> LimitBand:
+    """The band of ``table`` covering ``f``, which must carry a contact-current limit."""
+    band = table.band_for(f)
+    if band.contact_current_limit is None:
+        raise IncompleteTableError(
+            f"band [{band.f_lo:.6g}, {band.f_hi:.6g}) Hz of {table.source_label!r} "
+            "has no contact-current limit"
+        )
+    return band
+
+
 def check(
     src: SourceModel,
     body: BodyModel,
@@ -176,12 +191,7 @@ def check(
 ) -> SafetyReport:
     """Compare the modeled contact current (and optional measured incident
     fields) against the limit band covering ``f``."""
-    band = table.band_for(f)
-    if band.contact_current_limit is None:
-        raise IncompleteTableError(
-            f"band [{band.f_lo:.6g}, {band.f_hi:.6g}) Hz of {table.source_label!r} "
-            "has no contact-current limit"
-        )
+    band = _contact_band(table, f)
     actual = contact_current(src, body, f, rx=rx, mna=mna)
     margin = band.contact_current_limit / actual
     passed = actual <= band.contact_current_limit
@@ -220,12 +230,7 @@ def max_safe_input(body: BodyModel, f: float, table: LimitTable, src: SourceMode
     variant, so the inversion is exact; the result is expressed in the
     source's amplitude convention.
     """
-    band = table.band_for(f)
-    if band.contact_current_limit is None:
-        raise IncompleteTableError(
-            f"band [{band.f_lo:.6g}, {band.f_hi:.6g}) Hz of {table.source_label!r} "
-            "has no contact-current limit"
-        )
+    band = _contact_band(table, f)
     v_b_max_rms = band.contact_current_limit / (TWO_PI * f * body.c_b)
     slope = _body_potential(src, body, 1.0)  # V_B per rms input volt
     return from_rms(v_b_max_rms / slope, src.convention)

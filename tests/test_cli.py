@@ -365,6 +365,33 @@ def test_safety_with_an_infinite_limit_exits_2(tmp_path, capsys):
     assert "contact_current_limit must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "band, message",
+    [
+        ("band 5e5 2e6 10", "limit bands must be sorted and non-overlapping"),
+        ("band 2e6 inf 10", "f_hi must be finite"),
+    ],
+    ids=["overlap", "infinite_f_hi"],
+)
+def test_safety_with_a_bad_band_names_its_line_and_exits_2(tmp_path, capsys, band, message):
+    path = _scenario(tmp_path, (SCENARIO_DIR / "safety_example.scn").read_text())
+    table = tmp_path / "example_limits.lmt"
+    table.write_text(f"source_label x\nband 1e5 1e6 10\n{band}\n", encoding="utf-8")
+    assert main(["safety", "--config", str(path)]) == 2
+    assert f"{table.resolve()}:3: {message}" in capsys.readouterr().err
+
+
+def test_oracle_check_rejects_a_bad_tolerance_before_solving(tmp_path, capsys):
+    # The node-level solve fails on this grid (a model error, exit 3), so the
+    # tolerance must be checked before it runs.
+    text = (SCENARIO_DIR / "fig4a.scn").read_text()
+    path = _scenario(tmp_path, text.replace("lo = 100k", "lo = 1e-300").replace("hi = 10M", "hi = 2e-300"))
+    argv = ["oracle-check", "--config", str(path), "--points", "3"]
+    assert main(argv) == 3
+    assert main(argv + ["--tolerance", "nan"]) == 2
+    assert "tolerance: must be finite and > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
 def test_oracle_check_rejects_a_tolerance_that_is_not_finite_and_positive(tolerance, capsys):
     argv = ["oracle-check", "--config", str(SCENARIO_DIR / "fig4a.scn"), "--points", "7"]

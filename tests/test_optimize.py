@@ -13,6 +13,7 @@ from bodychannel.channel import (
     BodyModel,
     GroundedTx,
     ReceiverParams,
+    ResonantWearableTx,
     WearableTx,
     body_potential,
     channel_response,
@@ -24,9 +25,8 @@ from bodychannel.optimize import (
     InfeasibleError,
     LoadingAssumptionWarning,
     UnboundedObjectiveError,
-    _brent_root,
     compare_topologies,
-    golden_section_max,
+    golden_section_max_bracketed,
     joint_loading_check,
     max_power_under_current_limit,
     multi_receiver_power,
@@ -48,21 +48,21 @@ def _lossy_rx(r_s: float) -> ReceiverParams:
 
 
 def test_golden_section_finds_known_maximum():
-    x, y = golden_section_max(lambda v: -((v - 42.0) ** 2), 1.0, 1000.0, rel_tol=1e-6)
+    x, y, _ = golden_section_max_bracketed(lambda v: -((v - 42.0) ** 2), 1.0, 1000.0, rel_tol=1e-6)
     assert x == pytest.approx(42.0, rel=1e-4)
     assert y == pytest.approx(0.0, abs=1e-4)
 
 
 def test_golden_section_records_trace():
     trace = []
-    golden_section_max(lambda v: -abs(v - 5.0), 1.0, 100.0, trace=trace)
+    golden_section_max_bracketed(lambda v: -abs(v - 5.0), 1.0, 100.0, trace=trace)
     assert len(trace) > 10
     assert all(y == -abs(x - 5.0) for x, y in trace)
 
 
 def test_golden_section_rejects_bad_bracket():
     with pytest.raises(ValueError):
-        golden_section_max(lambda v: v, 10.0, 1.0)
+        golden_section_max_bracketed(lambda v: v, 10.0, 1.0)
 
 
 # ── load optimization ───────────────────────────────────────────────────
@@ -73,7 +73,7 @@ def test_matched_load_equals_series_loss():
     for r_s in (100.0, 500.0, 1000.0, 10000.0):
         rx = _lossy_rx(r_s)
         result = optimal_load(rx, SRC, BODY, resonant_frequency(rx), (10.0, 1e5))
-        assert result.argmax == pytest.approx(r_s, rel=1e-3)
+        assert result.argmax == pytest.approx(r_s, rel=1e-12)
         assert not result.constraint_active
         assert not result.used_grid_fallback
 
@@ -150,70 +150,6 @@ def test_optimal_inductor_round_trip():
         f_target = log_uniform(rng, 1e5, 1e7)
         rx_tuned = replace(rx, l=optimal_inductor(rx, f_target))
         assert resonant_frequency(rx_tuned) == pytest.approx(f_target, rel=1e-12)
-
-
-# ── Brent root search ───────────────────────────────────────────────────
-
-# Root families with a root at ``r``: odd powers (flat and steep roots), a
-# wavy arctangent (which may cross zero again), an exponential, a decreasing
-# current-like curve and a step (bisection only).
-_ROOT_FAMILIES = {
-    "power": lambda r, k, n: lambda x: k * math.copysign(abs(x - r) ** n, x - r),
-    "wavy": lambda r, k, n: lambda x: math.atan(k * (x - r)) + 0.1 * n * (x - r) * math.sin(3 * x),
-    "exp": lambda r, k, n: lambda x: math.exp(k * (x - r) / n) - 1.0,
-    "current": lambda r, k, n: lambda x: 1.0 / (x - r + 10.0) ** (1.0 / n) - 10.0 ** (-1.0 / n),
-    "step": lambda r, k, n: lambda x: math.floor(k * (x - r)) + 0.5,
-}
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    family=st.sampled_from(sorted(_ROOT_FAMILIES)),
-    r=st.floats(-5.0, 5.0),
-    k=st.floats(0.1, 50.0),
-    n=st.integers(1, 5),
-    left=st.floats(1e-9, 8.0),
-    right=st.floats(1e-9, 8.0),
-    swap=st.booleans(),
-    maxiter=st.sampled_from((3, 8, 100, 100)),
-)
-def test_brent_root_matches_scipy_brentq_bit_for_bit(family, r, k, n, left, right, swap, maxiter):
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    fn = _ROOT_FAMILIES[family](r, k, n)
-    a, b = (r + right, r - left) if swap else (r - left, r + right)
-    outcomes = []
-    for solver in (brentq, _brent_root):
-        try:
-            outcomes.append(float(solver(fn, a, b, maxiter=maxiter)).hex())
-        except (ValueError, RuntimeError) as exc:
-            outcomes.append(type(exc).__name__)
-    assert outcomes[1] == outcomes[0]
-
-
-_BRENT_FAILURES = [
-    (lambda x: x * x + 1.0, 100, ValueError, "different signs"),
-    (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 100, ValueError, "NaN"),
-    (lambda x: math.nan if x > 0.9 else x - 0.5, 100, ValueError, "NaN"),
-    (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 5, RuntimeError, "after 5 iterations"),
-]
-
-
-@pytest.mark.parametrize("fn, maxiter, error, match", _BRENT_FAILURES)
-def test_brent_root_error_paths(fn, maxiter, error, match):
-    with pytest.raises(error, match=match):
-        _brent_root(fn, -1.0, 1.0, maxiter=maxiter)
-
-
-@pytest.mark.parametrize("fn, maxiter, error, match", _BRENT_FAILURES)
-def test_brent_root_errors_match_scipy(fn, maxiter, error, match):
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    with pytest.raises(error):
-        brentq(fn, -1.0, 1.0, maxiter=maxiter)
-
-
-def test_brent_root_returns_an_exact_endpoint_root():
-    assert _brent_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0
-    assert _brent_root(lambda x: x - 5.0, 2.0, 5.0) == 5.0
 
 
 # ── current-limited optimization ────────────────────────────────────────
@@ -312,41 +248,6 @@ def test_load_optimizers_reject_a_bad_frequency(f):
         max_power_under_current_limit(rx, SRC, BODY, f, 1e-3, bounds=(100.0, 1e4))
 
 
-def _two_humped_response(rx, src, body, f, r_l=None, l=None, v_in=None):
-    """A stand-in kernel: a broad power hump at 20 kOhm and a taller, narrow
-    one at 63 Ohm that golden-section search started on [10, 1e6] misses."""
-    r = np.asarray(r_l, dtype=float)
-    x = np.log10(r)
-    p = np.exp(-(((x - 4.3) / 0.6) ** 2)) + 2.0 * np.exp(-(((x - 1.8) / 0.15) ** 2))
-    return np.sqrt(p * r), p
-
-
-def test_second_mode_takes_the_grid_fallback(monkeypatch):
-    monkeypatch.setattr("bodychannel.optimize._response", _two_humped_response)
-    result = optimal_load(_lossy_rx(100.0), SRC, BODY, 1e6, (10.0, 1e6))
-    assert result.used_grid_fallback
-    assert result.argmax == pytest.approx(10**1.8, rel=1e-2)
-    assert result.objective_at_argmax == pytest.approx(2.0, rel=1e-6)
-    assert all(type(x) is float and type(y) is float for x, y in result.trace)
-
-
-def test_scattered_feasibility_takes_the_best_feasible_grid_load(monkeypatch):
-    monkeypatch.setattr("bodychannel.optimize._response", _two_humped_response)
-    i_limit = 2e-3  # load current sqrt(P/R): over the limit on both humps only
-    result = max_power_under_current_limit(
-        _lossy_rx(100.0), SRC, BodyModel(c_b=1e-12), 1e6, i_limit, bounds=(10.0, 1e6)
-    )
-    assert result.used_grid_fallback
-    loads, powers = (np.array(v) for v in zip(*result.trace))
-    grid = np.geomspace(10.0, 1e6, 128)
-    k = np.searchsorted(grid, loads)
-    assert np.array_equal(grid[k], loads) and np.any(np.diff(k) > 1)  # cells with gaps
-    assert np.all(np.sqrt(powers / loads) <= i_limit)
-    assert (result.argmax, result.objective_at_argmax) == result.trace[int(np.argmax(powers))]
-    draw = math.sqrt(result.objective_at_argmax / result.argmax)
-    assert result.constraint_active is (draw >= 0.999 * i_limit)
-
-
 def test_unreachable_load_current_reports_closest_candidate():
     # Bounds capped at 100 ohm: every candidate draws over 2.6 mA while the
     # body return current (0.64 mA) stays under the 1 mA limit.
@@ -357,6 +258,78 @@ def test_unreachable_load_current_reports_closest_candidate():
         )
     assert excinfo.value.candidate == pytest.approx(100.0)
     assert excinfo.value.violation > 0.0
+
+
+# ── closed-form load optima ─────────────────────────────────────────────
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _lossy_channels(draw):
+    """A lossy receiver (r_s > 0; C_GB and C_L zero or not), one of the three
+    source kinds, and a frequency between half and twice its resonance."""
+
+    def optional(lo, hi):
+        return draw(st.just(0.0) | _log_uniform(lo, hi))
+
+    rx = ReceiverParams(
+        c_ret=draw(_log_uniform(0.5e-12, 60e-12)),
+        c_gb=optional(0.1e-12, 20e-12),
+        l=draw(_log_uniform(0.1e-3, 10e-3)),
+        r_l=1000.0,
+        c_l=optional(0.05e-12, 5e-12),
+        r_s=draw(_log_uniform(50.0, 5e3)),
+    )
+    kind = draw(st.sampled_from(("grounded", "wearable", "resonant-wearable")))
+    if kind == "grounded":
+        src = GroundedTx(5.0, "pp")
+    elif kind == "wearable":
+        src = WearableTx(5.0, "pp", c_ret_tx=draw(_log_uniform(0.5e-12, 5e-12)))
+    else:
+        src = ResonantWearableTx(5.0, "pp", c_ret_tx=draw(_log_uniform(0.5e-12, 5e-12)), q=10.0)
+    body = BodyModel(c_b=draw(_log_uniform(0.1e-12, 5e-12)))
+    f = resonant_frequency(rx) * draw(st.floats(0.5, 2.0))
+    return rx, src, body, f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(channel=_lossy_channels(), share=_log_uniform(1e-3, 1.5))
+def test_closed_form_load_optima_match_a_dense_grid(channel, share):
+    rx, src, body, f = channel
+    bounds = (10.0, 1e6)
+    loads = np.geomspace(*bounds, 4001)
+    v_o, powers = channel_response(rx, src, body, f, r_l=loads)
+    currents = np.abs(v_o) / loads
+    # The premise of both closed forms: the load current falls strictly with
+    # R_L and the power has a single maximum.
+    assert np.all(np.diff(currents) < 0.0)
+    k = int(np.argmax(powers))
+    assert np.all(np.diff(powers[: k + 1]) > 0.0) and np.all(np.diff(powers[k + 1 :]) < 0.0)
+
+    best = optimal_load(rx, src, body, f, bounds)
+    assert abs(best.argmax - loads[k]) <= np.diff(loads)[max(k - 1, 0) : k + 1].max()
+    assert best.objective_at_argmax >= powers[k] * (1.0 - 1e-12)
+
+    i_limit = share * float(np.abs(channel_response(rx, src, body, f, r_l=best.argmax)[0])) / best.argmax
+    if contact_current(src, body, f) > i_limit:
+        with pytest.raises(InfeasibleError, match="body return current"):
+            max_power_under_current_limit(rx, src, body, f, i_limit, bounds=bounds)
+        return
+    if currents[-1] > i_limit:
+        with pytest.raises(InfeasibleError, match=r"closest is 1e\+06 ohm"):
+            max_power_under_current_limit(rx, src, body, f, i_limit, bounds=bounds)
+        return
+    capped = max_power_under_current_limit(rx, src, body, f, i_limit, bounds=bounds)
+    draw = float(np.abs(channel_response(rx, src, body, f, r_l=capped.argmax)[0])) / capped.argmax
+    # Within round-off of the limit: R* and r_c may tie to a few ulps.
+    assert draw <= i_limit * (1.0 + 1e-12)
+    if capped.constraint_active:
+        assert abs(draw - i_limit) <= 1e-12 * i_limit
+    feasible = currents <= i_limit
+    assert capped.objective_at_argmax >= powers[feasible].max() * (1.0 - 1e-12)
 
 
 # ── multi-receiver powering ─────────────────────────────────────────────

@@ -2,6 +2,7 @@
 maximum-safe-input inversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,23 @@ def test_load_limit_table_errors(tmp_path):
         path.write_text(content, encoding="utf-8")
         with pytest.raises(ValueError):
             load_limit_table(path)
+
+
+@pytest.mark.parametrize(
+    "content, lineno, message",
+    [
+        ("source_label x\nband 1e5 1e6 10\nband 5e5 2e6 10\n", 3, "limit bands must be sorted and non-overlapping"),
+        ("source_label x\nband 1e5 1e6 10\nband 2e6 inf 10\n", 3, "f_hi must be finite, got inf"),
+        ("# header\nsource_label\n", 2, "source_label has no text"),
+        ("source_label x\n\nband 1e5 1e6 ten\n", 3, "could not convert string to float"),
+    ],
+    ids=["overlap", "infinite_f_hi", "empty_label", "bad_number"],
+)
+def test_load_limit_table_errors_name_the_file_and_line(tmp_path, content, lineno, message):
+    path = tmp_path / "limits.lmt"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{lineno}: {message}")):
+        load_limit_table(path)
 
 
 def test_limit_table_invariants():
