@@ -41,7 +41,7 @@ clean = simulate_frequency_sweep(truth, src, body, grid)
 
 rng = np.random.default_rng(7)
 noisy = clean.p_out_rms * np.abs(rng.normal(1.0, 0.01, size=len(grid)))
-observed = replace(clean, p_out_rms=noisy, v_o=None, model=None)
+observed = replace(clean, p_out_rms=noisy, v_o=None, circuit=None)
 
 start = replace(truth, c_ret=2.0e-12, c_gb=2.0e-12)  # deliberately wrong guess
 report = fit_params(observed, ["c_ret", "c_gb"], start, src, body)

@@ -1,9 +1,10 @@
 """Sweep tables, resonance detection, Q estimation, sensitivities, and
 least-squares calibration of channel parameters.
 
-A :class:`SweepResult` is the common currency: simulated sweeps carry an
-attached continuous model (used to refine peak locations); imported
-measurement tables do not and fall back to interpolation.
+A :class:`SweepResult` is the common currency: closed-form frequency
+sweeps carry the circuit they were simulated from, whose power peak is a
+closed form; other sweeps and imported measurement tables locate the peak
+by interpolation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .channel import (
     ReceiverParams,
     SourceModel,
     GroundedTx,
+    _peak_frequency,
     _response,
     channel_response,
     received_power,
@@ -30,7 +32,6 @@ from .channel import (
     resonant_gain,
     transfer_function,
 )
-from .optimize import golden_section_max_bracketed
 
 AXES = ("frequency", "load", "inductance", "input_voltage")
 
@@ -73,15 +74,15 @@ class SweepResult:
 
     ``values`` must be strictly increasing; ``p_out_rms`` is nonnegative.
     ``v_o`` holds complex rms load voltages, or None for power-only data
-    (e.g. imported two-column CSVs).  ``model`` is an optional continuous
-    axis -> power callable attached by the simulators.
+    (e.g. imported two-column CSVs).  ``circuit`` is the ``(rx, src, body)``
+    a closed-form frequency sweep was simulated from, or None.
     """
 
     axis: str
     values: np.ndarray
     p_out_rms: np.ndarray
     v_o: Optional[np.ndarray] = None
-    model: Optional[Callable[[float], float]] = field(default=None, repr=False)
+    circuit: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -120,9 +121,10 @@ def simulate(
 
     ``f`` is the fixed frequency of the load and input-voltage axes; the
     inductance axis evaluates each inductance at the resonant frequency it
-    produces; input voltages are in the source's own convention.  The closed
-    form attaches a continuous axis -> power model.  With ``mna=True`` the
-    netlist is stamped once and the swept element takes one value per point.
+    produces; input voltages are in the source's own convention.  A
+    closed-form frequency sweep carries ``(rx, src, body)`` as its
+    ``circuit``.  With ``mna=True`` the netlist is stamped once and the
+    swept element takes one value per point.
     """
     values = np.asarray(values, dtype=float)
     freqs, swept = _sweep_points(axis, rx, values, f)
@@ -144,18 +146,14 @@ def simulate(
         return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o)
 
     v_o, p = channel_response(rx, src, body, freqs, **swept)
-
-    def model(x: float) -> float:
-        fx, sx = _sweep_points(axis, rx, np.asarray(x, dtype=float), f)
-        return float(_response(rx, src, body, fx, **sx)[1])
-
-    return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o, model=model)
+    circuit = (rx, src, body) if axis == "frequency" else None
+    return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o, circuit=circuit)
 
 
 def simulate_frequency_sweep(
     rx: ReceiverParams, src: SourceModel, body: BodyModel, freqs
 ) -> SweepResult:
-    """Closed-form frequency sweep, model attached."""
+    """Closed-form frequency sweep, circuit attached."""
     return simulate("frequency", rx, src, body, freqs)
 
 
@@ -189,9 +187,10 @@ def _element_at(net: acnet.Netlist, kind: acnet.Kind, nodes=None) -> int:
 def find_resonant_peak(sweep: SweepResult) -> tuple:
     """Locate the power peak of a frequency sweep.
 
-    The grid argmax is refined by golden-section search on the attached
-    model when one exists, otherwise by parabolic interpolation through the
-    top three grid points.  Interior local maxima whose prominence exceeds
+    When the sweep carries its ``circuit``, the peak is the closed-form
+    maximum of that circuit's power (see ``channel._peak_frequency``);
+    otherwise the grid argmax is refined by parabolic interpolation through
+    the top three grid points.  Interior local maxima whose prominence exceeds
     1e-6 times the peak power make the peak ambiguous; a peak on
     the window edge only warns (the window truncates the resonance).
     Returns ``(axis_value_at_peak, power_at_peak)``.
@@ -219,11 +218,11 @@ def find_resonant_peak(sweep: SweepResult) -> tuple:
             candidates=candidates,
         )
 
-    if sweep.model is not None:
-        x_peak, p_peak, _ = golden_section_max_bracketed(
-            sweep.model, float(x[i - 1]), float(x[i + 1]), rel_tol=1e-9
-        )
-        return x_peak, p_peak
+    if sweep.circuit is not None:
+        rx, src, body = sweep.circuit
+        f_peak = _peak_frequency(rx)
+        if f_peak is not None:  # None: a monotone power, its grid top flat to round-off
+            return f_peak, float(_response(rx, src, body, f_peak)[1])
     return _parabolic_vertex(x[i - 1 : i + 2], p[i - 1 : i + 2])
 
 
@@ -573,20 +572,20 @@ def q_factor(sweep: SweepResult) -> QFactorEstimate:
             "power peak sits on the window edge; half-power crossings are outside"
         )
     half = p[i] / 2.0
-
-    def crossing(idx_from: int, step: int) -> float:
-        j = idx_from
-        while 0 <= j + step < len(p):
-            if p[j + step] <= half:
-                a, b = j, j + step
-                return float(x[a] + (half - p[a]) * (x[b] - x[a]) / (p[b] - p[a]))
-            j += step
+    # The nearest row at or below half power on each side of the peak.
+    below_lo = np.flatnonzero(p[:i] <= half)
+    below_hi = np.flatnonzero(p[i + 1 :] <= half)
+    if not (below_lo.size and below_hi.size):
         raise WindowTruncationError(
             "half-power crossing lies outside the swept window; widen the sweep"
         )
 
-    f_lo = crossing(i, -1)
-    f_hi = crossing(i, +1)
+    def crossing(a: int, b: int) -> float:
+        """Linear interpolation of the half-power point between rows a and b."""
+        return float(x[a] + (half - p[a]) * (x[b] - x[a]) / (p[b] - p[a]))
+
+    f_lo = crossing(below_lo[-1] + 1, below_lo[-1])
+    f_hi = crossing(i + below_hi[0], i + 1 + below_hi[0])
     span = f_hi - f_lo
     step_local = max(x[i] - x[i - 1], x[i + 1] - x[i])
     return QFactorEstimate(q=float(x[i] / span), lower_bound=bool(span < 2.0 * step_local))

@@ -203,8 +203,8 @@ def body_potential(src: SourceModel, body: BodyModel, f: float) -> float:
     the body capacitance; the resonant variant multiplies the small-ratio
     approximation of that divider by the transmit-side boost ``q``.
     """
-    if not f > 0.0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
+    if not 0.0 < f < _INF:
+        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
     return _body_potential(src, body, v_in_rms(src))
 
 
@@ -229,8 +229,8 @@ def transfer_function(rx: ReceiverParams, f):
     ``f`` may be a scalar or an array; the return matches the input shape.
     """
     w = TWO_PI * np.asarray(f, dtype=float)
-    if np.any(w <= 0.0):
-        raise ValueError("frequency must be > 0")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError("frequency must be finite and > 0")
     h = _transfer(rx, w, rx.r_l, rx.l)
     if np.ndim(h) == 0:
         return complex(h)
@@ -253,6 +253,42 @@ def resonant_frequency(rx: ReceiverParams) -> float:
             "receiver has no series inductor (l = 0); no resonant frequency exists"
         )
     return 1.0 / (TWO_PI * math.sqrt(rx.l * (rx.c_ret + rx.c_gb)))
+
+
+def _peak_frequency(rx: ReceiverParams):
+    """Frequency of the power peak of a closed-form frequency sweep, or None
+    when the power is monotone in frequency.
+
+    The body potential does not depend on f, so the power peaks where
+    |H|^2 does.  With k = 1 + C_GB/C_ret, tau = C_L*R_L, u = w^2 and A as in
+    ``optimize._load_coefficients``, H = R_L / (A*(1 + j*w*tau) + k*R_L), and
+    u*|A*(1 + j*w*tau) + k*R_L|^2 is the cubic
+    N(u) = c3*u^3 + c2*u^2 + c1*u + c0 with c3 = (k*L*tau)^2,
+    c2 = (k*L)^2 - 2*k*L*tau^2/C_ret - 2*k^2*L*R_L*tau + (k*r_s*tau)^2 and
+    c0 = 1/C_ret^2.  The power is proportional to u / N(u), whose
+    stationary points are the positive roots of 2*c3*u^3 + c2*u^2 - c0 = 0.
+    With c3 > 0 there is exactly one (Descartes' rule), and u / N(u)
+    vanishes at both ends of the axis, so it is the maximum.  With c3 = 0
+    (L = 0 or C_L = 0) it is u = sqrt(c0 / c2), which is w0^2 when C_L = 0;
+    when c2 = 0 too (L = 0 and r_s*C_L = 0) the power rises monotonically.
+    """
+    tau = rx.c_l * rx.r_l
+    if rx.l == 0.0:
+        # c3 = 0 and c2 = (k*r_s*tau)^2.
+        if rx.r_s * tau == 0.0:
+            return None
+        return 1.0 / (TWO_PI * math.sqrt((rx.c_ret + rx.c_gb) * rx.r_s * tau))
+    # In s = u0/u, with u0 = 1/(k*L*C_ret) = w0^2, a = c3*u0^3/c0 = (w0*tau)^2
+    # and b = c2*u0^2/c0, the root solves the monic s^3 - b*s - 2*a = 0.  Its
+    # other two roots are negative or a complex pair with negative real part
+    # (the roots sum to 0 and multiply to 2*a >= 0), so the positive root has
+    # the largest real part; one Newton step polishes the eigenvalue solve.
+    f0 = resonant_frequency(rx)
+    a = (TWO_PI * f0 * tau) ** 2
+    b = 1.0 + (rx.r_s * tau / rx.l) ** 2 - 2.0 * rx.r_l * tau / rx.l - 2.0 * a
+    s = float(np.roots([1.0, 0.0, -b, -2.0 * a]).real.max())
+    s -= (s**3 - b * s - 2.0 * a) / (3.0 * s**2 - b)
+    return f0 / math.sqrt(s)
 
 
 def resonant_gain(rx: ReceiverParams) -> float:
@@ -312,13 +348,14 @@ def channel_response(
     evaluation of the channel: the sweeps, the load optimizers and the fit
     run the same kernel, checking their inputs once at entry.
     """
+    f = np.asarray(f, dtype=float)
     if not (
-        np.all(np.asarray(f, dtype=float) > 0.0)
+        np.all(np.isfinite(f) & (f > 0.0))
         and (r_l is None or np.all(np.asarray(r_l, dtype=float) > 0.0))
         and (l is None or np.all(np.asarray(l, dtype=float) >= 0.0))
         and (v_in is None or np.all(np.asarray(v_in, dtype=float) > 0.0))
     ):
-        raise ValueError("need frequency, r_l and v_in > 0 and l >= 0 at every point")
+        raise ValueError("need a finite frequency, r_l and v_in > 0 and l >= 0 at every point")
     return _response(rx, src, body, f, r_l, l, v_in)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .channel import (
     ReceiverParams,
     SourceModel,
     TWO_PI,
+    _INF,
     _body_potential,
     _response,
     received_power,
@@ -28,9 +29,6 @@ from .channel import (
     transfer_function,
     v_in_rms,
 )
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class UnboundedObjectiveError(ValueError):
     """Raised when the lossless model makes the objective grow without bound."""
@@ -62,54 +60,6 @@ class OptimizationResult:
     used_grid_fallback: bool = False
 
 
-def golden_section_max_bracketed(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-3,
-    trace: Optional[list] = None,
-) -> tuple:
-    """Maximize a unimodal function on [lo, hi] by golden-section search.
-
-    The search runs in log space (lo must be > 0), shrinking the bracket
-    until hi/lo - 1 <= rel_tol; every evaluation is appended to ``trace``
-    when given.  Returns ``(x, fn(x), (a, b))``: the best evaluated point
-    and the final bracket [a, b], which holds the maximum if the objective
-    really is unimodal.
-    """
-    if not (lo > 0.0 and hi > lo):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
-
-    def eva(x: float) -> float:
-        y = fn(x)
-        if trace is not None:
-            trace.append((x, y))
-        return y
-
-    best = (lo, eva(lo))
-    y_hi = eva(hi)
-    if y_hi > best[1]:
-        best = (hi, y_hi)
-
-    a, b = math.log(lo), math.log(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    yc, yd = eva(math.exp(c)), eva(math.exp(d))
-    while math.exp(b - a) - 1.0 > rel_tol:
-        if yc > yd:
-            b, d, yd = d, c, yc
-            c = b - _INV_PHI * (b - a)
-            yc = eva(math.exp(c))
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            yd = eva(math.exp(d))
-    for x, y in ((math.exp(c), yc), (math.exp(d), yd)):
-        if y > best[1]:
-            best = (x, y)
-    return best[0], best[1], (math.exp(a), math.exp(b))
-
-
 def _load_coefficients(rx: ReceiverParams, f: float) -> tuple:
     """``(|A|, b, |M|)`` of the load current |V_o| / R_L = |V_B| / |A + R_L*M|.
 
@@ -137,6 +87,28 @@ def _at_load(rx, src, body, f, r_l: float) -> tuple:
     return float(abs(v_o)) / r_l, float(p)
 
 
+def _optimum(rx, src, body, f, r_l: float, bounds: tuple, r_c=None) -> OptimizationResult:
+    """The power at ``r_l`` clipped to ``bounds``, naming the constraint that
+    holds it there: the load-current boundary ``r_c``, else a bound."""
+    lo, hi = bounds
+    argmax = min(max(r_l, lo), hi)
+    objective = _at_load(rx, src, body, f, argmax)[1]
+    constraint = None
+    if argmax == r_c:
+        constraint = "load-current"
+    elif argmax == lo:
+        constraint = "lower bound"
+    elif argmax == hi:
+        constraint = "upper bound"
+    return OptimizationResult(
+        argmax=argmax,
+        objective_at_argmax=objective,
+        constraint_active=constraint is not None,
+        constraint_name=constraint,
+        trace=[(argmax, objective)],
+    )
+
+
 def optimal_load(
     rx: ReceiverParams,
     src: SourceModel,
@@ -153,8 +125,8 @@ def optimal_load(
     (see :func:`_load_coefficients`), so the result is R* clipped to
     ``bounds``; ``trace`` holds that one evaluated point.
     """
-    if not f > 0.0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
+    if not 0.0 < f < _INF:
+        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
     lo, hi = bounds
     if not (lo > 0.0 and hi > lo):
         raise ValueError(f"need 0 < lo < hi, got bounds={bounds!r}")
@@ -165,27 +137,14 @@ def optimal_load(
             "set a nonzero series loss to model a matched-load optimum"
         )
     a, _, m = _load_coefficients(rx, f)
-    argmax = min(max(a / m, lo), hi)
-    objective = _at_load(rx, src, body, f, argmax)[1]
-    constraint = None
-    if argmax == lo:
-        constraint = "lower bound"
-    elif argmax == hi:
-        constraint = "upper bound"
-    return OptimizationResult(
-        argmax=argmax,
-        objective_at_argmax=objective,
-        constraint_active=constraint is not None,
-        constraint_name=constraint,
-        trace=[(argmax, objective)],
-    )
+    return _optimum(rx, src, body, f, a / m, bounds)
 
 
 def optimal_inductor(rx: ReceiverParams, f_target: float) -> float:
     """Series inductance resonating the receiver's parasitics at ``f_target``:
     L = 1 / ((2*pi*f_target)^2 * (C_ret + C_GB))."""
-    if not f_target > 0.0:
-        raise ValueError(f"f_target must be > 0, got {f_target!r}")
+    if not 0.0 < f_target < _INF:
+        raise ValueError(f"f_target must be finite and > 0, got {f_target!r}")
     c_total = rx.c_ret + rx.c_gb
     return 1.0 / ((TWO_PI * f_target) ** 2 * c_total)
 
@@ -209,8 +168,8 @@ def max_power_under_current_limit(
     ``bounds``: R* is the matched load of :func:`optimal_load` and r_c the
     load whose current equals the limit.
     """
-    if not f > 0.0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
+    if not 0.0 < f < _INF:
+        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
     if not i_limit > 0.0:
         raise ValueError(f"i_limit must be > 0, got {i_limit!r}")
     lo, hi = bounds
@@ -249,16 +208,7 @@ def max_power_under_current_limit(
             "lossless (r_s = 0), so the objective is unbounded; see optimal_load"
         )
 
-    argmax = min(max(a / m, lo, r_c), hi)
-    objective = _at_load(rx, src, body, f, argmax)[1]
-    active = argmax == r_c
-    return OptimizationResult(
-        argmax=argmax,
-        objective_at_argmax=objective,
-        constraint_active=active,
-        constraint_name="load-current" if active else None,
-        trace=[(argmax, objective)],
-    )
+    return _optimum(rx, src, body, f, max(a / m, r_c), bounds, r_c)
 
 
 def multi_receiver_power(
@@ -353,8 +303,8 @@ def compare_topologies(
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or len(freqs) < 2:
         raise ValueError("freqs must be a one-dimensional grid")
-    if np.any(freqs <= 0.0) or np.any(np.diff(freqs) <= 0.0):
-        raise ValueError("freqs must be positive and strictly increasing")
+    if not (np.all(np.isfinite(freqs) & (freqs > 0.0)) and np.all(np.diff(freqs) > 0.0)):
+        raise ValueError("freqs must be finite, positive and strictly increasing")
     if not c_ret_tx > 0.0:
         raise ValueError(f"c_ret_tx must be > 0, got {c_ret_tx!r}")
     if not q >= 1.0:

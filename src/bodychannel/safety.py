@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import acnet
-from .channel import BodyModel, SourceModel, TWO_PI, _body_potential, body_potential, from_rms
+from .channel import BodyModel, SourceModel, TWO_PI, _INF, _body_potential, body_potential, from_rms
 
 BASIC_RESTRICTIONS_NOTE = (
     "basic-restrictions not evaluated: SAR and induced in-body fields require "
@@ -159,8 +159,8 @@ def contact_current(
     source/tissue drops the closed form ignores; pass ``rx`` to include
     receiver loading in that netlist.
     """
-    if not f > 0.0:
-        raise ValueError(f"frequency must be > 0, got {f!r}")
+    if not 0.0 < f < _INF:
+        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
     if not mna:
         return TWO_PI * f * body.c_b * body_potential(src, body, f)
     net, _ = acnet._build_netlist(src, body, [] if rx is None else [rx], [""])

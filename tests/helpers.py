@@ -4,8 +4,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams
+from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, ResonantWearableTx, WearableTx
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -13,6 +14,22 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 
 def log_uniform(rng, lo, hi):
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def log_uniform_floats(lo, hi):
+    """Hypothesis strategy: floats spread evenly in log between lo and hi."""
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def draw_source(draw):
+    """A 5 Vpp source of each of the three kinds, drawn in a composite strategy."""
+    kind = draw(st.sampled_from(("grounded", "wearable", "resonant-wearable")))
+    if kind == "grounded":
+        return GroundedTx(5.0, "pp")
+    c_ret_tx = draw(log_uniform_floats(0.5e-12, 5e-12))
+    if kind == "wearable":
+        return WearableTx(5.0, "pp", c_ret_tx=c_ret_tx)
+    return ResonantWearableTx(5.0, "pp", c_ret_tx=c_ret_tx, q=10.0)
 
 
 def random_receiver(rng, lossless=False, with_c_l=True, with_c_gb=True, parasitic_c_l=False):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bodychannel import acnet, analysis
@@ -30,10 +30,11 @@ from bodychannel.channel import (
     GroundedTx,
     ReceiverParams,
     body_potential,
+    received_power,
     resonant_frequency,
     resonant_gain,
 )
-from helpers import random_receiver
+from helpers import draw_source, log_uniform_floats, random_receiver
 
 BODY = BodyModel(c_b=150e-12)
 SRC = GroundedTx(v_in=5.0, convention="pp")
@@ -110,7 +111,7 @@ def test_numerical_ripple_below_floor_is_ignored():
     sweep = simulate_frequency_sweep(rx, SRC, BODY, grid)
     p = sweep.p_out_rms.copy()
     p[20] *= 1.0 + 1e-7  # sub-floor bump far from the peak
-    rippled = SweepResult(axis="frequency", values=grid, p_out_rms=p, model=sweep.model)
+    rippled = SweepResult(axis="frequency", values=grid, p_out_rms=p, circuit=sweep.circuit)
     f_peak, _ = find_resonant_peak(rippled)
     assert f_peak == pytest.approx(resonant_frequency(rx), rel=1e-4)
 
@@ -141,6 +142,68 @@ def test_parabolic_refinement_without_model():
     f_peak, p_peak = find_resonant_peak(sweep)
     assert f_peak == pytest.approx(1.05, rel=1e-12)
     assert p_peak == pytest.approx(2.0, rel=1e-12)
+
+
+@st.composite
+def _peaked_channels(draw):
+    """Receivers whose power has an interior peak: L > 0, or L = 0 with
+    r_s, C_L > 0.  R_L spans low-Q (Q < 1.5) and high-Q receivers."""
+    def optional(lo, hi):
+        return draw(st.just(0.0) | log_uniform_floats(lo, hi))
+
+    resonant = draw(st.booleans())
+    rx = ReceiverParams(
+        c_ret=draw(log_uniform_floats(1e-12, 100e-12)),
+        c_gb=optional(0.1e-12, 50e-12),
+        l=draw(log_uniform_floats(10e-6, 10e-3)) if resonant else 0.0,
+        r_l=draw(log_uniform_floats(10.0, 1e5)),
+        c_l=optional(0.1e-12, 1e-9) if resonant else draw(log_uniform_floats(0.1e-12, 1e-9)),
+        r_s=optional(1.0, 1e4) if resonant else draw(log_uniform_floats(1.0, 1e4)),
+    )
+    return rx, draw_source(draw), BodyModel(c_b=draw(log_uniform_floats(10e-12, 300e-12)))
+
+
+def _mp_peak_frequency(rx, lo, hi):
+    """The root of d|H|^2/dw in [lo, hi] Hz, found in 50-digit arithmetic
+    from the textbook transfer function."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        c_ret, c_gb, l, r_l, c_l, r_s = map(mp.mpf, (rx.c_ret, rx.c_gb, rx.l, rx.r_l, rx.c_l, rx.r_s))
+
+        def gain2(w):
+            z_load = r_l / (1 + 1j * w * c_l * r_l)
+            return abs(z_load / ((r_s + 1j * w * l + z_load) * (1 + c_gb / c_ret) + 1 / (1j * w * c_ret))) ** 2
+
+        def log_slope(w):  # d ln|H|^2 / d ln w: dimensionless, zero at the peak
+            return w * mp.diff(gain2, w) / gain2(w)
+
+        w = mp.findroot(log_slope, (mp.mpf(lo) * 2 * mp.pi, mp.mpf(hi) * 2 * mp.pi), solver="anderson")
+        return float(w / (2 * mp.pi))
+
+
+# Q = 0.28: the power is flat to round-off over about 1e-7 of the frequency
+# around this peak, which a search on power values alone misses by 4e-8.
+_LOW_Q = (
+    ReceiverParams(c_ret=22e-12, r_l=30e3, l=2.279e-3, c_gb=11e-12, c_l=1e-12, r_s=41.0),
+    GroundedTx(5.0, "pp"),
+    BodyModel(c_b=150e-12),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(channel=_peaked_channels())
+@example(channel=_LOW_Q)
+def test_closed_form_peak_matches_a_50_digit_root(channel):
+    rx, src, body = channel
+    sweep = simulate("frequency", rx, src, body, np.geomspace(1e2, 1e13, 2001))
+    i = int(np.argmax(sweep.p_out_rms))
+    f_ref = _mp_peak_frequency(rx, sweep.values[i - 1], sweep.values[i + 1])
+    f_peak, p_peak = find_resonant_peak(sweep)
+    assert f_peak == pytest.approx(f_ref, rel=1e-12)
+    assert p_peak == received_power(rx, src, body, f_peak).p_out_rms
+    assert p_peak >= sweep.p_out_rms.max() * (1.0 - 1e-14)
+    if rx.c_l == 0.0:
+        assert f_peak == pytest.approx(resonant_frequency(rx), rel=1e-14)
 
 
 def _gaussian_pair(params):
@@ -465,6 +528,45 @@ def test_lossless_sweep_hits_grid_resolution():
     estimate = q_factor(sweep)
     assert estimate.lower_bound
     assert estimate.q > 1e3
+
+
+def _q_by_walk(sweep):
+    """Reference: walk out from the peak one row at a time to the first row
+    at or below half power, then interpolate as ``q_factor`` does."""
+    x, p = sweep.values, sweep.p_out_rms
+    i = int(np.argmax(p))
+    half = p[i] / 2.0
+    crossings = []
+    for step in (-1, 1):
+        j = i
+        while 0 <= j + step < len(p) and p[j + step] > half:
+            j += step
+        if not 0 <= j + step < len(p):
+            return None
+        a, b = j, j + step
+        crossings.append(float(x[a] + (half - p[a]) * (x[b] - x[a]) / (p[b] - p[a])))
+    span = crossings[1] - crossings[0]
+    step_local = max(x[i] - x[i - 1], x[i + 1] - x[i])
+    return float(x[i] / span), bool(span < 2.0 * step_local)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    p=st.one_of(
+        # Small integers put rows exactly at half power.
+        st.lists(st.integers(1, 4), min_size=3, max_size=40).map(lambda v: np.array(v, dtype=float)),
+        st.lists(st.floats(0.01, 1.0), min_size=3, max_size=40).map(np.array),
+    )
+)
+def test_q_factor_matches_the_row_walk_bit_for_bit(p):
+    sweep = SweepResult(axis="frequency", values=np.arange(1.0, len(p) + 1.0), p_out_rms=p)
+    expected = _q_by_walk(sweep) if 0 < int(np.argmax(p)) < len(p) - 1 else None
+    if expected is None:
+        with pytest.raises(WindowTruncationError):
+            q_factor(sweep)
+    else:
+        estimate = q_factor(sweep)
+        assert (estimate.q, estimate.lower_bound) == expected
 
 
 def test_q_factor_window_truncation():

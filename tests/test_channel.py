@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bodychannel import acnet, analysis, channel
+from bodychannel import acnet, analysis, channel, optimize, safety
 from bodychannel.channel import (
     BodyModel,
     GroundedTx,
@@ -320,6 +320,32 @@ def test_non_finite_fields_are_rejected_by_name(cls, name, bad):
     cls(**VALID_FIELDS[cls])
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         cls(**{**VALID_FIELDS[cls], name: bad})
+
+
+_RX_LOSSY = replace(RX_SIXTH, r_s=100.0)
+_SRC, _BODY = GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12)
+FREQUENCY_ENTRIES = {
+    "transfer_function": lambda f: transfer_function(RX_SIXTH, f),
+    "transfer_function[array]": lambda f: transfer_function(RX_SIXTH, [1e6, f]),
+    "channel_response": lambda f: channel_response(RX_SIXTH, _SRC, _BODY, f),
+    "channel_response[array]": lambda f: channel_response(RX_SIXTH, _SRC, _BODY, [1e6, f]),
+    "body_potential": lambda f: body_potential(_SRC, _BODY, f),
+    "received_power": lambda f: received_power(RX_SIXTH, _SRC, _BODY, f),
+    "optimal_load": lambda f: optimize.optimal_load(_RX_LOSSY, _SRC, _BODY, f, (10.0, 1e4)),
+    "max_power_under_current_limit": lambda f: optimize.max_power_under_current_limit(
+        _RX_LOSSY, _SRC, _BODY, f, 1e-3
+    ),
+    "optimal_inductor": lambda f: optimize.optimal_inductor(RX_SIXTH, f),
+    "compare_topologies": lambda f: optimize.compare_topologies(RX_SIXTH, _BODY, [1e6, 2e6, f], 1e-12, 10.0),
+    "contact_current": lambda f: safety.contact_current(_SRC, _BODY, f),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", list(FREQUENCY_ENTRIES))
+def test_non_finite_frequency_is_rejected(entry, bad):
+    with pytest.raises(ValueError, match="finite"):
+        FREQUENCY_ENTRIES[entry](bad)
 
 
 def _readme_symbol_table() -> dict:

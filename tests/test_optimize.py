@@ -13,7 +13,6 @@ from bodychannel.channel import (
     BodyModel,
     GroundedTx,
     ReceiverParams,
-    ResonantWearableTx,
     WearableTx,
     body_potential,
     channel_response,
@@ -26,7 +25,6 @@ from bodychannel.optimize import (
     LoadingAssumptionWarning,
     UnboundedObjectiveError,
     compare_topologies,
-    golden_section_max_bracketed,
     joint_loading_check,
     max_power_under_current_limit,
     multi_receiver_power,
@@ -34,7 +32,7 @@ from bodychannel.optimize import (
     optimal_load,
 )
 from bodychannel.safety import contact_current
-from helpers import log_uniform
+from helpers import draw_source, log_uniform, log_uniform_floats
 
 BODY = BodyModel(c_b=150e-12)
 SRC = GroundedTx(v_in=5.0, convention="pp")
@@ -42,27 +40,6 @@ SRC = GroundedTx(v_in=5.0, convention="pp")
 
 def _lossy_rx(r_s: float) -> ReceiverParams:
     return ReceiverParams(c_ret=30e-12, r_l=1000.0, l=0.33e-3, r_s=r_s)
-
-
-# ── golden-section search ───────────────────────────────────────────────
-
-
-def test_golden_section_finds_known_maximum():
-    x, y, _ = golden_section_max_bracketed(lambda v: -((v - 42.0) ** 2), 1.0, 1000.0, rel_tol=1e-6)
-    assert x == pytest.approx(42.0, rel=1e-4)
-    assert y == pytest.approx(0.0, abs=1e-4)
-
-
-def test_golden_section_records_trace():
-    trace = []
-    golden_section_max_bracketed(lambda v: -abs(v - 5.0), 1.0, 100.0, trace=trace)
-    assert len(trace) > 10
-    assert all(y == -abs(x - 5.0) for x, y in trace)
-
-
-def test_golden_section_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        golden_section_max_bracketed(lambda v: v, 10.0, 1.0)
 
 
 # ── load optimization ───────────────────────────────────────────────────
@@ -178,6 +155,16 @@ def test_slack_current_limit_reproduces_matched_load():
     assert draw == pytest.approx(1.449e-3, rel=1e-3)
 
 
+def test_slack_current_limit_on_a_bound_names_the_bound():
+    rx = _lossy_rx(1000.0)
+    f = resonant_frequency(rx)
+    for bounds, argmax, name in (((10.0, 500.0), 500.0, "upper bound"), ((2000.0, 1e4), 2000.0, "lower bound")):
+        capped = max_power_under_current_limit(rx, SRC, BODY, f, 5e-3, bounds=bounds)
+        free = optimal_load(rx, SRC, BODY, f, bounds)
+        assert capped.argmax == free.argmax == argmax
+        assert capped.constraint_active and capped.constraint_name == free.constraint_name == name
+
+
 def test_tight_current_limit_pushes_load_up():
     f = resonant_frequency(_RX_LIMIT)
     result = max_power_under_current_limit(
@@ -263,40 +250,30 @@ def test_unreachable_load_current_reports_closest_candidate():
 # ── closed-form load optima ─────────────────────────────────────────────
 
 
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
 @st.composite
 def _lossy_channels(draw):
     """A lossy receiver (r_s > 0; C_GB and C_L zero or not), one of the three
     source kinds, and a frequency between half and twice its resonance."""
 
     def optional(lo, hi):
-        return draw(st.just(0.0) | _log_uniform(lo, hi))
+        return draw(st.just(0.0) | log_uniform_floats(lo, hi))
 
     rx = ReceiverParams(
-        c_ret=draw(_log_uniform(0.5e-12, 60e-12)),
+        c_ret=draw(log_uniform_floats(0.5e-12, 60e-12)),
         c_gb=optional(0.1e-12, 20e-12),
-        l=draw(_log_uniform(0.1e-3, 10e-3)),
+        l=draw(log_uniform_floats(0.1e-3, 10e-3)),
         r_l=1000.0,
         c_l=optional(0.05e-12, 5e-12),
-        r_s=draw(_log_uniform(50.0, 5e3)),
+        r_s=draw(log_uniform_floats(50.0, 5e3)),
     )
-    kind = draw(st.sampled_from(("grounded", "wearable", "resonant-wearable")))
-    if kind == "grounded":
-        src = GroundedTx(5.0, "pp")
-    elif kind == "wearable":
-        src = WearableTx(5.0, "pp", c_ret_tx=draw(_log_uniform(0.5e-12, 5e-12)))
-    else:
-        src = ResonantWearableTx(5.0, "pp", c_ret_tx=draw(_log_uniform(0.5e-12, 5e-12)), q=10.0)
-    body = BodyModel(c_b=draw(_log_uniform(0.1e-12, 5e-12)))
+    src = draw_source(draw)
+    body = BodyModel(c_b=draw(log_uniform_floats(0.1e-12, 5e-12)))
     f = resonant_frequency(rx) * draw(st.floats(0.5, 2.0))
     return rx, src, body, f
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(channel=_lossy_channels(), share=_log_uniform(1e-3, 1.5))
+@given(channel=_lossy_channels(), share=log_uniform_floats(1e-3, 1.5))
 def test_closed_form_load_optima_match_a_dense_grid(channel, share):
     rx, src, body, f = channel
     bounds = (10.0, 1e6)
