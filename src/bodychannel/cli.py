@@ -343,14 +343,14 @@ def sweep_to_table(sweep: SweepResult) -> ResultTable:
     label = AXIS_LABEL[sweep.axis]
     if sweep.power_only:
         columns = [label, "p_out_rms[W]"]
-        rows = [[x, p] for x, p in zip(sweep.values, sweep.p_out_rms)]
+        data = [sweep.values, sweep.p_out_rms]
     else:
         columns = [label, *FULL_SCHEMA_TAIL]
-        rows = [
-            [x, v.real, v.imag, abs(v), p]
-            for x, v, p in zip(sweep.values, sweep.v_o, sweep.p_out_rms)
-        ]
-    return ResultTable(columns=columns, rows=rows)
+        v = sweep.v_o
+        # np.hypot rounds |v| as the scalar abs(v) does; the array np.abs can
+        # differ from it in the last bit.
+        data = [sweep.values, v.real, v.imag, np.hypot(v.real, v.imag), sweep.p_out_rms]
+    return ResultTable(columns=columns, rows=np.column_stack(data).tolist())
 
 
 def import_measured(path, axis: str) -> SweepResult:
@@ -611,7 +611,7 @@ def _oracle_check(config: ScenarioConfig, options: RunOptions) -> tuple:
     gaps = analysis.oracle_gap(config.receiver, xs)
     table = ResultTable(
         columns=["frequency[Hz]", "rel_diff"],
-        rows=[[float(x), float(g)] for x, g in zip(xs, gaps)],
+        rows=np.column_stack([xs, gaps]).tolist(),
     )
     code = EXIT_OK if float(np.max(gaps)) <= tol else EXIT_MODEL
     return table, code, {"tolerance": repr(tol)}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bodychannel import acnet, analysis
+from bodychannel import acnet, analysis, channel
 from bodychannel.analysis import (
     AmbiguousPeakError,
     IdentifiabilityError,
@@ -27,6 +27,7 @@ from bodychannel.analysis import (
 )
 from bodychannel.channel import (
     BodyModel,
+    _response,
     GroundedTx,
     ReceiverParams,
     body_potential,
@@ -103,6 +104,21 @@ def test_monotone_sweep_warns_about_window_truncation():
     with pytest.warns(WindowTruncationWarning):
         f_peak, _ = find_resonant_peak(sweep)
     assert f_peak == sweep.values[-1]
+
+
+def test_monotone_power_with_a_round_off_top_peaks_on_the_upper_edge():
+    # L = r_s = 0: the power rises monotonically, yet the top grid rows are
+    # equal to round-off and the grid argmax (row 1958) is interior.
+    rx = ReceiverParams(
+        c_ret=2.0947464551115934e-12, c_gb=1.886626257594488e-12, c_l=1e-12,
+        r_l=534002.0965812331,
+    )
+    grid = np.geomspace(381874859.7972476, 3650531699711.6675, 2001)
+    sweep = simulate_frequency_sweep(rx, SRC, BODY, grid)
+    assert 0 < np.argmax(sweep.p_out_rms) < len(grid) - 1
+    with pytest.warns(WindowTruncationWarning):
+        f_peak, p_peak = find_resonant_peak(sweep)
+    assert (f_peak, p_peak) == (grid[-1], sweep.p_out_rms[-1])
 
 
 def test_numerical_ripple_below_floor_is_ignored():
@@ -431,6 +447,115 @@ def test_identifiability_error_names_the_degenerate_parameters(seed, n_free, kin
         assert "collinear" in message and len(named) == 2
         if kind == "scaled copy":
             assert set(named) == {free[a], free[b]}
+
+
+@st.composite
+def _jacobian_points(draw):
+    """A receiver with L > 0 and each of C_L and r_s zero or not, a source
+    of each kind, and a frequency within a decade of resonance."""
+    rx = ReceiverParams(
+        c_ret=draw(log_uniform_floats(0.5e-12, 50e-12)),
+        c_gb=draw(log_uniform_floats(0.1e-12, 20e-12)),
+        l=draw(log_uniform_floats(10e-6, 10e-3)),
+        r_l=draw(log_uniform_floats(10.0, 1e5)),
+        c_l=draw(st.just(0.0) | log_uniform_floats(0.1e-12, 10e-12)),
+        r_s=draw(st.just(0.0) | log_uniform_floats(1.0, 1e4)),
+    )
+    f = resonant_frequency(rx) * draw(log_uniform_floats(0.1, 10.0))
+    return rx, draw_source(draw), BodyModel(c_b=draw(log_uniform_floats(10e-12, 300e-12))), f
+
+
+def _mp_log_gain_gradient(rx, f, name):
+    """theta * dH/dtheta / H for the field ``name``: the complex gradient of
+    log H, whose real part is half of d log P / d log theta.  A central
+    difference in 60-digit arithmetic on the textbook transfer function."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        values = {k: mp.mpf(getattr(rx, k)) for k in ("c_ret", "c_gb", "l", "r_l", "c_l", "r_s")}
+        w = 2 * mp.pi * mp.mpf(f)
+
+        def gain(theta):
+            v = dict(values, **{name: theta})
+            z_load = v["r_l"] / (1 + 1j * w * v["c_l"] * v["r_l"])
+            z = v["r_s"] + 1j * w * v["l"] + z_load
+            return z_load / (z * (1 + v["c_gb"] / v["c_ret"]) + 1 / (1j * w * v["c_ret"]))
+
+        theta = values[name]
+        h = theta * mp.mpf("1e-25")
+        if h == 0:
+            return 0j  # theta * (a finite derivative)
+        return complex(theta * (gain(theta + h) - gain(theta - h)) / (2 * h) / gain(theta))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(point=_jacobian_points())
+def test_fit_jacobian_matches_a_60_digit_central_difference(point):
+    # The real part of a complex quotient is resolved relative to its
+    # modulus: near resonance |d log H / d log theta| ~ Q while its real
+    # part can pass through 0.
+    rx, src, body, f = point
+    freqs = np.array([f])
+    p, jac = channel._power_and_log_gradient(rx, src, body, freqs, analysis.FIT_PARAMETERS)
+    assert p[0] == _response(rx, src, body, freqs)[1][0]
+    for k, name in enumerate(analysis.FIT_PARAMETERS):
+        g = 2.0 * _mp_log_gain_gradient(rx, f, name)
+        assert abs(jac[0, k] - g.real) <= 1e-8 * abs(g), name
+
+
+def test_each_fit_step_costs_one_closed_form_evaluation(monkeypatch):
+    # Every closed-form evaluation passes through channel._impedances, and
+    # every trial step through one damped solve: the start costs one
+    # evaluation, and each trial step one more (a finite-difference Jacobian
+    # adds 2n per iteration).
+    counts = {"evaluations": 0, "trial steps": 0}
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    rx_true = ReceiverParams(c_ret=1.5e-12, c_gb=4.5e-12, l=3e-3, r_l=1000.0, r_s=300.0)
+    observed = _observed_sweep(rx_true, noise=0.01, rng=np.random.default_rng(1000))
+    start = replace(rx_true, c_ret=4.5e-12, c_gb=9e-12, r_s=600.0)
+    monkeypatch.setattr(channel, "_impedances", counting(channel._impedances, "evaluations"))
+    monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve, "trial steps"))
+    report = fit_params(observed, ["c_ret", "c_gb", "r_s"], start, SRC, BODY)
+    assert report.converged
+    assert counts["trial steps"] > report.iterations >= 3  # some trials were rejected
+    assert counts["evaluations"] == counts["trial steps"] + 1
+
+
+def test_noise_floor_fits_report_converged():
+    # Criterion 08's 50 fits of 1% noisy data: each minimum sits at the noise
+    # floor, where no step lowers the SSE by more than round-off.
+    truth = ReceiverParams(c_ret=1.5e-12, c_gb=4.5e-12, l=3e-3, r_l=1000.0, r_s=300.0)
+    grid = np.geomspace(resonant_frequency(truth) / 3, resonant_frequency(truth) * 3, 41)
+    clean = simulate_frequency_sweep(truth, SRC, BODY, grid)
+    init = replace(truth, c_ret=truth.c_ret * 1.5, c_gb=truth.c_gb * 0.7)
+    for seed in range(50):
+        noise = np.abs(np.random.default_rng(1000 + seed).normal(1.0, 0.01, size=len(grid)))
+        noisy = SweepResult(axis="frequency", values=grid, p_out_rms=clean.p_out_rms * noise)
+        assert fit_params(noisy, ["c_ret", "c_gb"], init, SRC, BODY).converged, seed
+
+
+def test_a_rejected_step_below_xtol_ends_the_fit_converged():
+    # 0.1% noise: the last Gauss-Newton step is below xtol (1e-10 in log
+    # space) and cannot lower the SSE, which is flat to round-off there.
+    # More damping only shortens it, so the fit stops as converged.
+    rng = np.random.default_rng(77)
+    truth = random_receiver(rng, lossless=False, with_c_l=False)
+    grid = np.geomspace(resonant_frequency(truth) / 3, resonant_frequency(truth) * 3, 41)
+    clean = simulate_frequency_sweep(truth, SRC, BODY, grid)
+    noisy = SweepResult(
+        axis="frequency", values=grid, p_out_rms=clean.p_out_rms * np.abs(rng.normal(1, 1e-3, 41))
+    )
+    start = replace(truth, c_ret=truth.c_ret * 1.25, c_gb=truth.c_gb * 0.8)
+    report = fit_params(noisy, ["c_ret", "c_gb"], start, SRC, BODY)
+    assert report.converged
+    for name in ("c_ret", "c_gb"):
+        assert report.fitted_params[name] == pytest.approx(getattr(truth, name), rel=1e-2)
 
 
 # ── sensitivities ───────────────────────────────────────────────────────

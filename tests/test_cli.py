@@ -524,6 +524,18 @@ def test_fit_without_section_exits_2(tmp_path):
     assert main(["fit", "--config", str(path)]) == 2
 
 
+def test_sweep_table_matches_the_row_loop_bit_for_bit():
+    # The row-by-row build with the scalar abs(v) is the reference; the
+    # array np.abs would differ from it in the last bit on some rows.
+    config = load_scenario(SCENARIO_DIR / "fig4a.scn")
+    grid = config.sweep.grid(20000)
+    sweep = simulate_frequency_sweep(config.receiver, config.source, config.body, grid)
+    rows = [[x, v.real, v.imag, abs(v), p] for x, v, p in zip(sweep.values, sweep.v_o, sweep.p_out_rms)]
+    assert sweep_to_table(sweep).rows == rows
+    power_only = SweepResult(axis="frequency", values=sweep.values, p_out_rms=sweep.p_out_rms)
+    assert sweep_to_table(power_only).rows == [list(r) for r in zip(sweep.values, sweep.p_out_rms)]
+
+
 # ── measured-data import ────────────────────────────────────────────────
 
 
