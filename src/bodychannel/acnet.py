@@ -189,7 +189,6 @@ class SolveManyResult:
     complex phasors; ``source_current`` is the current through the first
     voltage source, flowing a -> b externally."""
 
-    frequencies: np.ndarray
     node_voltages: dict
     source_current: np.ndarray
     probe_voltage: np.ndarray
@@ -348,7 +347,6 @@ def _solve_grid(
         voltages[node] = x[:, i]
     v_plus, v_minus = stamped.probe
     return SolveManyResult(
-        frequencies=freqs,
         node_voltages=voltages,
         source_current=x[:, stamped.n],
         probe_voltage=voltages[v_plus] - voltages[v_minus],

@@ -28,9 +28,7 @@ from .channel import (
     _power_and_log_gradient,
     _response,
     channel_response,
-    received_power,
     resonant_frequency,
-    resonant_gain,
     transfer_function,
 )
 
@@ -336,8 +334,8 @@ FIT_PARAMETERS = ("c_ret", "c_gb", "r_s", "l")
 _GTOL = 1e-8
 _FTOL = 1e-10
 #: A Jacobian column whose rms log-log sensitivity is at or below this is
-#: "insensitive", even when it is the only column.  It is the resolution a
-#: central difference with a 1e-6 log step had (eps*|log P|/h, about 2e-9).
+#: "insensitive", even when it is the only column.  It is the resolution of a
+#: central difference with a 1e-6 log step (eps*|log P|/h, about 2e-9).
 _INSENSITIVE_RMS = 1e-8
 
 
@@ -495,14 +493,11 @@ def _check_identifiable(j: np.ndarray, free: list) -> None:
 
 @dataclass(frozen=True)
 class Sensitivity:
-    """Partial derivative of a channel target with respect to one parameter.
-
-    ``value`` is the Richardson-extrapolated central finite difference;
-    ``analytic`` carries the closed form where one exists, else None.
-    """
+    """The closed-form partial derivative of a channel target with respect to
+    one parameter; ``analytic`` repeats ``value``."""
 
     value: float
-    analytic: Optional[float]
+    analytic: float
 
 
 def sensitivity(
@@ -517,8 +512,9 @@ def sensitivity(
 
     Targets: ``"f0"`` (resonant frequency), ``"gain"`` (resonant gain), or
     ``"power"`` (received power at ``f``, which also needs ``src`` and
-    ``body``).  The parameter's current value must be positive so the
-    relative step is well defined.
+    ``body``).  The parameter's current value must be positive.  Each is a
+    closed form; the power's is P * (d log P / d log theta) / theta, from
+    the kernel's analytic log-log gradient.
     """
     if target not in ("f0", "gain", "power"):
         raise ValueError(f"unknown target {target!r}")
@@ -526,52 +522,25 @@ def sensitivity(
         raise ValueError(f"unknown receiver parameter {param!r}")
     x0 = getattr(rx, param)
     if not x0 > 0.0:
-        raise ValueError(f"parameter {param!r} must be positive to take a relative step")
+        raise ValueError(f"parameter {param!r} must be positive, got {x0!r}")
 
+    c_total = rx.c_ret + rx.c_gb
     if target == "power":
         if f is None or src is None or body is None:
             raise ValueError("target 'power' needs f, src, and body")
-
-        def evaluate(v: float) -> float:
-            return received_power(replace(rx, **{param: v}), src, body, f).p_out_rms
-
+        if not 0.0 < f < math.inf:
+            raise ValueError(f"frequency must be finite and > 0, got {f!r}")
+        p, g = _power_and_log_gradient(rx, src, body, np.array([f], dtype=float), (param,))
+        value = float(p[0] * g[0, 0]) / x0
     elif target == "f0":
-
-        def evaluate(v: float) -> float:
-            return resonant_frequency(replace(rx, **{param: v}))
-
-    else:
-
-        def evaluate(v: float) -> float:
-            return resonant_gain(replace(rx, **{param: v}))
-
-    def central(h: float) -> float:
-        return (evaluate(x0 + h) - evaluate(x0 - h)) / (2.0 * h)
-
-    h = 1e-6 * x0
-    d_h = central(h)
-    d_h2 = central(h / 2.0)
-    value = (4.0 * d_h2 - d_h) / 3.0
-
-    analytic: Optional[float] = None
-    if target == "f0":
+        # f0 = 1 / (2*pi*sqrt(L * (C_ret + C_GB)))
         f0 = resonant_frequency(rx)
-        if param == "l":
-            analytic = -f0 / (2.0 * rx.l)
-        elif param in ("c_ret", "c_gb"):
-            analytic = -f0 / (2.0 * (rx.c_ret + rx.c_gb))
-        else:
-            analytic = 0.0
-    elif target == "gain":
-        c_total = rx.c_ret + rx.c_gb
-        if param == "c_ret":
-            analytic = rx.c_gb / c_total**2
-        elif param == "c_gb":
-            analytic = -rx.c_ret / c_total**2
-        else:
-            analytic = 0.0
-
-    return Sensitivity(value=value, analytic=analytic)
+        scale = {"l": rx.l, "c_ret": c_total, "c_gb": c_total}.get(param)
+        value = 0.0 if scale is None else -f0 / (2.0 * scale)
+    else:
+        # gain = C_ret / (C_ret + C_GB)
+        value = {"c_ret": rx.c_gb, "c_gb": -rx.c_ret}.get(param, 0.0) / c_total**2
+    return Sensitivity(value=value, analytic=value)
 
 
 @dataclass(frozen=True)

@@ -45,15 +45,18 @@ class NonResonantReceiverError(ValueError):
     """Raised when a resonance quantity is requested for a receiver with L = 0."""
 
 
+def _unknown_convention(convention) -> ValueError:
+    return ValueError(
+        f"unknown amplitude convention {convention!r}; expected one of {sorted(RMS_FACTOR)}"
+    )
+
+
 def to_rms(value: float, convention: str) -> float:
     """Convert an amplitude tagged with ``convention`` to rms."""
     try:
         return value * RMS_FACTOR[convention]
     except KeyError:
-        raise ValueError(
-            f"unknown amplitude convention {convention!r}; "
-            f"expected one of {sorted(RMS_FACTOR)}"
-        ) from None
+        raise _unknown_convention(convention) from None
 
 
 def from_rms(value: float, convention: str) -> float:
@@ -61,10 +64,7 @@ def from_rms(value: float, convention: str) -> float:
     try:
         return value / RMS_FACTOR[convention]
     except KeyError:
-        raise ValueError(
-            f"unknown amplitude convention {convention!r}; "
-            f"expected one of {sorted(RMS_FACTOR)}"
-        ) from None
+        raise _unknown_convention(convention) from None
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,7 @@ def _check_source_common(src) -> None:
     if not 0.0 < src.v_in < _INF:
         raise ValueError(f"v_in must be finite and > 0, got {src.v_in!r}")
     if src.convention not in RMS_FACTOR:
-        raise ValueError(
-            f"unknown amplitude convention {src.convention!r}; "
-            f"expected one of {sorted(RMS_FACTOR)}"
-        )
+        raise _unknown_convention(src.convention)
 
 
 @dataclass(frozen=True)
@@ -240,16 +237,25 @@ def transfer_function(rx: ReceiverParams, f):
 def _transfer(rx: ReceiverParams, w, r_l, l):
     """H at angular frequency ``w`` with ``r_l`` and ``l`` in place of the
     receiver's own; the three broadcast against each other."""
-    z_load, z, z_ret, ratio = _impedances(rx, w, r_l, l)
-    return z_load / (z * ratio + z_ret)
+    a, m, _ = _coefficients(rx, w, l)
+    return r_l / (a + r_l * m)
 
 
-def _impedances(rx: ReceiverParams, w, r_l, l) -> tuple:
-    """The parts of H = Z_load / D, with D = Z*k + Z_ret: the load impedance,
-    Z = r_s + j*w*L + Z_load, Z_ret = 1/(j*w*C_ret) and k = 1 + C_GB/C_ret."""
-    z_load = r_l / (1.0 + 1j * w * rx.c_l * r_l)
-    z = rx.r_s + 1j * w * l + z_load
-    return z_load, z, 1.0 / (1j * w * rx.c_ret), 1.0 + rx.c_gb / rx.c_ret
+def _coefficients(rx: ReceiverParams, w, l) -> tuple:
+    """``(A, M, k)`` of the one factorization of the channel, H = R_L / D
+    with D = A + R_L*M, at angular frequency ``w`` and inductance ``l``.
+
+    Multiplying the formula of :func:`transfer_function` through by
+    e = 1 + j*w*C_L*R_L gives k = 1 + C_GB/C_ret,
+    A = k*(r_s + j*w*L) + 1/(j*w*C_ret) and M = j*w*C_L*A + k, neither of
+    which depends on R_L.  Since Re(A*conj(M)) = k^2*r_s,
+    |D|^2 = |A|^2 + 2*k^2*r_s*R_L + |M|^2*R_L^2.  With C_L = 0, M is the
+    scalar k, which spares three array operations per evaluation.
+    """
+    k = 1.0 + rx.c_gb / rx.c_ret
+    jw = 1j * w
+    a = k * (rx.r_s + jw * l) + 1.0 / (jw * rx.c_ret)
+    return a, jw * rx.c_l * a + k if rx.c_l else k, k
 
 
 def _power_and_log_gradient(
@@ -257,28 +263,37 @@ def _power_and_log_gradient(
 ) -> tuple:
     """The rms load power at each frequency ``f`` (as :func:`_response`
     gives it, bit for bit) and its log-log sensitivities
-    d log P / d log theta, one column per receiver field named in ``free``
-    (from c_ret, c_gb, r_s and l).
+    d log P / d log theta, one column per receiver field named in ``free``.
 
-    The body potential and R_L do not depend on these fields, so
-    d log P / d log theta = -2*Re(theta * dD/dtheta / D), where
-    theta * dD/dtheta is k*r_s, j*w*L*k, (C_GB/C_ret)*Z and
-    -(C_GB/C_ret)*Z - Z_ret for r_s, l, c_gb and c_ret.
+    P = |V_B|^2 * R_L / |D|^2, and the body potential does not depend on the
+    receiver, so d log P / d log theta = -2*Re(theta * dD/dtheta / D), plus 1
+    for r_l.  With e = 1 + j*w*C_L*R_L, Z_s = r_s + j*w*L and
+    rho = C_GB/C_ret, theta * dD/dtheta is k*r_s*e, j*w*L*k*e,
+    rho*(Z_s*e + R_L), -(rho*Z_s + 1/(j*w*C_ret))*e - rho*R_L, R_L*M and
+    j*w*C_L*R_L*A for r_s, l, c_gb, c_ret, r_l and c_l.
     """
     w = TWO_PI * f
-    z_load, z, z_ret, ratio = _impedances(rx, w, rx.r_l, rx.l)
-    d = z * ratio + z_ret
-    v_o = _body_potential(src, body, v_in_rms(src)) * (z_load / d)
-    rho = rx.c_gb / rx.c_ret
+    a, m, k = _coefficients(rx, w, rx.l)
+    d = a + rx.r_l * m
+    v_o = _body_potential(src, body, v_in_rms(src)) * (rx.r_l / d)
+    jw = 1j * w
+    # With C_L = 0, e is the scalar 1, which spares array products.
+    e = 1.0 + jw * (rx.c_l * rx.r_l) if rx.c_l else 1.0
+    rho_g = rx.c_gb / rx.c_ret * ((rx.r_s + jw * rx.l) * e + rx.r_l)
     scaled = {
-        "c_ret": lambda: -rho * z - z_ret,
-        "c_gb": lambda: rho * z,
-        "r_s": lambda: ratio * rx.r_s,
-        "l": lambda: 1j * w * rx.l * ratio,
+        "r_s": lambda: k * rx.r_s * e,
+        "l": lambda: jw * rx.l * k * e,
+        "c_gb": lambda: rho_g,
+        "c_ret": lambda: e / (jw * -rx.c_ret) - rho_g,  # -e/(j*w*C_ret) - rho*(Z_s*e + R_L)
+        "r_l": lambda: rx.r_l * m,
+        "c_l": lambda: jw * (rx.c_l * rx.r_l) * a,
     }
+    minus_2_over_d = -2.0 / d
     jac = np.empty((len(w), len(free)))
-    for k, name in enumerate(free):
-        jac[:, k] = -2.0 * (scaled[name]() / d).real
+    for i, name in enumerate(free):
+        jac[:, i] = (scaled[name]() * minus_2_over_d).real
+        if name == "r_l":
+            jac[:, i] += 1.0
     return np.abs(v_o) ** 2 / rx.r_l, jac
 
 
@@ -296,8 +311,8 @@ def _peak_frequency(rx: ReceiverParams):
     when the power is monotone in frequency.
 
     The body potential does not depend on f, so the power peaks where
-    |H|^2 does.  With k = 1 + C_GB/C_ret, tau = C_L*R_L, u = w^2 and A as in
-    ``optimize._load_coefficients``, H = R_L / (A*(1 + j*w*tau) + k*R_L), and
+    |H|^2 does.  With tau = C_L*R_L, u = w^2 and k and A as in
+    :func:`_coefficients`, H = R_L / (A*(1 + j*w*tau) + k*R_L), and
     u*|A*(1 + j*w*tau) + k*R_L|^2 is the cubic
     N(u) = c3*u^3 + c2*u^2 + c1*u + c0 with c3 = (k*L*tau)^2,
     c2 = (k*L)^2 - 2*k*L*tau^2/C_ret - 2*k^2*L*R_L*tau + (k*r_s*tau)^2 and
@@ -385,11 +400,12 @@ def channel_response(
     run the same kernel, checking their inputs once at entry.
     """
     f = np.asarray(f, dtype=float)
+    r_l, l, v_in = (None if x is None else np.asarray(x, dtype=float) for x in (r_l, l, v_in))
     if not (
-        np.all(np.isfinite(f) & (f > 0.0))
-        and (r_l is None or np.all(np.asarray(r_l, dtype=float) > 0.0))
-        and (l is None or np.all(np.asarray(l, dtype=float) >= 0.0))
-        and (v_in is None or np.all(np.asarray(v_in, dtype=float) > 0.0))
+        np.all((0.0 < f) & (f < _INF))
+        and (r_l is None or np.all((0.0 < r_l) & (r_l < _INF)))
+        and (l is None or np.all((0.0 <= l) & (l < _INF)))
+        and (v_in is None or np.all((0.0 < v_in) & (v_in < _INF)))
     ):
         raise ValueError("need a finite frequency, r_l and v_in > 0 and l >= 0 at every point")
     return _response(rx, src, body, f, r_l, l, v_in)

@@ -112,7 +112,6 @@ class ScenarioConfig:
     limit_table_path: Optional[Path]
     fit: Optional[FitSpec]
     sha256: str
-    base_dir: Path
 
     @property
     def receiver(self) -> ReceiverParams:
@@ -307,7 +306,6 @@ def load_scenario(path) -> ScenarioConfig:
         limit_table_path=limit_table_path,
         fit=fit_spec,
         sha256=hashlib.sha256(raw).hexdigest(),
-        base_dir=path.parent,
     )
 
 
@@ -392,6 +390,8 @@ def import_measured(path, axis: str) -> SweepResult:
             raise CsvFormatError(path, lineno, f"malformed numeric field in {text!r}") from None
         if not values[0] > 0.0:
             raise CsvFormatError(path, lineno, f"non-positive axis value {values[0]!r}")
+        if -math.inf < values[-1] < 0.0:
+            raise CsvFormatError(path, lineno, f"negative power {values[-1]!r}")
         data.append(values)
         lines_seen.append(lineno)
     if header is None:

@@ -21,8 +21,10 @@ from .channel import (
     ReceiverParams,
     SourceModel,
     TWO_PI,
+    WearableTx,
     _INF,
     _body_potential,
+    _coefficients,
     _response,
     received_power,
     resonant_frequency,
@@ -58,27 +60,6 @@ class OptimizationResult:
     constraint_name: Optional[str]
     trace: list
     used_grid_fallback: bool = False
-
-
-def _load_coefficients(rx: ReceiverParams, f: float) -> tuple:
-    """``(|A|, b, |M|)`` of the load current |V_o| / R_L = |V_B| / |A + R_L*M|.
-
-    Multiplying the channel formula through by 1 + j*w*C_L*R_L gives
-    V_o / R_L = V_B / (A + R_L*M) with k = 1 + C_GB/C_ret,
-    A = k*(r_s + j*w*L) + 1/(j*w*C_ret) and M = j*w*C_L*A + k.  Since
-    Re(A*conj(M)) = k^2*r_s = b,
-
-        |A + R*M|^2 = |A|^2 + 2*b*R + |M|^2*R^2,
-
-    which rises strictly with R for r_s > 0.  So the load current falls
-    strictly with R_L, and P = |V_B|^2 * R / |A + R*M|^2 has its one
-    maximum where |A|^2 = |M|^2*R^2, at R* = |A| / |M|.
-    """
-    w = TWO_PI * f
-    k = 1.0 + rx.c_gb / rx.c_ret
-    a = k * complex(rx.r_s, w * rx.l) + 1.0 / (1j * w * rx.c_ret)
-    m = 1j * w * rx.c_l * a + k
-    return abs(a), k * k * rx.r_s, abs(m)
 
 
 def _at_load(rx, src, body, f, r_l: float) -> tuple:
@@ -121,9 +102,12 @@ def optimal_load(
     Requires a lossy receiver (r_s > 0): without series loss the resonant
     output voltage is load independent, so P = |V_o|^2 / R_L grows without
     bound as R_L shrinks and no interior optimum exists.  The power has
-    exactly one maximum, at the closed-form matched load R* = |A| / |M|
-    (see :func:`_load_coefficients`), so the result is R* clipped to
-    ``bounds``; ``trace`` holds that one evaluated point.
+    exactly one maximum: with H = R_L / (A + R_L*M) as in
+    ``channel._coefficients``, |A + R*M|^2 rises strictly with R for
+    r_s > 0, so the load current |V_B| / |A + R*M| falls strictly with R_L
+    and P = |V_B|^2 * R / |A + R*M|^2 peaks at the matched load
+    R* = |A| / |M|.  The result is R* clipped to ``bounds``; ``trace`` holds
+    that one evaluated point.
     """
     if not 0.0 < f < _INF:
         raise ValueError(f"frequency must be finite and > 0, got {f!r}")
@@ -136,8 +120,8 @@ def optimal_load(
             "independent of R_L, so P = V_o^2 / R_L is unbounded as R_L -> 0; "
             "set a nonzero series loss to model a matched-load optimum"
         )
-    a, _, m = _load_coefficients(rx, f)
-    return _optimum(rx, src, body, f, a / m, bounds)
+    a, m, _ = _coefficients(rx, TWO_PI * f, rx.l)
+    return _optimum(rx, src, body, f, abs(a) / abs(m), bounds)
 
 
 def optimal_inductor(rx: ReceiverParams, f_target: float) -> float:
@@ -188,8 +172,10 @@ def max_power_under_current_limit(
 
     # The load current falls strictly with R_L, so the loads it keeps under
     # the limit are [r_c, inf): r_c is the positive root of
-    # |M|^2*R^2 + 2*b*R + c = 0, or 0 when c >= 0 and every load is feasible.
-    a, b, m = _load_coefficients(rx, f)
+    # |M|^2*R^2 + 2*b*R + c = 0 with b = k^2*r_s (see optimal_load), or 0 when
+    # c >= 0 and every load is feasible.
+    a, m, k = _coefficients(rx, TWO_PI * f, rx.l)
+    a, m, b = abs(a), abs(m), k * k * rx.r_s
     c = a * a - (_body_potential(src, body, v_in_rms(src)) / i_limit) ** 2
     r_c = -c / (b + math.sqrt(b * b - m * m * c)) if c < 0.0 else 0.0
     if r_c > hi:
@@ -305,14 +291,13 @@ def compare_topologies(
         raise ValueError("freqs must be a one-dimensional grid")
     if not (np.all(np.isfinite(freqs) & (freqs > 0.0)) and np.all(np.diff(freqs) > 0.0)):
         raise ValueError("freqs must be finite, positive and strictly increasing")
-    if not c_ret_tx > 0.0:
-        raise ValueError(f"c_ret_tx must be > 0, got {c_ret_tx!r}")
-    if not q >= 1.0:
-        raise ValueError(f"q must be >= 1, got {q!r}")
+    # The wearable transmitter checks c_ret_tx is finite and > 0.
+    w2w_factor = _body_potential(WearableTx(1.0, "rms", c_ret_tx), body, 1.0)
+    if not 1.0 <= q < _INF:
+        raise ValueError(f"q must be finite and >= 1, got {q!r}")
 
     f0 = resonant_frequency(rx)
     h_m2w = np.abs(transfer_function(rx, freqs))
-    w2w_factor = c_ret_tx / (body.c_b + c_ret_tx)
     h_w2w = w2w_factor * h_m2w
     bandpass = 1.0 / np.sqrt(1.0 + q**2 * (freqs / f0 - f0 / freqs) ** 2)
     h_w2w_res = h_w2w * q * bandpass

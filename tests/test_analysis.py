@@ -492,18 +492,25 @@ def _mp_log_gain_gradient(rx, f, name):
 def test_fit_jacobian_matches_a_60_digit_central_difference(point):
     # The real part of a complex quotient is resolved relative to its
     # modulus: near resonance |d log H / d log theta| ~ Q while its real
-    # part can pass through 0.
+    # part can pass through 0.  P = |V_B*H|^2 / R_L, so the r_l column is
+    # 2*Re(d log H / d log R_L) - 1.
     rx, src, body, f = point
     freqs = np.array([f])
-    p, jac = channel._power_and_log_gradient(rx, src, body, freqs, analysis.FIT_PARAMETERS)
+    fields = (*analysis.FIT_PARAMETERS, "r_l", "c_l")
+    p, jac = channel._power_and_log_gradient(rx, src, body, freqs, fields)
     assert p[0] == _response(rx, src, body, freqs)[1][0]
-    for k, name in enumerate(analysis.FIT_PARAMETERS):
+    for k, name in enumerate(fields):
         g = 2.0 * _mp_log_gain_gradient(rx, f, name)
-        assert abs(jac[0, k] - g.real) <= 1e-8 * abs(g), name
+        if name == "r_l":
+            assert abs(jac[0, k] - (g.real - 1.0)) <= 1e-8 * (abs(g) + 1.0) + 1e-12, name
+        elif name == "c_l":
+            assert abs(jac[0, k] - g.real) <= 1e-8 * abs(g) + 1e-12, name
+        else:
+            assert abs(jac[0, k] - g.real) <= 1e-8 * abs(g), name
 
 
 def test_each_fit_step_costs_one_closed_form_evaluation(monkeypatch):
-    # Every closed-form evaluation passes through channel._impedances, and
+    # Every closed-form evaluation passes through channel._coefficients, and
     # every trial step through one damped solve: the start costs one
     # evaluation, and each trial step one more (a finite-difference Jacobian
     # adds 2n per iteration).
@@ -519,7 +526,7 @@ def test_each_fit_step_costs_one_closed_form_evaluation(monkeypatch):
     rx_true = ReceiverParams(c_ret=1.5e-12, c_gb=4.5e-12, l=3e-3, r_l=1000.0, r_s=300.0)
     observed = _observed_sweep(rx_true, noise=0.01, rng=np.random.default_rng(1000))
     start = replace(rx_true, c_ret=4.5e-12, c_gb=9e-12, r_s=600.0)
-    monkeypatch.setattr(channel, "_impedances", counting(channel._impedances, "evaluations"))
+    monkeypatch.setattr(channel, "_coefficients", counting(channel._coefficients, "evaluations"))
     monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve, "trial steps"))
     report = fit_params(observed, ["c_ret", "c_gb", "r_s"], start, SRC, BODY)
     assert report.converged
@@ -589,11 +596,35 @@ def test_gain_sensitivity_to_ground_coupling():
     assert s2.value == pytest.approx(s2.analytic, rel=1e-6)
 
 
-def test_power_sensitivity_has_no_closed_form():
+def test_power_sensitivity_is_closed_form():
     rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, r_l=1e3, l=4.222e-3, r_s=100.0)
     s = sensitivity(rx, "power", "r_s", f=1e6, src=SRC, body=BODY)
-    assert s.analytic is None
+    assert s.analytic == s.value
     assert math.isfinite(s.value) and s.value < 0.0  # more loss, less power
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(point=_jacobian_points())
+def test_power_sensitivity_matches_a_central_difference(point):
+    # A Richardson-extrapolated central difference of received_power with a
+    # relative step of 1e-6: truncation O(h^4) and round-off ~eps/h both stay
+    # far below the tolerance.
+    rx, src, body, f = point
+    for param in ReceiverParams.__dataclass_fields__:
+        x0 = getattr(rx, param)
+        if x0 == 0.0:
+            continue
+
+        def power(v):
+            return received_power(replace(rx, **{param: v}), src, body, f).p_out_rms
+
+        def central(h):
+            return (power(x0 + h) - power(x0 - h)) / (2.0 * h)
+
+        h = 1e-6 * x0
+        slope = (4.0 * central(h / 2.0) - central(h)) / 3.0
+        value = sensitivity(rx, "power", param, f=f, src=src, body=body).value
+        assert abs(value - slope) <= 1e-6 * (abs(slope) + power(x0) / x0), param
 
 
 def test_sensitivity_validation():

@@ -215,6 +215,9 @@ def test_no_inductor_rejects_resonant_receiver():
         dict(l=[1e-3, -1e-3]),
         dict(v_in=[5.0, 0.0]),
         dict(v_in=[5.0, math.nan]),
+        dict(r_l=[1e3, math.inf]),
+        dict(l=[1e-3, math.inf]),
+        dict(v_in=[5.0, math.inf]),
     ],
 )
 def test_channel_response_rejects_a_bad_point(kwargs):

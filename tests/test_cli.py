@@ -519,6 +519,14 @@ def test_fit_step_past_exp_range_is_rejected_not_a_crash(tmp_path, capsys):
     assert "the data is insensitive to parameter 'c_gb'" in capsys.readouterr().err
 
 
+def test_fit_on_a_negative_power_exits_2_naming_the_line(tmp_path, capsys):
+    data = "frequency[Hz],p_out_rms[W]\n1e6,0.001\n2e6,-0.002\n3e6,0.003\n"
+    (tmp_path / "measured.csv").write_text(data, encoding="utf-8")
+    path = _scenario(tmp_path, BASE_SCENARIO + "\n[fit]\ndata = measured.csv\nfree = C_ret\n")
+    assert main(["fit", "--config", str(path)]) == 2
+    assert "measured.csv:3: negative power -0.002" in capsys.readouterr().err
+
+
 def test_fit_without_section_exits_2(tmp_path):
     path = _scenario(tmp_path)
     assert main(["fit", "--config", str(path)]) == 2

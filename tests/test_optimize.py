@@ -405,3 +405,13 @@ def test_compare_topologies_validation():
         compare_topologies(rx, body, [1e6, 2e6], c_ret_tx=0.0, q=10.0)
     with pytest.raises(ValueError):
         compare_topologies(rx, body, [1e6, 2e6], c_ret_tx=1e-12, q=0.5)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_compare_topologies_rejects_non_finite_c_ret_tx_and_q(bad):
+    rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
+    body = BodyModel(c_b=100e-12)
+    with pytest.raises(ValueError, match="c_ret_tx must be finite"):
+        compare_topologies(rx, body, [1e6, 2e6], c_ret_tx=bad, q=10.0)
+    with pytest.raises(ValueError, match="q must be finite"):
+        compare_topologies(rx, body, [1e6, 2e6], c_ret_tx=1e-12, q=bad)
