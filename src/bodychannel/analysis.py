@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import acnet
 from .channel import (
-    TWO_PI,
     BodyModel,
     NonResonantReceiverError,
     ReceiverParams,
@@ -26,6 +26,8 @@ from .channel import (
     GroundedTx,
     _peak_frequency,
     _power_and_log_gradient,
+    _power_slope_at_zero,
+    _resonance,
     _response,
     channel_response,
     resonant_frequency,
@@ -166,7 +168,7 @@ def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple
             raise NonResonantReceiverError(
                 "an inductance sweep needs every l > 0; l = 0 has no resonant frequency"
             )
-        return 1.0 / (TWO_PI * np.sqrt(values * (rx.c_ret + rx.c_gb))), {"l": values}
+        return _resonance(values, rx.c_ret + rx.c_gb), {"l": values}
     if axis not in AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
     if f is None:
@@ -328,9 +330,10 @@ FIT_PARAMETERS = ("c_ret", "c_gb", "r_s", "l")
 #: Stop tests of :func:`fit_params` beside the step (xtol) test, after
 #: MINPACK's lmder (More, 1978).  gtol bounds the largest cosine between the
 #: residual and a Jacobian column, ftol the relative SSE decrease of an
-#: accepted step.  Both sit far below the noise of a measured sweep: on fits
-#: of 0.1%-noise data, stopping on them left the fitted values within 6e-10
-#: relative of running on to the step test.
+#: accepted step and the one the Gauss-Newton step predicts.  Both sit far
+#: below the noise of a measured sweep: on fits of 0.1%-noise data, stopping
+#: on them left the fitted values within 6e-10 relative of running on to the
+#: step test.
 _GTOL = 1e-8
 _FTOL = 1e-10
 #: A Jacobian column whose rms log-log sensitivity is at or below this is
@@ -364,22 +367,31 @@ def fit_params(
 
     Minimizes the sum of squared log-power residuals (measured powers span
     decades; log space keeps the largest point from dominating) with a
-    damped Gauss-Newton iteration.  Free parameters are optimized in log
-    space, which enforces positivity.  Each trial step costs one closed-form
-    evaluation, which returns the powers together with their analytic
-    log-log Jacobian (``channel._power_and_log_gradient``); an accepted
-    trial's Jacobian serves the next iteration.  A trial whose log step
-    overflows ``math.exp``, or that does not lower the SSE, is rejected and
-    the damping grows tenfold, up to 25 trials per iteration.
+    damped Gauss-Newton (Levenberg-Marquardt) iteration.  Free parameters
+    are optimized in log space, which enforces positivity.  Each trial step
+    costs one closed-form evaluation, which returns the powers together with
+    their analytic log-log Jacobian (``channel._power_and_log_gradient``);
+    an accepted trial's Jacobian serves the next iteration.  Each iteration
+    factors its Jacobian once, by one thin SVD of the column-scaled
+    J/|columns| = U*diag(s)*Vt, and forms no normal equations: the damped
+    step for damping lam is -V*(s/(s^2 + lam) * U'r)/|columns|, the solution
+    of (J'J + lam*diag(J'J))*delta = -J'r.  A trial whose log step overflows
+    ``math.exp``, whose power is 0 or not finite, or that does not lower the
+    SSE, is rejected and the damping grows tenfold, up to 25 trials per
+    iteration.
 
-    The fit converges when the residual is orthogonal to every Jacobian
-    column to a cosine of 1e-8 (gtol, tested before each step), when an
-    accepted step lowers the SSE by at most 1e-10 relative (ftol), when a
-    log-space step is below 1e-10 (xtol) or when the SSE falls below 1e-28.
-    It gives up, with ``converged=False``, when no trial is accepted or
-    after 200 iterations.  Each accepted point must be identifiable: a
-    parameter whose rms log-log sensitivity is at most 1e-8 raises
-    :class:`IdentifiabilityError`, as does a rank-deficient Jacobian.
+    The fit converges, before any trial of an iteration, when the residual
+    is orthogonal to every Jacobian column to a cosine of 1e-8 (gtol), or
+    when the full Gauss-Newton step predicts an SSE decrease |U'r|^2 of at
+    most 1e-10 of the SSE: the relative-offset criterion of Bates & Watts
+    (Technometrics 23(2), 1981), with which a fit at the noise floor spends
+    no trial confirming it.  It also converges when an accepted step lowers
+    the SSE by at most 1e-10 relative (ftol), when a log-space step is below
+    1e-10 (xtol) or when the SSE falls below 1e-28.  It gives up, with
+    ``converged=False``, when no trial is accepted or after 200 iterations.
+    Each accepted point must be identifiable: a parameter whose rms log-log
+    sensitivity is at most 1e-8 raises :class:`IdentifiabilityError`, as
+    does a rank-deficient column-scaled Jacobian.
 
     ``rx`` supplies the fixed parameters and the starting point for the
     free ones.
@@ -403,47 +415,67 @@ def fit_params(
     if not freqs[0] > 0.0:  # the axis is increasing: the first is the lowest
         raise ValueError(f"observed frequency must be > 0, got {freqs[0]!r}")
 
-    theta = np.empty(len(free))
-    for j, name in enumerate(free):
+    theta = []
+    for name in free:
         start = getattr(rx, name)
         if not start > 0.0:
             raise ValueError(f"free parameter {name!r} needs a positive starting value")
-        theta[j] = math.log(start)
+        theta.append(math.log(start))
 
     log_p_obs = np.log(observed.p_out_rms)
+    fields = vars(rx)  # a new receiver per trial, without dataclasses.replace's overhead
 
-    def evaluate(t: np.ndarray) -> tuple:
-        """Model powers, log residuals and their Jacobian at log-parameters ``t``."""
-        r = replace(rx, **{name: math.exp(t[j]) for j, name in enumerate(free)})
+    def evaluate(t: list):
+        """Model powers, log residuals and their Jacobian at log-parameters
+        ``t``, or None for a step past ``math.exp``'s range or to a power
+        that is 0 or not finite (whose log residual is undefined)."""
+        try:
+            r = ReceiverParams(**{**fields, **dict(zip(free, map(math.exp, t)))})
+        except OverflowError:
+            return None
         p, jac = _power_and_log_gradient(r, src, body, freqs, free)
+        if not 0.0 < p.min() <= p.max() < math.inf:
+            return None
         return p, np.log(p) - log_p_obs, jac
 
-    p, r, j = evaluate(theta)
+    at_start = evaluate(theta)
+    if at_start is None:
+        raise ValueError("the model power at the starting point is 0 or not finite")
+    p, r, j = at_start
     sse = float(r @ r)
     lam = 1e-3
     iterations = 0
     converged = False
     for _ in range(200):
-        _check_identifiable(j, free)
-        jtj = j.T @ j
-        jtr = j.T @ r
-        if np.all(np.abs(jtr) <= _GTOL * np.sqrt(np.diag(jtj) * sse)):
+        norms, u, s, vt = _check_identifiable(j, free)
+        # With the column-scaled J/norms = U*diag(s)*Vt, the Marquardt
+        # system (J'J + lam*diag(J'J))*delta = -J'r is diagonal in the
+        # singular basis, so every trial step is a few float products.
+        ur = (r @ u).tolist()
+        s = s.tolist()
+        v = list(zip(*vt.tolist()))  # rows of V
+        norms = norms.tolist()
+        # Converged before any trial: the full Gauss-Newton step predicts an
+        # SSE decrease |U'r|^2 of at most ftol of the SSE, or the scaled
+        # gradient (J/norms)'r = V*(s*U'r) is within gtol of sqrt(SSE).
+        sur = list(map(mul, s, ur))
+        gtol = _GTOL * math.sqrt(sse)
+        if sum(map(mul, ur, ur)) <= _FTOL * sse or all(
+            abs(sum(map(mul, row, sur))) <= gtol for row in v
+        ):
             converged = True
             break
         accepted = small_step = small_gain = False
         for _ in range(25):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jtr)
-            except np.linalg.LinAlgError:
+            c = [a * b / (a * a + lam) for a, b in zip(s, ur)]
+            delta = [-sum(map(mul, row, c)) / n for row, n in zip(v, norms)]
+            small_step = max(abs(x) for x in delta) < 1e-10
+            trial = [t + x for t, x in zip(theta, delta)]
+            out = evaluate(trial)
+            if out is None:
                 lam *= 10.0
                 continue
-            small_step = np.max(np.abs(delta)) < 1e-10
-            trial = theta + delta
-            try:
-                p_trial, r_trial, j_trial = evaluate(trial)
-            except OverflowError:  # a log-space step past exp's range is rejected
-                lam *= 10.0
-                continue
+            p_trial, r_trial, j_trial = out
             sse_trial = float(r_trial @ r_trial)
             if sse_trial < sse:
                 small_gain = sse - sse_trial <= _FTOL * sse
@@ -462,27 +494,28 @@ def fit_params(
             break
 
     return FitReport(
-        fitted_params={name: math.exp(theta[j]) for j, name in enumerate(free)},
+        fitted_params={name: math.exp(x) for name, x in zip(free, theta)},
         residual_rms=float(np.sqrt(np.mean((p - observed.p_out_rms) ** 2))),
         iterations=iterations,
         converged=converged,
     )
 
 
-def _check_identifiable(j: np.ndarray, free: list) -> None:
+def _check_identifiable(j: np.ndarray, free: list) -> tuple:
     """Reject a Jacobian ``j`` (one column per ``free`` parameter) with a
-    column at the insensitivity floor or below rank, naming a parameter the
-    data does not move, else the most nearly collinear pair of parameters.
-    (The smallest singular value is at most the smallest column norm, so a
-    column below 1e-10 of the largest singular value is also below rank.)"""
-    norms = np.linalg.norm(j, axis=0)
-    k = int(np.argmin(norms))
-    s = np.linalg.svd(j, compute_uv=False)
-    if norms[k] <= max(_INSENSITIVE_RMS * math.sqrt(len(j)), 1e-10 * s[0]):
+    column at the insensitivity floor or a column-scaled ``j`` below rank,
+    naming a parameter the data does not move, else the most nearly
+    collinear pair of parameters.  Returns the column norms and the thin
+    SVD ``(U, s, Vt)`` of ``j`` divided by them."""
+    norms = np.sqrt(np.einsum("ij,ij->j", j, j))
+    k = int(norms.argmin())
+    if norms[k] <= _INSENSITIVE_RMS * math.sqrt(len(j)):
         raise IdentifiabilityError(f"the data is insensitive to parameter {free[k]!r}")
+    scaled = j / norms
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
     if s[-1] > 1e-10 * s[0]:
-        return
-    cos = np.abs((j / norms).T @ (j / norms))
+        return norms, u, s, vt
+    cos = np.abs(scaled.T @ scaled)
     np.fill_diagonal(cos, 0.0)
     a, b = np.unravel_index(np.argmax(cos), cos.shape)
     raise IdentifiabilityError(
@@ -512,17 +545,15 @@ def sensitivity(
 
     Targets: ``"f0"`` (resonant frequency), ``"gain"`` (resonant gain), or
     ``"power"`` (received power at ``f``, which also needs ``src`` and
-    ``body``).  The parameter's current value must be positive.  Each is a
-    closed form; the power's is P * (d log P / d log theta) / theta, from
-    the kernel's analytic log-log gradient.
+    ``body``).  Each is a closed form; the power's is P * (d log P / d log
+    theta) / theta, from the kernel's analytic log-log gradient, and at
+    theta = 0 it is -2*P*Re(dD/dtheta / D) (``channel._power_slope_at_zero``).
     """
     if target not in ("f0", "gain", "power"):
         raise ValueError(f"unknown target {target!r}")
     if param not in ReceiverParams.__dataclass_fields__:
         raise ValueError(f"unknown receiver parameter {param!r}")
     x0 = getattr(rx, param)
-    if not x0 > 0.0:
-        raise ValueError(f"parameter {param!r} must be positive, got {x0!r}")
 
     c_total = rx.c_ret + rx.c_gb
     if target == "power":
@@ -530,10 +561,13 @@ def sensitivity(
             raise ValueError("target 'power' needs f, src, and body")
         if not 0.0 < f < math.inf:
             raise ValueError(f"frequency must be finite and > 0, got {f!r}")
-        p, g = _power_and_log_gradient(rx, src, body, np.array([f], dtype=float), (param,))
-        value = float(p[0] * g[0, 0]) / x0
+        if x0 == 0.0:
+            value = _power_slope_at_zero(rx, src, body, f, param)
+        else:
+            p, g = _power_and_log_gradient(rx, src, body, np.array([f], dtype=float), (param,))
+            value = float(p[0] * g[0, 0]) / x0
     elif target == "f0":
-        # f0 = 1 / (2*pi*sqrt(L * (C_ret + C_GB)))
+        # f0 is proportional to (L * (C_ret + C_GB))**-0.5.
         f0 = resonant_frequency(rx)
         scale = {"l": rx.l, "c_ret": c_total, "c_gb": c_total}.get(param)
         value = 0.0 if scale is None else -f0 / (2.0 * scale)

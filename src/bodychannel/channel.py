@@ -297,13 +297,45 @@ def _power_and_log_gradient(
     return np.abs(v_o) ** 2 / rx.r_l, jac
 
 
+def _power_slope_at_zero(
+    rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float, name: str
+) -> float:
+    """dP/dtheta at one frequency ``f`` for a receiver field ``name`` (r_s,
+    l, c_gb or c_l) whose value in ``rx`` is 0, where the log-log
+    sensitivity of :func:`_power_and_log_gradient` carries no slope.
+
+    D is affine in each of these fields, so dD/dtheta is that function's
+    theta*dD/dtheta over theta: k*e, j*w*k*e, (Z_s*e + R_L)/C_ret and
+    j*w*R_L*A, and dP/dtheta = -2*P*Re(dD/dtheta / D).
+    """
+    w = TWO_PI * f
+    a, m, k = _coefficients(rx, w, rx.l)
+    d = a + rx.r_l * m
+    jw = 1j * w
+    e = 1.0 + jw * (rx.c_l * rx.r_l)
+    slope = {
+        "r_s": k * e,
+        "l": jw * k * e,
+        "c_gb": ((rx.r_s + jw * rx.l) * e + rx.r_l) / rx.c_ret,
+        "c_l": jw * rx.r_l * a,
+    }[name]
+    p = abs(_body_potential(src, body, v_in_rms(src)) * (rx.r_l / d)) ** 2 / rx.r_l
+    return -2.0 * p * (slope / d).real
+
+
+def _resonance(l, c_total):
+    """1 / (2*pi*sqrt(L * (C_ret + C_GB))) for an inductance ``l`` and
+    ``c_total`` = C_ret + C_GB, scalars or arrays that broadcast."""
+    return 1.0 / (TWO_PI * np.sqrt(l * c_total))
+
+
 def resonant_frequency(rx: ReceiverParams) -> float:
     """Frequency at which the series inductor cancels the return-path reactance."""
     if rx.l <= 0.0:
         raise NonResonantReceiverError(
             "receiver has no series inductor (l = 0); no resonant frequency exists"
         )
-    return 1.0 / (TWO_PI * math.sqrt(rx.l * (rx.c_ret + rx.c_gb)))
+    return float(_resonance(rx.l, rx.c_ret + rx.c_gb))
 
 
 def _peak_frequency(rx: ReceiverParams):

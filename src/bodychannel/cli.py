@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -368,7 +367,7 @@ def import_measured(path, axis: str) -> SweepResult:
     lines_seen = []
     for lineno, rawline in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         text = rawline.strip()
-        if not text or text.startswith("#"):
+        if not text or text[0] == "#":
             continue
         if header is None:
             header = [c.strip() for c in text.split(",")]
@@ -385,7 +384,7 @@ def import_measured(path, axis: str) -> SweepResult:
                 path, lineno, f"expected {len(header)} fields, got {len(parts)}"
             )
         try:
-            values = [float(p) for p in parts]
+            values = list(map(float, parts))
         except ValueError:
             raise CsvFormatError(path, lineno, f"malformed numeric field in {text!r}") from None
         if not values[0] > 0.0:
@@ -400,20 +399,23 @@ def import_measured(path, axis: str) -> SweepResult:
         raise CsvFormatError(path, lines_seen[-1] if lines_seen else 1, "need at least 2 data rows")
 
     arr = np.asarray(data, dtype=float)
-    finite = np.isfinite(arr).all(axis=1)
+    finite = np.isfinite(arr)
     if not finite.all():
-        i = int(np.argmin(finite))
+        i = int(finite.all(axis=1).argmin())
         raise CsvFormatError(path, lines_seen[i], f"non-finite field in row {data[i]}")
-    axis_values = [row[0] for row in data]
-    offenders = sorted(v for v, n in Counter(axis_values).items() if n > 1)
-    if offenders:
-        raise DuplicateAxisError(path, offenders)
-    if any(b < a for a, b in zip(axis_values, axis_values[1:])):
+    x = arr[:, 0]
+    if not (np.diff(x) > 0.0).all():
+        # One stable sort of the axis gives both the order and the duplicates.
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        repeated = x[1:][x[1:] == x[:-1]]
+        if repeated.size:
+            raise DuplicateAxisError(path, np.unique(repeated).tolist())
         warnings.warn(
             UnsortedRowsWarning(f"{path}: rows were not sorted by axis; re-sorted ascending"),
             stacklevel=2,
         )
-        arr = arr[np.argsort(arr[:, 0])]
+        arr = arr[order]
 
     if power_only:
         return SweepResult(axis=axis, values=arr[:, 0], p_out_rms=arr[:, 1])

@@ -275,6 +275,17 @@ def test_prominent_peaks_examples(p, threshold, expected):
 # ── capacitance inversions ──────────────────────────────────────────────
 
 
+def test_inductance_sweep_points_sit_at_each_inductors_resonance():
+    # The sweep's per-point frequencies and resonant_frequency share one
+    # formula, so each point is the scalar resonance, bit for bit.
+    rx = ReceiverParams(c_ret=2.7e-12, c_gb=3.1e-12, l=1e-3, r_l=1e3, r_s=120.0)
+    values = np.geomspace(0.1e-3, 10e-3, 257)
+    freqs, swept = analysis._sweep_points("inductance", rx, values, None)
+    assert swept["l"] is values
+    assert freqs.tolist() == [resonant_frequency(replace(rx, l=v)) for v in values.tolist()]
+    assert type(resonant_frequency(rx)) is float
+
+
 def test_fit_total_capacitance_values():
     c1 = fit_total_capacitance(0.33e-3, 1.6e6)
     assert c1 == pytest.approx(30.0e-12, rel=1e-3)
@@ -511,10 +522,11 @@ def test_fit_jacobian_matches_a_60_digit_central_difference(point):
 
 def test_each_fit_step_costs_one_closed_form_evaluation(monkeypatch):
     # Every closed-form evaluation passes through channel._coefficients, and
-    # every trial step through one damped solve: the start costs one
+    # the fit's through channel._power_and_log_gradient: the start costs one
     # evaluation, and each trial step one more (a finite-difference Jacobian
-    # adds 2n per iteration).
-    counts = {"evaluations": 0, "trial steps": 0}
+    # adds 2n per iteration).  Each iteration factors its Jacobian once, by
+    # one SVD, and solves no linear system.
+    counts = {"evaluations": 0, "gradients": 0, "svd": 0, "solve": 0}
 
     def counting(fn, key):
         def counted(*args, **kwargs):
@@ -527,11 +539,21 @@ def test_each_fit_step_costs_one_closed_form_evaluation(monkeypatch):
     observed = _observed_sweep(rx_true, noise=0.01, rng=np.random.default_rng(1000))
     start = replace(rx_true, c_ret=4.5e-12, c_gb=9e-12, r_s=600.0)
     monkeypatch.setattr(channel, "_coefficients", counting(channel._coefficients, "evaluations"))
-    monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve, "trial steps"))
+    monkeypatch.setattr(
+        analysis,
+        "_power_and_log_gradient",
+        counting(channel._power_and_log_gradient, "gradients"),
+    )
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, "svd"))
+    monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve, "solve"))
     report = fit_params(observed, ["c_ret", "c_gb", "r_s"], start, SRC, BODY)
     assert report.converged
-    assert counts["trial steps"] > report.iterations >= 3  # some trials were rejected
-    assert counts["evaluations"] == counts["trial steps"] + 1
+    trial_steps = counts["gradients"] - 1
+    assert trial_steps > report.iterations >= 3  # some trials were rejected
+    assert counts["evaluations"] == trial_steps + 1
+    # This fit stops before a further step, at the predicted-reduction test.
+    assert counts["svd"] == report.iterations + 1
+    assert counts["solve"] == 0
 
 
 def test_noise_floor_fits_report_converged():
@@ -563,6 +585,58 @@ def test_a_rejected_step_below_xtol_ends_the_fit_converged():
     assert report.converged
     for name in ("c_ret", "c_gb"):
         assert report.fitted_params[name] == pytest.approx(getattr(truth, name), rel=1e-2)
+
+
+@pytest.mark.parametrize("seed", [66, 107, 264])
+def test_a_trial_whose_power_underflows_is_rejected_without_a_warning(seed):
+    # A trial step on this receiver drives the model power to 0, whose log
+    # would warn "divide by zero" (an error under this suite's
+    # filterwarnings).  The trial is rejected before the log is taken.
+    truth = ReceiverParams(
+        c_ret=5.8140933090290823e-11,
+        c_gb=1.265829399540237e-12,
+        r_s=396.73428549707216,
+        l=0.33e-3,
+        r_l=1e3,
+    )
+    src = GroundedTx(5.0, "pp")
+    f0 = resonant_frequency(truth)
+    clean = simulate_frequency_sweep(truth, src, BODY, np.linspace(0.8 * f0, 1.2 * f0, 101))
+    noise = 1.0 + 0.01 * np.random.default_rng(seed).normal(size=101)
+    noisy = SweepResult(axis="frequency", values=clean.values, p_out_rms=clean.p_out_rms * noise)
+    start = replace(truth, c_ret=truth.c_ret * 1.3, c_gb=truth.c_gb * 0.7, r_s=truth.r_s * 1.5)
+    try:
+        report = fit_params(noisy, ["c_ret", "c_gb", "r_s"], start, src, BODY)
+    except ValueError as exc:
+        assert type(exc) is not ValueError  # a named subclass
+    else:
+        assert report.converged
+
+
+def test_fit_rejects_a_start_whose_model_power_underflows():
+    # l = 1e200 H puts |D| near 1e206, so the model power underflows to 0
+    # at every point and the log residuals are undefined.
+    rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
+    observed = _observed_sweep(rx)
+    with pytest.raises(ValueError, match="starting point is 0 or not finite"):
+        fit_params(observed, ["l"], replace(rx, l=1e200), SRC, BODY)
+
+
+def test_fit_factors_the_scaled_jacobian_it_checks():
+    # The factors returned by the identifiability check reproduce the
+    # column-scaled Jacobian, and the damped step they give solves the
+    # Marquardt normal equations.
+    rng = np.random.default_rng(5)
+    j = rng.normal(size=(12, 3)) * [1e-3, 1.0, 1e3]
+    r = rng.normal(size=12)
+    norms, u, s, vt = analysis._check_identifiable(j, ["c_ret", "c_gb", "r_s"])
+    np.testing.assert_allclose(norms, np.linalg.norm(j, axis=0), rtol=1e-15)
+    np.testing.assert_allclose((u * s) @ vt, j / norms, atol=1e-14)
+    lam = 0.3
+    step = -(vt.T @ (s / (s * s + lam) * (u.T @ r))) / norms
+    jtj = j.T @ j
+    expected = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -j.T @ r)
+    np.testing.assert_allclose(step, expected, rtol=1e-10)
 
 
 # ── sensitivities ───────────────────────────────────────────────────────
@@ -633,10 +707,52 @@ def test_sensitivity_validation():
         sensitivity(rx, "bandwidth", "l")
     with pytest.raises(ValueError, match="unknown receiver parameter"):
         sensitivity(rx, "f0", "c_body")
-    with pytest.raises(ValueError, match="positive"):
-        sensitivity(rx, "f0", "c_gb")  # c_gb = 0 here
     with pytest.raises(ValueError, match="needs f"):
         sensitivity(rx, "power", "l")
+
+
+def test_sensitivity_to_a_field_at_zero():
+    rx = ReceiverParams(c_ret=1e-12, r_l=1e3, l=1e-3)  # c_gb = 0 here
+    assert sensitivity(rx, "gain", "c_gb").value == -1.0 / rx.c_ret
+    assert sensitivity(rx, "gain", "c_ret").value == 0.0
+    f0 = resonant_frequency(rx)
+    assert sensitivity(rx, "f0", "c_gb").value == pytest.approx(-f0 / (2 * rx.c_ret), rel=1e-15)
+
+
+def _mp_one_sided_power_slope(rx, src, body, f, name, h):
+    """(P(h) - P(0)) / h for the field ``name`` at 0, in 60-digit arithmetic
+    on the textbook transfer function."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        values = {k: mp.mpf(getattr(rx, k)) for k in ("c_ret", "c_gb", "l", "r_l", "c_l", "r_s")}
+        w = 2 * mp.pi * mp.mpf(f)
+        v_b = mp.mpf(body_potential(src, body, f))
+
+        def power(theta):
+            v = dict(values, **{name: theta})
+            z_load = v["r_l"] / (1 + 1j * w * v["c_l"] * v["r_l"])
+            z = v["r_s"] + 1j * w * v["l"] + z_load
+            h_ = z_load / (z * (1 + v["c_gb"] / v["c_ret"]) + 1 / (1j * w * v["c_ret"]))
+            return abs(v_b * h_) ** 2 / v["r_l"]
+
+        h = mp.mpf(h)
+        return float((power(h) - power(mp.mpf(0))) / h)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(point=_jacobian_points())
+def test_power_sensitivity_at_zero_matches_a_one_sided_difference(point):
+    # P is smooth in each of r_s, l, c_gb and c_l at 0, so a one-sided step
+    # of 1e-30 of the field's scale leaves a truncation error of the order
+    # of 1e-30 relative.
+    rx, src, body, f = point
+    scale = {"r_s": 1e3, "l": 1e-3, "c_gb": 1e-12, "c_l": 1e-12}
+    for name, unit in scale.items():
+        rx0 = replace(rx, **{name: 0.0})
+        value = sensitivity(rx0, "power", name, f=f, src=src, body=body).value
+        slope = _mp_one_sided_power_slope(rx0, src, body, f, name, unit * 1e-30)
+        p0 = received_power(rx0, src, body, f).p_out_rms
+        assert abs(value - slope) <= 1e-12 * (abs(slope) + p0 / unit), name
 
 
 # ── quality factor ──────────────────────────────────────────────────────

@@ -680,6 +680,74 @@ def test_import_sorts_with_warning(tmp_path):
     assert sweep.values.tolist() == [1e6, 2e6]
 
 
+def _write_rows(directory, header, rows):
+    path = directory / "sweep.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sweep=_sweeps(), data=st.data())
+def test_import_resorts_shuffled_rows_bit_for_bit(tmp_path_factory, sweep, data):
+    header, *rows = sweep_to_table(sweep).to_csv().splitlines()
+    shuffled = data.draw(st.permutations(rows).filter(lambda p: p != rows))
+    directory = tmp_path_factory.mktemp("shuffled")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = import_measured(_write_rows(directory, header, rows), axis=sweep.axis)
+    with pytest.warns(UnsortedRowsWarning):
+        back = import_measured(_write_rows(directory, header, shuffled), axis=sweep.axis)
+    assert back.values.tobytes() == expected.values.tobytes()
+    assert back.p_out_rms.tobytes() == expected.p_out_rms.tobytes()
+    if not sweep.power_only:
+        assert back.v_o.tobytes() == expected.v_o.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sweep=_sweeps(), data=st.data())
+def test_import_lists_exactly_the_duplicated_axis_values(tmp_path_factory, sweep, data):
+    header, *rows = sweep_to_table(sweep).to_csv().splitlines()
+    repeated = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
+    copies = [rows[i] for i in sorted(repeated) for _ in range(data.draw(st.integers(1, 2)))]
+    lines = data.draw(st.permutations(rows + copies))
+    path = _write_rows(tmp_path_factory.mktemp("duplicates"), header, lines)
+    with pytest.raises(DuplicateAxisError) as excinfo:
+        import_measured(path, axis=sweep.axis)
+    assert excinfo.value.offenders == sorted(sweep.values[i] for i in repeated)
+
+
+_FAULTS = {
+    "field count": (lambda fields: fields + ["1.0"], None),
+    "malformed number": (lambda fields: fields[:-1] + ["1.0.0"], "malformed"),
+    "non-positive axis": (lambda fields: ["-0.0"] + fields[1:], "non-positive axis"),
+    "negative power": (lambda fields: fields[:-1] + ["-1e-3"], "negative power"),
+    "non-finite field": (lambda fields: fields[:-1] + ["inf"], "non-finite"),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sweep=_sweeps(), data=st.data(), fault=st.sampled_from(sorted(_FAULTS)))
+def test_import_names_the_line_of_a_single_fault(tmp_path_factory, sweep, data, fault):
+    header, *rows = sweep_to_table(sweep).to_csv().splitlines()
+    lines = data.draw(st.permutations(rows))
+    k = data.draw(st.integers(0, len(lines) - 1))
+    corrupt, message = _FAULTS[fault]
+    lines[k] = ",".join(corrupt(lines[k].split(",")))
+    path = _write_rows(tmp_path_factory.mktemp("fault"), header, lines)
+    with pytest.raises(CsvFormatError, match=message) as excinfo:
+        import_measured(path, axis=sweep.axis)
+    assert excinfo.value.line == k + 2  # line 1 is the header
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_import_of_a_header_with_no_rows_names_line_1(tmp_path, axis):
+    header = sweep_to_table(SweepResult(axis=axis, values=[1.0, 2.0], p_out_rms=[0.0, 0.0]))
+    path = _write_rows(tmp_path, header.to_csv().splitlines()[0], [])
+    with pytest.raises(CsvFormatError, match="need at least 2 data rows") as excinfo:
+        import_measured(path, axis=axis)
+    assert excinfo.value.line == 1
+
+
 def test_import_rejects_wrong_axis_header(tmp_path):
     path = tmp_path / "axis.csv"
     path.write_text("load[ohm],p_out_rms[W]\n100,0.1\n200,0.2\n", encoding="utf-8")
