@@ -20,12 +20,13 @@ source incidence B and the source phasors e, so that at angular frequency w
 IEEE TCAS 1975).  :func:`solve_many` builds this system for a whole grid of
 points, in blocks of :data:`BLOCK` points so that memory does not grow with
 the grid, and solves each block with one stacked dense solve with partial
-pivoting plus one step of iterative refinement.  One element may take a
-different value at every point, so load, inductance and drive-amplitude
-sweeps reuse one stamping.  Every point must pass a KCL residual check.
-Networks here have fewer than twenty nodes, so the dense solve is exact
-enough for 1e-9 oracle comparisons.  :func:`solve` is a one-point wrapper
-over the same blocked solve.
+pivoting plus one step of iterative refinement.  One passive element may
+take a different value at every point, so load and inductance sweeps reuse
+one stamping; the network is linear in its sources, so a drive sweep is one
+solve scaled by the drive.  Every point must pass a KCL residual check, and
+a point that fails names its frequency.  Networks here have fewer than
+twenty nodes, so the dense solve is exact enough for 1e-9 oracle
+comparisons.  :func:`solve` is :func:`solve_many` on one point.
 """
 
 from __future__ import annotations
@@ -200,19 +201,11 @@ class SolveManyResult:
 BLOCK = 1024
 
 
-class _PointFailure(Exception):
-    """Point ``index`` of a grid cannot be solved; the message says why."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
 class _Stamped:
     """A netlist stamped once over its node unknowns: per-element incidence
     rows and the weights of Y(w) = G + j*w*C + Gamma/(j*w), bordered by the
-    source incidence B.  Element ``swept`` (an index into ``elements``, or
-    None) takes one value per point instead of its own."""
+    source incidence B.  Element ``swept`` (the index of a passive in
+    ``elements``, or None) takes one value per point instead of its own."""
 
     def __init__(self, netlist: Netlist, swept: Optional[int]):
         self.nodes = [node for node in netlist.nodes if node != GROUND]
@@ -246,10 +239,7 @@ class _Stamped:
         self.emf = np.array([e.value * cmath.exp(1j * e.phase) for e in sources])
 
         self.swept_kind = None if swept is None else netlist.elements[swept].kind
-        if self.swept_kind is Kind.VSOURCE:
-            self.swept_col = n + source_at.index(swept)
-            self.swept_phasor = cmath.exp(1j * netlist.elements[swept].phase)
-        elif swept is not None:
+        if swept is not None:
             self.swept_col = passive_at.index(swept)
             self.weights[:, self.swept_col] = 0.0
             self.swept_outer = np.outer(self.inc[self.swept_col], self.inc[self.swept_col])
@@ -269,8 +259,8 @@ class _Stamped:
 
     def solve(self, f: np.ndarray, values: Optional[np.ndarray]) -> np.ndarray:
         """Unknowns (node voltages, then source currents) at each point of
-        ``f``; raises :class:`_PointFailure` for the first point that is
-        singular or fails the KCL check."""
+        ``f``; raises :class:`SingularNetworkError` naming the frequency of
+        the first point that is singular or fails the KCL check."""
         n = self.n
         s = 1j * (TWO_PI * f)
         a = np.empty((len(f), self.size, self.size), dtype=complex)
@@ -279,9 +269,7 @@ class _Stamped:
         rhs = np.zeros((len(f), self.size, 1), dtype=complex)
         rhs[:, n:, 0] = self.emf
         y_swept = None
-        if self.swept_kind is Kind.VSOURCE:
-            rhs[:, self.swept_col, 0] = values * self.swept_phasor
-        elif self.swept_kind is not None:
+        if self.swept_kind is not None:
             y_swept = self._swept_admittance(s, values)
             a[:, :n, :n] += y_swept[:, None, None] * self.swept_outer
 
@@ -292,13 +280,10 @@ class _Stamped:
             x += np.linalg.solve(a, rhs - a @ x)
         except np.linalg.LinAlgError:
             if len(f) == 1:
-                raise _PointFailure(0, _diagnose_singular(a[0], self.nodes)) from None
+                raise self._failure(f[0], _diagnose_singular(a[0], self.nodes)) from None
             # Name the first failing point: solve the block one point at a time.
             for k in range(len(f)):
-                try:
-                    self.solve(f[k : k + 1], None if values is None else values[k : k + 1])
-                except _PointFailure as exc:
-                    raise _PointFailure(k, str(exc)) from None
+                self.solve(f[k : k + 1], None if values is None else values[k : k + 1])
             raise
         x = x[:, :, 0]
 
@@ -318,30 +303,65 @@ class _Stamped:
         if bad.any():
             k = int(np.argmax(bad))
             if not finite[k]:
-                raise _PointFailure(k, _diagnose_singular(a[k], self.nodes))
-            raise _PointFailure(
-                k,
+                raise self._failure(f[k], _diagnose_singular(a[k], self.nodes))
+            raise self._failure(
+                f[k],
                 f"KCL residual {residual[k]:.3e} exceeds 1e-9 of max branch current "
-                f"{max_branch[k]:.3e} at {f[k]:.6g} Hz; system is ill conditioned",
+                f"{max_branch[k]:.3e}; system is ill conditioned",
             )
         return x
 
+    @staticmethod
+    def _failure(f: float, why: str) -> SingularNetworkError:
+        return SingularNetworkError(f"sweep failed at {f:.6g} Hz: {why}")
 
-def _solve_grid(
-    netlist: Netlist, freqs: np.ndarray, element: Optional[int], values: Optional[np.ndarray]
+
+def solve_many(
+    netlist: Netlist, freqs, element: Optional[int] = None, values=None
 ) -> SolveManyResult:
-    """Blocked solve over a validated grid; raises :class:`_PointFailure`
-    with the grid index of the first failing point."""
+    """Solve the network at every point of a grid of finite, positive
+    frequencies in any order.
+
+    ``element`` optionally indexes one passive entry of ``netlist.elements``
+    (a load resistor or an inductor, for load and inductance sweeps) that
+    takes ``values[k]`` at point k in place of its own value.  ``freqs``
+    and ``values`` broadcast against each other, so a fixed frequency may
+    be a scalar.  A drive sweep needs no element: the network is linear in
+    its sources, so it is one solve scaled by the drive.
+
+    Raises :class:`SingularNetworkError` naming the frequency of the first
+    point that cannot be solved or fails the KCL residual check (residual
+    at every node below 1e-9 of the largest branch-current magnitude).
+    """
+    if (element is None) != (values is None):
+        raise ValueError("element and values must be given together")
+    freqs = np.asarray(freqs, dtype=float)
+    if values is not None:
+        count = len(netlist.elements)
+        in_range = isinstance(element, (int, np.integer)) and 0 <= element < count
+        kind = netlist.elements[element].kind if in_range else None
+        if kind in (None, Kind.VSOURCE):
+            why = f"not an index in 0..{count - 1}" if kind is None else "a voltage source"
+            raise ValueError(
+                f"element {element!r} is {why}: expected the index of a passive element "
+                "(resistor, capacitor or inductor)"
+            )
+        freqs, values = np.broadcast_arrays(freqs, np.atleast_1d(np.asarray(values, dtype=float)))
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise ValueError(f"values for element {element} ({kind.name}) must be finite and > 0")
+    freqs = np.ascontiguousarray(np.atleast_1d(freqs))
+    if freqs.ndim != 1 or len(freqs) == 0:
+        raise ValueError("frequencies must form a nonempty one-dimensional grid")
+    bad = ~(np.isfinite(freqs) & (freqs > 0.0))
+    if bad.any():
+        raise ValueError(f"all frequencies must be finite and > 0, got {float(freqs[bad][0])!r}")
     stamped = _Stamped(netlist, element)
     x = np.empty((len(freqs), stamped.size), dtype=complex)
     for start in range(0, len(freqs), BLOCK):
         stop = start + BLOCK
-        try:
-            x[start:stop] = stamped.solve(
-                freqs[start:stop], None if values is None else values[start:stop]
-            )
-        except _PointFailure as exc:
-            raise _PointFailure(start + exc.index, str(exc)) from None
+        x[start:stop] = stamped.solve(
+            freqs[start:stop], None if values is None else values[start:stop]
+        )
     voltages = {GROUND: np.zeros(len(freqs), dtype=complex)}
     for i, node in enumerate(stamped.nodes):
         voltages[node] = x[:, i]
@@ -353,59 +373,10 @@ def _solve_grid(
     )
 
 
-def solve_many(
-    netlist: Netlist, freqs, element: Optional[int] = None, values=None
-) -> SolveManyResult:
-    """Solve the network at every point of a grid of finite, positive
-    frequencies in any order.
-
-    ``element`` optionally indexes one entry of ``netlist.elements`` that
-    takes ``values[k]`` at point k in place of its own value: a load
-    resistor or an inductor for load and inductance sweeps, or a voltage
-    source, whose values are then per-point amplitudes.  ``freqs`` and
-    ``values`` broadcast against each other, so a fixed frequency may be a
-    scalar.
-
-    Raises :class:`SingularNetworkError` naming the frequency of the first
-    point that cannot be solved or fails the KCL check (see :func:`solve`).
-    """
-    if (element is None) != (values is None):
-        raise ValueError("element and values must be given together")
-    freqs = np.asarray(freqs, dtype=float)
-    if values is not None:
-        freqs, values = np.broadcast_arrays(freqs, np.atleast_1d(np.asarray(values, dtype=float)))
-        kind = netlist.elements[element].kind
-        ok = np.isfinite(values) if kind is Kind.VSOURCE else np.isfinite(values) & (values > 0.0)
-        if not np.all(ok):
-            raise ValueError(
-                f"values for element {element} ({kind.name}) must be finite"
-                f"{'' if kind is Kind.VSOURCE else ' and > 0'}"
-            )
-    freqs = np.ascontiguousarray(np.atleast_1d(freqs))
-    if freqs.ndim != 1 or len(freqs) == 0:
-        raise ValueError("frequencies must form a nonempty one-dimensional grid")
-    if not np.all(np.isfinite(freqs) & (freqs > 0.0)):
-        raise ValueError("all frequencies must be finite and > 0")
-    try:
-        return _solve_grid(netlist, freqs, element, values)
-    except _PointFailure as exc:
-        f = freqs[exc.index]
-        raise SingularNetworkError(f"sweep failed at {f:.6g} Hz: {exc}") from None
-
-
 def solve(netlist: Netlist, f: float) -> SolveResult:
-    """Solve node voltages and source currents at one frequency.
-
-    Raises :class:`SingularNetworkError` if the system cannot be solved or
-    the solution fails the KCL residual check (residual at every node below
-    1e-9 of the largest branch-current magnitude).
-    """
-    if not (f > 0.0 and math.isfinite(f)):
-        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
-    try:
-        res = _solve_grid(netlist, np.array([f], dtype=float), None, None)
-    except _PointFailure as exc:
-        raise SingularNetworkError(str(exc)) from None
+    """Solve node voltages and source currents at one frequency:
+    :func:`solve_many` on one point, with the same checks and errors."""
+    res = solve_many(netlist, [f])
     return SolveResult(
         frequency=f,
         node_voltages={node: complex(v[0]) for node, v in res.node_voltages.items()},

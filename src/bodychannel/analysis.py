@@ -124,8 +124,10 @@ def simulate(
     inductance axis evaluates each inductance at the resonant frequency it
     produces; input voltages are in the source's own convention.  A
     closed-form frequency sweep carries ``(rx, src, body)`` as its
-    ``circuit``.  With ``mna=True`` the netlist is stamped once and the
-    swept element takes one value per point.
+    ``circuit``.  With ``mna=True`` the netlist is stamped once: on the load
+    and inductance axes the swept passive takes one value per point, and a
+    drive sweep is one solve at ``f`` scaled by the drive, since the network
+    is linear in its source.
     """
     values = np.asarray(values, dtype=float)
     freqs, swept = _sweep_points(axis, rx, values, f)
@@ -138,11 +140,10 @@ def simulate(
             element, per_point = _element_at(net, acnet.Kind.RESISTOR, net.output_probe), values
         elif axis == "inductance":
             element, per_point = _element_at(net, acnet.Kind.INDUCTOR), values
-        elif axis == "input_voltage":
-            # The source amplitude is linear in the drive voltage for every source kind.
-            element = _element_at(net, acnet.Kind.VSOURCE)
-            per_point = net.elements[element].value * (values / src.v_in)
         v_o = acnet.solve_many(net, freqs, element, per_point).probe_voltage
+        if axis == "input_voltage":
+            # The source amplitude is linear in the drive voltage for every source kind.
+            v_o = v_o * (values / src.v_in)
         p = np.abs(v_o) ** 2 / swept.get("r_l", rx.r_l)
         return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o)
 
@@ -300,9 +301,9 @@ def _parabolic_vertex(x3, p3) -> tuple:
 
 def fit_total_capacitance(l: float, f_peak: float) -> float:
     """Invert the resonance relation: C_ret + C_GB = 1 / (L * (2*pi*f_peak)^2)."""
-    if not l > 0.0:
+    if not 0.0 < l < math.inf:
         raise ValueError(f"l must be > 0, got {l!r}")
-    if not f_peak > 0.0:
+    if not 0.0 < f_peak < math.inf:
         raise ValueError(f"f_peak must be > 0, got {f_peak!r}")
     w = 2.0 * math.pi * f_peak
     return 1.0 / (l * w * w)
@@ -314,8 +315,9 @@ def capacitance_ratio_from_power(p_rms: float, r_l: float, v_b_rms: float) -> fl
     The implied gain g = sqrt(P * R_L) / V_B must not exceed 1; at resonance
     the lossless channel can at best deliver the body potential.
     """
-    if not p_rms > 0.0:
-        raise ValueError(f"p_rms must be > 0, got {p_rms!r}")
+    for name, value in (("p_rms", p_rms), ("r_l", r_l), ("v_b_rms", v_b_rms)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     gain = math.sqrt(p_rms * r_l) / v_b_rms
     if gain > 1.0:
         raise InconsistentMeasurementError(

@@ -404,6 +404,8 @@ def no_inductor_voltage(
         raise ValueError("no_inductor_voltage requires l = 0; use transfer_function")
     if rx.r_s != 0.0:
         raise ValueError("the inductorless divider has no series-loss term; r_s must be 0")
+    if not 0.0 <= v_b_rms < _INF:
+        raise ValueError(f"v_b_rms must be finite and >= 0, got {v_b_rms!r}")
     if simplified:
         rx = ReceiverParams(c_ret=rx.c_ret, r_l=rx.r_l)
     return abs(v_b_rms * transfer_function(rx, f))

@@ -4,13 +4,14 @@ channel netlist builders."""
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bodychannel import acnet
+from bodychannel import acnet, analysis
 from bodychannel.acnet import (
     GROUND,
     Kind,
@@ -277,7 +278,7 @@ def test_parallel_ideal_sources_are_singular():
         elements=(vsource("a", 0, 1.0), vsource("a", 0, 2.0), resistor("a", 0, 1e3)),
         output_probe=("a", 0),
     )
-    with pytest.raises(SingularNetworkError):
+    with pytest.raises(SingularNetworkError, match=re.escape(f"sweep failed at {1e6:.6g} Hz: singular network")):
         solve(net, 1e6)
 
 
@@ -455,14 +456,14 @@ def _channels(draw):
 
 
 #: The element each swept axis varies; the load is the last resistor.
-_SWEPT_KIND = {"load": Kind.RESISTOR, "inductance": Kind.INDUCTOR, "amplitude": Kind.VSOURCE}
+_SWEPT_KIND = {"load": Kind.RESISTOR, "inductance": Kind.INDUCTOR}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     channel=_channels(),
     f=_log_uniform(1.5e5, 8e6),
-    axis=st.sampled_from(("frequency", "load", "inductance", "amplitude")),
+    axis=st.sampled_from(("frequency", "load", "inductance")),
 )
 def test_solve_many_matches_dense_solve_and_closed_form(channel, f, axis):
     same_circuit, rx, src, body = channel
@@ -492,9 +493,26 @@ def test_solve_many_matches_dense_solve_and_closed_form(channel, f, axis):
         assert err <= max(1e-12, np.finfo(float).eps * cond), f"point {k}: {err:.3e}"
 
     if same_circuit:
-        overrides = {"load": {"r_l": values}, "inductance": {"l": values}, "amplitude": {"v_in": values}}
+        overrides = {"load": {"r_l": values}, "inductance": {"l": values}}
         v_o, _ = channel_response(rx, src, body, freqs, **overrides.get(axis, {}))
         assert np.max(np.abs(res.probe_voltage - v_o) / np.abs(v_o)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(channel=_channels(), f=_log_uniform(1.5e5, 8e6))
+def test_mna_drive_sweep_matches_a_dense_solve_at_each_drive(channel, f):
+    # The MNA drive sweep solves once and scales by the drive; the reference
+    # stamps and solves a netlist built at each drive voltage.
+    _, rx, src, body = channel
+    drives = src.v_in * np.geomspace(0.5, 2.0, 5)
+    sweep = analysis.simulate("input_voltage", rx, src, body, drives, f=f, mna=True)
+
+    for k, v_in in enumerate(drives):
+        net = build_channel_netlist(rx, dataclasses.replace(src, v_in=float(v_in)), body)
+        ref, cond = _dense_solve(net, f)
+        v_plus, v_minus = net.output_probe
+        err = abs(sweep.v_o[k] - (ref[v_plus] - ref[v_minus])) / max(abs(v) for v in ref.values())
+        assert err <= max(1e-12, np.finfo(float).eps * cond), f"drive {k}: {err:.3e}"
 
 
 def test_grid_longer_than_a_block_equals_points_solved_alone():
@@ -550,3 +568,12 @@ def test_solve_many_input_validation():
         solve_many(net, [1e6], element=1)
     with pytest.raises(ValueError, match="RESISTOR"):
         solve_many(net, [1e6, 2e6], element=1, values=[1e3, 0.0])
+
+
+@pytest.mark.parametrize(
+    ("element", "why"),
+    [(99, "not an index in 0..2"), (-1, "not an index in 0..2"), (0, "a voltage source")],
+)
+def test_solve_many_rejects_an_element_that_is_not_a_passive(element, why):
+    with pytest.raises(ValueError, match=f"element {element} is {why}: expected the index of a passive element"):
+        solve_many(_divider(), [1e6], element=element, values=[1e3])

@@ -293,6 +293,14 @@ def test_fit_total_capacitance_values():
     assert c2 == pytest.approx(6.0e-12, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    ("l", "f_peak", "message"), [(math.inf, 1e6, "l must be > 0"), (1e-3, math.inf, "f_peak must be > 0")]
+)
+def test_fit_total_capacitance_rejects_an_infinite_input(l, f_peak, message):
+    with pytest.raises(ValueError, match=message):
+        fit_total_capacitance(l, f_peak)
+
+
 def test_fit_total_capacitance_round_trip():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -322,6 +330,22 @@ def test_capacitance_ratio_inverts_resonant_gain():
         v_b = 3.7
         p = (v_b * gain) ** 2 / rx.r_l
         assert capacitance_ratio_from_power(p, rx.r_l, v_b) == pytest.approx(rho, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("args", "name"),
+    [
+        ((2e-3, 1e3, math.nan), "v_b_rms"),
+        ((2e-3, 1e3, 0.0), "v_b_rms"),
+        ((2e-3, -1.0, 4.2), "r_l"),
+        ((2e-3, math.inf, 4.2), "r_l"),
+        ((math.inf, 1e3, 4.2), "p_rms"),
+        ((0.0, 1e3, 4.2), "p_rms"),
+    ],
+)
+def test_capacitance_ratio_rejects_a_nonfinite_or_nonpositive_input(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        capacitance_ratio_from_power(*args)
 
 
 def test_capacitance_ratio_rejects_gain_above_unity():

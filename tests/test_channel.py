@@ -204,6 +204,12 @@ def test_no_inductor_rejects_resonant_receiver():
         no_inductor_voltage(ReceiverParams(c_ret=1e-12, r_l=1e3, r_s=10.0), 1.0, 1e6)
 
 
+@pytest.mark.parametrize("v_b_rms", [math.nan, math.inf, -1.0])
+def test_no_inductor_rejects_a_body_potential_that_is_not_finite_and_nonnegative(v_b_rms):
+    with pytest.raises(ValueError, match="v_b_rms must be finite and >= 0"):
+        no_inductor_voltage(ReceiverParams(c_ret=1e-12, r_l=1e3), v_b_rms, 1e6)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
