@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
@@ -393,99 +394,53 @@ def _diagnose_singular(a: np.ndarray, unknown_nodes: list) -> str:
     return "singular network: MNA matrix is not invertible (check for source loops)"
 
 
-class _Chain:
-    """Series element builder that merges nodes across omitted (zero) elements."""
-
-    def __init__(self, elements: list, prefix: str):
-        self.elements = elements
-        self.prefix = prefix
-        self.pending = []
-        self.counter = 0
-
-    def add(self, kind: Kind, value: float) -> None:
-        self.pending.append((kind, value))
-
-    def connect(self, start: NodeId, end: NodeId) -> NodeId:
-        """Lay the pending elements in series from ``start`` to ``end``.
-        With no pending elements the two node ids merge (returns ``start``)."""
-        if not self.pending:
-            return start
-        prev = start
-        for i, (kind, value) in enumerate(self.pending):
-            last = i == len(self.pending) - 1
-            if last:
-                nxt = end
-            else:
-                self.counter += 1
-                nxt = f"{self.prefix}{self.counter}"
-            self.elements.append(Element(kind, prev, nxt, value))
-            prev = nxt
-        self.pending = []
-        return end
-
-
-def _stamp_transmit_side(elements: list, chain: "_Chain", src: SourceModel, body: BodyModel) -> None:
-    """Source, its series coupling, body resistance, and c_b down to ground.
-
-    The source amplitude is the rms drive voltage; the resonant wearable
-    variant folds its boost factor q into the amplitude.
-    """
-    if isinstance(src, GroundedTx):
-        amplitude = v_in_rms(src)
-        if src.r_src > 0.0:
-            chain.add(Kind.RESISTOR, src.r_src)
-    elif isinstance(src, WearableTx):
-        amplitude = v_in_rms(src)
-        chain.add(Kind.CAPACITOR, src.c_ret_tx)
-    elif isinstance(src, ResonantWearableTx):
-        amplitude = v_in_rms(src) * src.q
-        chain.add(Kind.CAPACITOR, src.c_ret_tx)
-    else:
-        raise TypeError(f"unknown source model {type(src).__name__}")
-    if body.r_b > 0.0:
-        chain.add(Kind.RESISTOR, body.r_b)
-
-    drive = chain.connect("vin", "body")
-    if drive == "vin":
-        # No series elements on the transmit side: the source pins the body node.
-        elements.append(vsource("body", GROUND, amplitude))
-    else:
-        elements.insert(0, vsource("vin", GROUND, amplitude))
-    elements.append(capacitor("body", GROUND, body.c_b))
-
-
-def _collect_nodes(elements: list) -> tuple:
-    nodes: list = [GROUND]
-    for e in elements:
-        for node in (e.node_a, e.node_b):
-            if node not in nodes:
-                nodes.append(node)
-    return tuple(nodes)
-
-
 def _build_netlist(src: SourceModel, body: BodyModel, receivers: Sequence[ReceiverParams], tags):
     """Transmit side plus one receiver branch per entry of ``receivers``.
 
-    Receiver ``k`` runs body -> r_s -> L -> ``out<tag>``, its load (r_l
-    parallel c_l) to the floating ground ``fg<tag>``, then c_gb back to the
-    body and c_ret to ground.  Zero-valued optional elements are omitted:
-    resistors become shorts (nodes merge) and capacitors become opens,
-    avoiding artificial poles from epsilon-valued parts.  Returns
+    The source (its amplitude the rms drive, times q for the resonant
+    wearable variant) drives its series coupling (r_src or c_ret_tx), then
+    r_b, into the body node; c_b runs from the body to ground.  Receiver
+    ``k`` runs body -> r_s -> L -> ``out<tag>``, its load (r_l parallel
+    c_l) to the floating ground ``fg<tag>``, then c_gb back to the body and
+    c_ret to ground.  A zero-valued series part is a short: it is left out
+    and its two nodes merge, so with no nonzero transmit part the source
+    pins the body node, and with no nonzero r_s or L the output is the body
+    node.  A zero-valued shunt capacitor (c_l, c_gb) is an open and is left
+    out, so no epsilon-valued part adds an artificial pole.  Returns
     ``(netlist, probes)``, where ``probes[k]`` is the (output,
     floating-ground) pair of receiver ``k``; the netlist's own probe is
     receiver 0, or the body node when there is no receiver.
     """
+    if isinstance(src, GroundedTx):
+        amplitude, coupling = v_in_rms(src), (Kind.RESISTOR, src.r_src)
+    elif isinstance(src, WearableTx):
+        amplitude, coupling = v_in_rms(src), (Kind.CAPACITOR, src.c_ret_tx)
+    elif isinstance(src, ResonantWearableTx):
+        amplitude, coupling = v_in_rms(src) * src.q, (Kind.CAPACITOR, src.c_ret_tx)
+    else:
+        raise TypeError(f"unknown source model {type(src).__name__}")
     elements: list = []
-    chain = _Chain(elements, "n")
-    _stamp_transmit_side(elements, chain, src, body)
+    inner = itertools.count(1)
+
+    def series(start: NodeId, end: NodeId, parts) -> NodeId:
+        """Lay the nonzero ``(kind, value)`` parts in series from ``start``
+        to ``end`` through inner nodes n1, n2, ...; with none, the two
+        nodes merge and ``start`` is returned."""
+        parts = [part for part in parts if part[1] > 0.0]
+        if not parts:
+            return start
+        nodes = [start, *(f"n{next(inner)}" for _ in parts[1:]), end]
+        elements.extend(Element(kind, a, b, v) for (kind, v), a, b in zip(parts, nodes, nodes[1:]))
+        return end
+
+    transmit = (coupling, (Kind.RESISTOR, body.r_b))
+    drive = "vin" if any(value > 0.0 for _, value in transmit) else "body"
+    elements.append(vsource(drive, GROUND, amplitude))
+    series(drive, "body", transmit)
+    elements.append(capacitor("body", GROUND, body.c_b))
     probes = []
     for rx, tag in zip(receivers, tags):
-        if rx.r_s > 0.0:
-            chain.add(Kind.RESISTOR, rx.r_s)
-        if rx.l > 0.0:
-            chain.add(Kind.INDUCTOR, rx.l)
-        out = f"out{tag}" if chain.pending else "body"
-        chain.connect("body", out)
+        out = series("body", f"out{tag}", ((Kind.RESISTOR, rx.r_s), (Kind.INDUCTOR, rx.l)))
         fg = f"fg{tag}"
         elements.append(resistor(out, fg, rx.r_l))
         if rx.c_l > 0.0:
@@ -494,8 +449,9 @@ def _build_netlist(src: SourceModel, body: BodyModel, receivers: Sequence[Receiv
             elements.append(capacitor(fg, "body", rx.c_gb))
         elements.append(capacitor(fg, GROUND, rx.c_ret))
         probes.append((out, fg))
+    nodes = dict.fromkeys([GROUND, *(n for e in elements for n in (e.node_a, e.node_b))])
     probe = probes[0] if probes else ("body", GROUND)
-    return Netlist(nodes=_collect_nodes(elements), elements=tuple(elements), output_probe=probe), probes
+    return Netlist(nodes=tuple(nodes), elements=tuple(elements), output_probe=probe), probes
 
 
 def build_channel_netlist(

@@ -128,6 +128,10 @@ def simulate(
     and inductance axes the swept passive takes one value per point, and a
     drive sweep is one solve at ``f`` scaled by the drive, since the network
     is linear in its source.
+
+    The inputs are checked once, before either backend runs, so both raise
+    the same error: every axis value, and a fixed ``f``, must be finite and
+    > 0 (:class:`NonResonantReceiverError` for an inductance <= 0).
     """
     values = np.asarray(values, dtype=float)
     freqs, swept = _sweep_points(axis, rx, values, f)
@@ -147,7 +151,7 @@ def simulate(
         p = np.abs(v_o) ** 2 / swept.get("r_l", rx.r_l)
         return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o)
 
-    v_o, p = channel_response(rx, src, body, freqs, **swept)
+    v_o, p = _response(rx, src, body, freqs, **swept)
     circuit = (rx, src, body) if axis == "frequency" else None
     return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o, circuit=circuit)
 
@@ -161,20 +165,32 @@ def simulate_frequency_sweep(
 
 def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple:
     """Per-point frequencies of a sweep along ``axis``, and the
-    :func:`channel_response` keyword that carries the swept values."""
+    ``channel._response`` keyword that carries the swept values.  This is
+    the sweep's one input check, shared by both backends."""
+    if axis not in AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
+    if axis == "inductance" and np.any(values <= 0.0):
+        raise NonResonantReceiverError(
+            "an inductance sweep needs every l > 0; l = 0 has no resonant frequency"
+        )
+    _require_positive(f"every {axis} value", values)
     if axis == "frequency":
         return values, {}
     if axis == "inductance":
-        if not np.all(values > 0.0):
-            raise NonResonantReceiverError(
-                "an inductance sweep needs every l > 0; l = 0 has no resonant frequency"
-            )
-        return _resonance(values, rx.c_ret + rx.c_gb), {"l": values}
-    if axis not in AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
+        freqs = _resonance(values, rx.c_ret + rx.c_gb)
+        _require_positive("the resonant frequency of every inductance", freqs)
+        return freqs, {"l": values}
     if f is None:
         raise ValueError(f"a sweep along {axis!r} needs a fixed frequency f")
+    _require_positive(f"the fixed frequency f of the {axis} sweep", f)
     return f, {"r_l" if axis == "load" else "v_in": values}
+
+
+def _require_positive(what: str, x) -> None:
+    x = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(x) & (x > 0.0))
+    if bad.any():
+        raise ValueError(f"{what} must be finite and > 0, got {float(x[bad][0])!r}")
 
 
 def _element_at(net: acnet.Netlist, kind: acnet.Kind, nodes=None) -> int:

@@ -157,11 +157,14 @@ def contact_current(
     Closed form: I = 2*pi*f * c_b * V_B(rms).  With ``mna=True`` the c_b
     branch current is taken from a solved netlist instead, including the
     source/tissue drops the closed form ignores; pass ``rx`` to include
-    receiver loading in that netlist.
+    receiver loading in that netlist.  The closed form has no receiver, so
+    ``rx`` without ``mna=True`` raises ValueError.
     """
     if not 0.0 < f < _INF:
         raise ValueError(f"frequency must be finite and > 0, got {f!r}")
     if not mna:
+        if rx is not None:
+            raise ValueError("receiver loading (rx) needs mna=True; the closed form has no receiver")
         return TWO_PI * f * body.c_b * body_potential(src, body, f)
     net, _ = acnet._build_netlist(src, body, [] if rx is None else [rx], [""])
     v_body = acnet.solve(net, f).node_voltages["body"]
@@ -190,7 +193,8 @@ def check(
     mna: bool = False,
 ) -> SafetyReport:
     """Compare the modeled contact current (and optional measured incident
-    fields) against the limit band covering ``f``."""
+    fields) against the limit band covering ``f``.  The current is
+    :func:`contact_current`'s, so ``rx`` needs ``mna=True``."""
     band = _contact_band(table, f)
     actual = contact_current(src, body, f, rx=rx, mna=mna)
     margin = band.contact_current_limit / actual

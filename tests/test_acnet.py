@@ -37,6 +37,7 @@ from bodychannel.channel import (
     channel_response,
     resonant_frequency,
     transfer_function,
+    v_in_rms,
 )
 from helpers import admittance, random_body, random_frequency, random_receiver, unit_source
 
@@ -391,6 +392,60 @@ def test_one_receiver_multi_netlist_is_the_channel_netlist(channel):
     assert [tuple(map(rename, p)) for p in probes] == [single.output_probe]
     with pytest.raises(NetlistError, match="at least one receiver"):
         build_multi_receiver_netlist([], src, body)
+
+
+@st.composite
+def _multi_channels(draw):
+    """One to three receivers, each drawn as in :func:`_sparse_channels`,
+    on the source and body of the first."""
+    rx, src, body = draw(_sparse_channels())
+    others = draw(st.lists(_sparse_channels().map(lambda channel: channel[0]), max_size=2))
+    return [rx, *others], src, body
+
+
+def _divider_load_voltages(receivers, src, body, f: float) -> list:
+    """Load voltage of each receiver from the two-line impedance divider
+    (Maity et al., IEEE TBME 66(6), 2019): Z_in = (Z_sL || Z_GB) + Z_ret per
+    receiver, Z_sh = 1/(jwC_B + sum 1/Z_in), V_B = V Z_sh/(Z_ser + Z_sh)."""
+    s = 1j * TWO_PI * f
+
+    def parallel(*zs):
+        return 1.0 / sum(1.0 / z for z in zs)
+
+    if isinstance(src, GroundedTx):
+        v, z_ser = v_in_rms(src), src.r_src + body.r_b
+    else:
+        v, z_ser = v_in_rms(src) * getattr(src, "q", 1.0), 1.0 / (s * src.c_ret_tx) + body.r_b
+    branches = []
+    for rx in receivers:
+        z_load = parallel(rx.r_l, *([1.0 / (s * rx.c_l)] if rx.c_l else []))
+        z_sl = rx.r_s + s * rx.l + z_load
+        z_arm = parallel(z_sl, *([1.0 / (s * rx.c_gb)] if rx.c_gb else []))
+        branches.append((z_load / z_sl, z_arm, z_arm + 1.0 / (s * rx.c_ret)))
+    z_sh = 1.0 / (s * body.c_b + sum(1.0 / z_in for _, _, z_in in branches))
+    v_b = v * z_sh / (z_ser + z_sh)
+    return [v_b * z_arm / z_in * share for share, z_arm, z_in in branches]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(channel=_multi_channels())
+def test_multi_receiver_netlist_matches_the_impedance_divider(channel):
+    # An independent reference for the netlists: the divider is written here
+    # from the circuit, not from the builder or the closed-form kernel.
+    receivers, src, body = channel
+    rx0 = receivers[0]
+    f0 = resonant_frequency(rx0) if rx0.l > 0.0 else 1e6
+    freqs = f0 * np.geomspace(0.5, 2.0, 5)
+    net, probes = build_multi_receiver_netlist(receivers, src, body)
+    res = solve_many(net, freqs)
+    for k, f in enumerate(freqs):
+        refs = _divider_load_voltages(receivers, src, body, float(f))
+        # At a high-Q resonance the MNA matrix is ill conditioned, and any
+        # double solve is good to about eps * cond there, above 1e-10.
+        bound = max(1e-10, np.finfo(float).eps * _dense_solve(net, float(f))[1])
+        for i, ((out, fg), ref) in enumerate(zip(probes, refs)):
+            got = res.node_voltages[out][k] - res.node_voltages[fg][k]
+            assert abs(got - ref) <= bound * abs(ref), f"receiver {i} at {f:.6g} Hz"
 
 
 # ── batched solve ───────────────────────────────────────────────────────

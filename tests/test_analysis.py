@@ -73,6 +73,32 @@ def test_sweep_result_rejects_non_finite_data(values, powers, name):
         SweepResult("frequency", values, powers, v_o=v_o)
 
 
+_SWEEP_RX = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3)
+_GOOD_POINT = {"frequency": 1e6, "load": 1e3, "inductance": 0.33e-3, "input_voltage": 5.0}
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("axis", analysis.AXES)
+@pytest.mark.parametrize("mna", [False, True])
+def test_sweep_rejects_a_bad_axis_value_the_same_on_both_backends(mna, axis, bad):
+    if axis == "inductance" and bad <= 0.0:
+        error, message = channel.NonResonantReceiverError, "an inductance sweep needs every l > 0"
+    else:
+        error, message = ValueError, f"every {axis} value must be finite and > 0, got {bad!r}"
+    with pytest.raises(error) as excinfo:
+        simulate(axis, _SWEEP_RX, SRC, BODY, [_GOOD_POINT[axis], bad], f=1.6e6, mna=mna)
+    assert type(excinfo.value) is error and str(excinfo.value).startswith(message)
+
+
+@pytest.mark.parametrize("f", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("axis", ["load", "input_voltage"])
+@pytest.mark.parametrize("mna", [False, True])
+def test_sweep_rejects_a_bad_fixed_frequency_the_same_on_both_backends(mna, axis, f):
+    with pytest.raises(ValueError) as excinfo:
+        simulate(axis, _SWEEP_RX, SRC, BODY, [_GOOD_POINT[axis]], f=f, mna=mna)
+    assert str(excinfo.value) == f"the fixed frequency f of the {axis} sweep must be finite and > 0, got {f!r}"
+
+
 # ── peak detection ──────────────────────────────────────────────────────
 
 

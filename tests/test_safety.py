@@ -76,6 +76,23 @@ def test_contact_current_mna_agrees_without_series_drops():
     assert with_rx == pytest.approx(closed, rel=1e-9)  # ideal source pins the body
 
 
+def test_receiver_loading_needs_the_mna():
+    # The closed form has no receiver: with r_s and r_b the MNA's loaded body
+    # current (1.956 mA) is well below it (2.666 mA), so rx must not be dropped.
+    f, body = 1.6e6, BodyModel(c_b=150e-12, r_b=300.0)
+    src = GroundedTx(v_in=5.0, convention="pp")
+    rx = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3, r_s=50.0)
+    assert contact_current(src, body, f) == pytest.approx(2.666e-3, rel=1e-3)
+    assert contact_current(src, body, f, rx=rx, mna=True) == pytest.approx(1.956e-3, rel=1e-3)
+    with pytest.raises(ValueError, match=r"receiver loading \(rx\) needs mna=True"):
+        contact_current(src, body, f, rx=rx)
+    with pytest.raises(ValueError, match=r"receiver loading \(rx\) needs mna=True"):
+        check(src, body, f, TABLE, rx=rx)
+    assert check(src, body, f, TABLE, rx=rx, mna=True).contact_current_rms == contact_current(
+        src, body, f, rx=rx, mna=True
+    )
+
+
 def test_series_resistance_strictly_reduces_mna_current():
     f = 1.747e6
     body_lossy = BodyModel(c_b=150e-12, r_b=500.0)
