@@ -177,7 +177,8 @@ def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple
     if axis == "frequency":
         return values, {}
     if axis == "inductance":
-        freqs = _resonance(values, rx.c_ret + rx.c_gb)
+        with np.errstate(divide="ignore"):  # an underflowing L*C gives inf, rejected next
+            freqs = _resonance(values, rx.c_ret + rx.c_gb)
         _require_positive("the resonant frequency of every inductance", freqs)
         return freqs, {"l": values}
     if f is None:

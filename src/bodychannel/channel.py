@@ -331,9 +331,12 @@ def _resonance(l, c_total):
 
 def resonant_frequency(rx: ReceiverParams) -> float:
     """Frequency at which the series inductor cancels the return-path reactance."""
-    if rx.l <= 0.0:
+    if not rx.l * (rx.c_ret + rx.c_gb) > 0.0:
         raise NonResonantReceiverError(
             "receiver has no series inductor (l = 0); no resonant frequency exists"
+            if rx.l == 0.0
+            else f"l * (c_ret + c_gb) = {rx.l!r} * {rx.c_ret + rx.c_gb!r} underflows to 0; "
+            "no finite resonant frequency exists"
         )
     return float(_resonance(rx.l, rx.c_ret + rx.c_gb))
 

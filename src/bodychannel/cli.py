@@ -119,7 +119,6 @@ class ScenarioConfig:
 
 _RECEIVER_KEYS = ("C_ret", "C_GB", "L", "R_L", "C_L", "r_s")
 _BODY_KEYS = ("C_B", "R_B")
-_SWEEP_REQUIRED = ("axis", "lo", "hi", "points", "spacing")
 _SOURCE_KINDS = ("grounded", "wearable", "resonant-wearable")
 
 #: config tokens -> ReceiverParams field names (shared with the fit command)

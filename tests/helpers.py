@@ -73,3 +73,11 @@ def admittance(element, f):
     """Textbook admittance 1/R, j*w*C or 1/(j*w*L) of a passive netlist element at ``f`` Hz."""
     jw = 2j * math.pi * f
     return {"R": 1.0 / element.value, "C": jw * element.value, "L": 1.0 / (jw * element.value)}[element.kind.value]
+
+
+def mp_transfer(w, c_ret, c_gb, l, r_l, c_l, r_s):
+    """Textbook transfer function H = V_o / V_B at angular frequency ``w``:
+    Z_L = R_L || C_L and H = Z_L / ((r_s + j*w*L + Z_L) * (1 + C_GB/C_ret)
+    + 1/(j*w*C_ret)), in the precision of its (mpmath) arguments."""
+    z_load = r_l / (1 + 1j * w * c_l * r_l)
+    return z_load / ((r_s + 1j * w * l + z_load) * (1 + c_gb / c_ret) + 1 / (1j * w * c_ret))

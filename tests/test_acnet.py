@@ -39,7 +39,7 @@ from bodychannel.channel import (
     transfer_function,
     v_in_rms,
 )
-from helpers import admittance, random_body, random_frequency, random_receiver, unit_source
+from helpers import admittance, mp_transfer, random_body, random_frequency, random_receiver, unit_source
 
 
 # ── element impedances ──────────────────────────────────────────────────
@@ -283,6 +283,18 @@ def test_parallel_ideal_sources_are_singular():
         solve(net, 1e6)
 
 
+@pytest.mark.parametrize("element", [resistor("a", 0, 5e-324), inductor("a", 0, 5e-324)])
+def test_an_admittance_that_overflows_names_its_frequency(element):
+    # 1/R and 1/(s*L) overflow to inf for a subnormal value.
+    net = Netlist(
+        nodes=(0, "a"),
+        elements=(vsource("a", 0, 1.0), resistor("a", 0, 1e3), element),
+        output_probe=("a", 0),
+    )
+    with pytest.raises(SingularNetworkError, match=re.escape(f"sweep failed at {1e6:.6g} Hz: ")):
+        solve(net, 1e6)
+
+
 def test_describe_renders_one_element_per_line():
     net = _divider()
     lines = net.describe().splitlines()
@@ -510,15 +522,16 @@ def _channels(draw):
     return kind == "grounded" and not lossy, rx, src, body
 
 
-#: The element each swept axis varies; the load is the last resistor.
-_SWEPT_KIND = {"load": Kind.RESISTOR, "inductance": Kind.INDUCTOR}
+#: The element each swept axis varies: the last of its kind, so the load
+#: resistor and the return-path capacitor c_ret.
+_SWEPT_KIND = {"load": Kind.RESISTOR, "inductance": Kind.INDUCTOR, "capacitance": Kind.CAPACITOR}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     channel=_channels(),
     f=_log_uniform(1.5e5, 8e6),
-    axis=st.sampled_from(("frequency", "load", "inductance")),
+    axis=st.sampled_from(("frequency", "load", "inductance", "capacitance")),
 )
 def test_solve_many_matches_dense_solve_and_closed_form(channel, f, axis):
     same_circuit, rx, src, body = channel
@@ -547,10 +560,33 @@ def test_solve_many_matches_dense_solve_and_closed_form(channel, f, axis):
         # near a high-Q resonance that is above 1e-12 for any double solver.
         assert err <= max(1e-12, np.finfo(float).eps * cond), f"point {k}: {err:.3e}"
 
-    if same_circuit:
-        overrides = {"load": {"r_l": values}, "inductance": {"l": values}}
-        v_o, _ = channel_response(rx, src, body, freqs, **overrides.get(axis, {}))
+    # The closed form takes no per-point capacitance.
+    overrides = {"frequency": {}, "load": {"r_l": values}, "inductance": {"l": values}}
+    if same_circuit and axis in overrides:
+        v_o, _ = channel_response(rx, src, body, freqs, **overrides[axis])
         assert np.max(np.abs(res.probe_voltage - v_o) / np.abs(v_o)) <= 1e-9
+
+
+def _mp_transfer(rx, f):
+    """H = V_o / V_B of the receiver at ``f`` Hz in 40-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        values = (rx.c_ret, rx.c_gb, rx.l, rx.r_l, rx.c_l, rx.r_s)
+        return complex(mp_transfer(2 * mp.pi * mp.mpf(f), *map(mp.mpf, values)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(channel=_channels())
+def test_solve_many_matches_a_40_digit_transfer_function_near_resonance(channel):
+    # A unit grounded source with R_S = R_B = 0 pins the body node at 1 V,
+    # so the probe voltage is H itself; C02's 1e-9 bound applies.
+    _, rx, _, _ = channel
+    net = build_channel_netlist(rx, unit_source(), BodyModel(c_b=100e-12))
+    freqs = resonant_frequency(rx) * np.geomspace(0.5, 2.0, 7)
+    v_o = solve_many(net, freqs).probe_voltage
+    for k, f in enumerate(freqs):
+        exact = _mp_transfer(rx, float(f))
+        assert abs(v_o[k] - exact) / abs(exact) <= 1e-9, f"point {k}"
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

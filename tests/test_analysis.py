@@ -35,7 +35,7 @@ from bodychannel.channel import (
     resonant_frequency,
     resonant_gain,
 )
-from helpers import draw_source, log_uniform_floats, random_receiver
+from helpers import draw_source, log_uniform_floats, mp_transfer, random_receiver
 
 BODY = BodyModel(c_b=150e-12)
 SRC = GroundedTx(v_in=5.0, convention="pp")
@@ -88,6 +88,16 @@ def test_sweep_rejects_a_bad_axis_value_the_same_on_both_backends(mna, axis, bad
     with pytest.raises(error) as excinfo:
         simulate(axis, _SWEEP_RX, SRC, BODY, [_GOOD_POINT[axis], bad], f=1.6e6, mna=mna)
     assert type(excinfo.value) is error and str(excinfo.value).startswith(message)
+
+
+@pytest.mark.parametrize("mna", [False, True])
+def test_an_inductance_whose_resonance_overflows_is_rejected_on_both_backends(mna):
+    # L * C_ret underflows to 0 for a subnormal L, so f0 is infinite.
+    with pytest.raises(ValueError) as excinfo:
+        simulate("inductance", _SWEEP_RX, SRC, BODY, [5e-324, 1e-3], mna=mna)
+    assert str(excinfo.value) == (
+        "the resonant frequency of every inductance must be finite and > 0, got inf"
+    )
 
 
 @pytest.mark.parametrize("f", [-1.0, 0.0, math.nan, math.inf])
@@ -210,11 +220,10 @@ def _mp_peak_frequency(rx, lo, hi):
     from the textbook transfer function."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
-        c_ret, c_gb, l, r_l, c_l, r_s = map(mp.mpf, (rx.c_ret, rx.c_gb, rx.l, rx.r_l, rx.c_l, rx.r_s))
+        values = [mp.mpf(x) for x in (rx.c_ret, rx.c_gb, rx.l, rx.r_l, rx.c_l, rx.r_s)]
 
         def gain2(w):
-            z_load = r_l / (1 + 1j * w * c_l * r_l)
-            return abs(z_load / ((r_s + 1j * w * l + z_load) * (1 + c_gb / c_ret) + 1 / (1j * w * c_ret))) ** 2
+            return abs(mp_transfer(w, *values)) ** 2
 
         def log_slope(w):  # d ln|H|^2 / d ln w: dimensionless, zero at the peak
             return w * mp.diff(gain2, w) / gain2(w)
@@ -536,10 +545,7 @@ def _mp_log_gain_gradient(rx, f, name):
         w = 2 * mp.pi * mp.mpf(f)
 
         def gain(theta):
-            v = dict(values, **{name: theta})
-            z_load = v["r_l"] / (1 + 1j * w * v["c_l"] * v["r_l"])
-            z = v["r_s"] + 1j * w * v["l"] + z_load
-            return z_load / (z * (1 + v["c_gb"] / v["c_ret"]) + 1 / (1j * w * v["c_ret"]))
+            return mp_transfer(w, **dict(values, **{name: theta}))
 
         theta = values[name]
         h = theta * mp.mpf("1e-25")
@@ -780,10 +786,7 @@ def _mp_one_sided_power_slope(rx, src, body, f, name, h):
 
         def power(theta):
             v = dict(values, **{name: theta})
-            z_load = v["r_l"] / (1 + 1j * w * v["c_l"] * v["r_l"])
-            z = v["r_s"] + 1j * w * v["l"] + z_load
-            h_ = z_load / (z * (1 + v["c_gb"] / v["c_ret"]) + 1 / (1j * w * v["c_ret"]))
-            return abs(v_b * h_) ** 2 / v["r_l"]
+            return abs(v_b * mp_transfer(w, **v)) ** 2 / v["r_l"]
 
         h = mp.mpf(h)
         return float((power(h) - power(mp.mpf(0))) / h)

@@ -117,6 +117,12 @@ def test_resonant_frequency_requires_inductor():
         resonant_frequency(ReceiverParams(c_ret=1e-12, r_l=1e3, l=0.0))
 
 
+def test_resonant_frequency_rejects_an_inductance_whose_lc_product_underflows():
+    message = "l * (c_ret + c_gb) = 5e-324 * 1e-12 underflows to 0"
+    with pytest.raises(NonResonantReceiverError, match=re.escape(message)):
+        resonant_frequency(ReceiverParams(c_ret=1e-12, r_l=1e3, l=5e-324))
+
+
 def test_resonant_gain_cases():
     assert resonant_gain(RX_SIXTH) == pytest.approx(1.0 / 6.0, rel=1e-15)
     assert resonant_gain(ReceiverParams(c_ret=1e-12, r_l=1e3)) == 1.0
