@@ -19,11 +19,13 @@ import numpy as np
 
 from . import acnet
 from .channel import (
+    TWO_PI,
     BodyModel,
     NonResonantReceiverError,
     ReceiverParams,
     SourceModel,
     GroundedTx,
+    _body_potential,
     _peak_frequency,
     _power_and_log_gradient,
     _power_slope_at_zero,
@@ -32,6 +34,7 @@ from .channel import (
     channel_response,
     resonant_frequency,
     transfer_function,
+    v_in_rms,
 )
 
 AXES = ("frequency", "load", "inductance", "input_voltage")
@@ -412,8 +415,10 @@ def fit_params(
     sensitivity is at most 1e-8 raises :class:`IdentifiabilityError`, as
     does a rank-deficient column-scaled Jacobian.
 
-    ``rx`` supplies the fixed parameters and the starting point for the
-    free ones.
+    ``rx`` supplies the fixed parameters and a starting point for the free
+    ones.  The fit starts instead from the linear least-squares solution of
+    the resonance (``_linear_start``) when that fits the data better, which
+    costs one more closed-form evaluation and one SVD.
     """
     free = list(free)
     if not free:
@@ -462,6 +467,12 @@ def fit_params(
         raise ValueError("the model power at the starting point is 0 or not finite")
     p, r, j = at_start
     sse = float(r @ r)
+    linear = _linear_start(freqs, observed.p_out_rms, free, rx, src, body)
+    if linear is not None:
+        t = [math.log(x) for x in linear]
+        out = evaluate(t)
+        if out is not None and (sse_linear := float(out[1] @ out[1])) < sse:
+            theta, (p, r, j), sse = t, out, sse_linear
     lam = 1e-3
     iterations = 0
     converged = False
@@ -518,6 +529,75 @@ def fit_params(
         iterations=iterations,
         converged=converged,
     )
+
+
+def _linear_start(
+    freqs: np.ndarray,
+    p_obs: np.ndarray,
+    free: list,
+    rx: ReceiverParams,
+    src: SourceModel,
+    body: BodyModel,
+) -> Optional[list]:
+    """The ``free`` fields' values at the linear least-squares fit of the
+    resonance to observed powers ``p_obs`` at ``freqs``, or None where that
+    fit gives none.
+
+    With C_L = 0, k = 1 + C_GB/C_ret, alpha = k*(r_s + R_L), beta = k*L and
+    gamma = 1/C_ret, the channel gives y = |V_B|^2*R_L/P = |D|^2 =
+    c0 + c1*w^2 + c2/w^2 with c0 = alpha^2 - 2*beta*gamma, c1 = beta^2 and
+    c2 = gamma^2, which is linear in the three coefficients (Levy, IRE
+    Trans. AC-4, 1959; Sanathanan & Koerner, IEEE Trans. AC-8, 1963).  Each
+    row of [1, w^2, w^-2] and of the target is divided by the observed y, so
+    a residual is a relative error, the fit's log residual to first order;
+    the rows, each column scaled by its largest entry, are solved by one
+    thin SVD.  The data pins only C_ret, k*L and k*(r_s + R_L): k comes from
+    the fixed C_GB, else from beta/L when L is fixed and > 0, else from
+    alpha/(r_s + R_L) when r_s is fixed, so C_GB, r_s and L are never
+    recovered together.  With C_L > 0 the same map is an approximation,
+    which the fit keeps only when it lowers the SSE.
+
+    None for fewer than 3 rows, a rank-deficient design, c1, c2 or alpha^2
+    not > 0, or a value that is not finite and > 0.
+    """
+    if len(freqs) < 3:
+        return None
+    with np.errstate(all="ignore"):
+        w2 = (TWO_PI * freqs) ** 2
+        v_b = _body_potential(src, body, v_in_rms(src))
+        inv_y = p_obs / (v_b * v_b * rx.r_l)
+        a = np.stack((inv_y, inv_y * w2, inv_y / w2), axis=1)
+        scale = a.max(axis=0)  # every entry is >= 0; unlike a 2-norm, this cannot overflow
+        if not (np.isfinite(a).all() and np.all(scale > 0.0)):
+            return None
+        u, s, vt = np.linalg.svd(a / scale, full_matrices=False)
+        if not s[-1] > 1e-10 * s[0]:
+            return None
+        c0, c1, c2 = vt.T @ (u.sum(axis=0) / s) / scale
+        if not (c1 > 0.0 and c2 > 0.0):
+            return None
+        beta, gamma = np.sqrt(c1), np.sqrt(c2)
+        alpha2 = c0 + 2.0 * beta * gamma
+        if not alpha2 > 0.0:
+            return None
+        alpha = np.sqrt(alpha2)
+        c_ret = 1.0 / gamma if "c_ret" in free else rx.c_ret
+        if "c_gb" not in free:
+            k = 1.0 + rx.c_gb / c_ret
+        elif "l" not in free and rx.l > 0.0:
+            k = beta / rx.l
+        elif "r_s" not in free:
+            k = alpha / (rx.r_s + rx.r_l)
+        else:
+            return None
+        value = {
+            "c_ret": c_ret,
+            "c_gb": (k - 1.0) * c_ret,
+            "l": beta / k,
+            "r_s": alpha / k - rx.r_l,
+        }
+        values = [float(value[name]) for name in free]
+    return values if all(0.0 < x < math.inf for x in values) else None
 
 
 def _check_identifiable(j: np.ndarray, free: list) -> tuple:

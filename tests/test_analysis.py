@@ -1,5 +1,6 @@
 """Peak detection, capacitance inversions, fitting, sensitivities, and Q."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -576,12 +577,10 @@ def test_fit_jacobian_matches_a_60_digit_central_difference(point):
             assert abs(jac[0, k] - g.real) <= 1e-8 * abs(g), name
 
 
-def test_each_fit_step_costs_one_closed_form_evaluation(monkeypatch):
-    # Every closed-form evaluation passes through channel._coefficients, and
-    # the fit's through channel._power_and_log_gradient: the start costs one
-    # evaluation, and each trial step one more (a finite-difference Jacobian
-    # adds 2n per iteration).  Each iteration factors its Jacobian once, by
-    # one SVD, and solves no linear system.
+def _costed_fit(monkeypatch):
+    """A 1%-noise fit of three fields, with counts of its closed-form
+    evaluations (every one passes through channel._coefficients), the fit's
+    own (through channel._power_and_log_gradient), SVDs and linear solves."""
     counts = {"evaluations": 0, "gradients": 0, "svd": 0, "solve": 0}
 
     def counting(fn, key):
@@ -602,13 +601,35 @@ def test_each_fit_step_costs_one_closed_form_evaluation(monkeypatch):
     )
     monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, "svd"))
     monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve, "solve"))
-    report = fit_params(observed, ["c_ret", "c_gb", "r_s"], start, SRC, BODY)
+    return fit_params(observed, ["c_ret", "c_gb", "r_s"], start, SRC, BODY), counts
+
+
+def test_each_fit_step_costs_one_closed_form_evaluation(monkeypatch):
+    # From the given start alone (no linear start), the start costs one
+    # evaluation, and each trial step one more (a finite-difference Jacobian
+    # adds 2n per iteration).  Each iteration factors its Jacobian once, by
+    # one SVD, and solves no linear system.
+    monkeypatch.setattr(analysis, "_linear_start", lambda *args: None)
+    report, counts = _costed_fit(monkeypatch)
     assert report.converged
     trial_steps = counts["gradients"] - 1
     assert trial_steps > report.iterations >= 3  # some trials were rejected
     assert counts["evaluations"] == trial_steps + 1
     # This fit stops before a further step, at the predicted-reduction test.
     assert counts["svd"] == report.iterations + 1
+    assert counts["solve"] == 0
+
+
+def test_the_linear_start_costs_one_evaluation_and_one_svd(monkeypatch):
+    # The same fit with its linear start: the candidate adds one evaluation
+    # and one SVD, and saves most of the iterations.
+    report, counts = _costed_fit(monkeypatch)
+    assert report.converged
+    trial_steps = counts["gradients"] - 2
+    assert trial_steps >= report.iterations
+    assert report.iterations <= 2
+    assert counts["evaluations"] == trial_steps + 2
+    assert counts["svd"] == report.iterations + 2
     assert counts["solve"] == 0
 
 
@@ -643,11 +664,9 @@ def test_a_rejected_step_below_xtol_ends_the_fit_converged():
         assert report.fitted_params[name] == pytest.approx(getattr(truth, name), rel=1e-2)
 
 
-@pytest.mark.parametrize("seed", [66, 107, 264])
-def test_a_trial_whose_power_underflows_is_rejected_without_a_warning(seed):
-    # A trial step on this receiver drives the model power to 0, whose log
-    # would warn "divide by zero" (an error under this suite's
-    # filterwarnings).  The trial is rejected before the log is taken.
+def _underflow_fit(seed):
+    """A 1%-noise fit of three fields on a receiver where, from the given
+    start, a trial step drives the model power to 0."""
     truth = ReceiverParams(
         c_ret=5.8140933090290823e-11,
         c_gb=1.265829399540237e-12,
@@ -661,12 +680,36 @@ def test_a_trial_whose_power_underflows_is_rejected_without_a_warning(seed):
     noise = 1.0 + 0.01 * np.random.default_rng(seed).normal(size=101)
     noisy = SweepResult(axis="frequency", values=clean.values, p_out_rms=clean.p_out_rms * noise)
     start = replace(truth, c_ret=truth.c_ret * 1.3, c_gb=truth.c_gb * 0.7, r_s=truth.r_s * 1.5)
+    return lambda: fit_params(noisy, ["c_ret", "c_gb", "r_s"], start, src, BODY)
+
+
+@pytest.mark.parametrize("seed", [66, 107, 264])
+def test_a_trial_whose_power_underflows_is_rejected_without_a_warning(seed, monkeypatch):
+    # From the given start alone (no linear start), a trial step on this
+    # receiver drives the model power to 0, whose log would warn "divide by
+    # zero" (an error under this suite's filterwarnings).  The trial is
+    # rejected before the log is taken.
+    zero_powers = []
+
+    def recording(*args):
+        p, jac = channel._power_and_log_gradient(*args)
+        zero_powers.append(p.min() == 0.0)
+        return p, jac
+
+    monkeypatch.setattr(analysis, "_linear_start", lambda *args: None)
+    monkeypatch.setattr(analysis, "_power_and_log_gradient", recording)
     try:
-        report = fit_params(noisy, ["c_ret", "c_gb", "r_s"], start, src, BODY)
+        report = _underflow_fit(seed)()
     except ValueError as exc:
         assert type(exc) is not ValueError  # a named subclass
     else:
         assert report.converged
+    assert any(zero_powers)
+
+
+@pytest.mark.parametrize("seed", [66, 107, 264])
+def test_the_linear_start_recovers_the_fits_whose_trials_underflow(seed):
+    assert _underflow_fit(seed)().converged
 
 
 def test_fit_rejects_a_start_whose_model_power_underflows():
@@ -693,6 +736,165 @@ def test_fit_factors_the_scaled_jacobian_it_checks():
     jtj = j.T @ j
     expected = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -j.T @ r)
     np.testing.assert_allclose(step, expected, rtol=1e-10)
+
+
+#: The free-field sets the resonance identifies at C_L = 0: one to three of
+#: FIT_PARAMETERS, except C_GB, r_s and L together (the data pins only k*L
+#: and k*(r_s + R_L) of them).
+_IDENTIFIABLE_FREE = [
+    list(names)
+    for n in (1, 2, 3)
+    for names in itertools.combinations(analysis.FIT_PARAMETERS, n)
+    if set(names) != {"c_gb", "r_s", "l"}
+]
+
+
+@st.composite
+def _noiseless_c_l_0_fits(draw):
+    """A C_L = 0 receiver, an identifiable free set started within 2x of
+    truth, a source of each kind, and a log grid of 41-201 points over
+    f0/s to f0*s with s in 1.2-4."""
+    truth = ReceiverParams(
+        c_ret=draw(log_uniform_floats(0.5e-12, 50e-12)),
+        c_gb=draw(log_uniform_floats(0.1e-12, 20e-12)),
+        l=draw(log_uniform_floats(10e-6, 10e-3)),
+        r_l=draw(log_uniform_floats(10.0, 1e5)),
+        r_s=draw(log_uniform_floats(1.0, 1e4)),
+    )
+    free = draw(st.sampled_from(_IDENTIFIABLE_FREE))
+    start = replace(
+        truth, **{name: getattr(truth, name) * draw(log_uniform_floats(0.5, 2.0)) for name in free}
+    )
+    s = draw(st.floats(1.2, 4.0))
+    f0 = resonant_frequency(truth)
+    freqs = np.geomspace(f0 / s, f0 * s, draw(st.integers(41, 201)))
+    body = BodyModel(c_b=draw(log_uniform_floats(10e-12, 300e-12)))
+    return truth, free, start, draw_source(draw), body, freqs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_noiseless_c_l_0_fits())
+def test_a_fit_started_within_2x_recovers_a_noiseless_c_l_0_channel(case):
+    truth, free, start, src, body, freqs = case
+    observed = simulate_frequency_sweep(truth, src, body, freqs)
+    report = fit_params(observed, free, start, src, body)
+    assert report.converged
+    for name in free:
+        assert report.fitted_params[name] == pytest.approx(getattr(truth, name), rel=1e-6), name
+
+
+def test_seeded_three_field_fits_raise_no_false_identifiability_error():
+    # 60 receivers drawn first (numpy seed 2), then one noise vector per fit
+    # and noise level (0%, 1%, 5%): C_ret, C_GB and r_s fitted from 1.3x,
+    # 0.7x and 1.5x truth over 101 points in 0.8-1.2 f0.  From the given
+    # start alone, draws 21, 32 and 35 end in a false IdentifiabilityError
+    # at every noise level.
+    rng = np.random.default_rng(2)
+    truths = [
+        ReceiverParams(
+            c_ret=rng.uniform(10e-12, 60e-12),
+            c_gb=rng.uniform(1e-12, 20e-12),
+            r_s=rng.uniform(10.0, 500.0),
+            l=0.33e-3,
+            r_l=1e3,
+        )
+        for _ in range(60)
+    ]
+    src = GroundedTx(5.0, "pp")
+    free = ["c_ret", "c_gb", "r_s"]
+    for sigma in (0.0, 0.01, 0.05):
+        for i, truth in enumerate(truths):
+            f0 = resonant_frequency(truth)
+            clean = simulate_frequency_sweep(truth, src, BODY, np.linspace(0.8 * f0, 1.2 * f0, 101))
+            noise = 1.0 + sigma * rng.normal(size=101)
+            observed = SweepResult(
+                axis="frequency", values=clean.values, p_out_rms=clean.p_out_rms * noise
+            )
+            start = replace(
+                truth, c_ret=truth.c_ret * 1.3, c_gb=truth.c_gb * 0.7, r_s=truth.r_s * 1.5
+            )
+            report = fit_params(observed, free, start, src, BODY)
+            if sigma == 0.0:
+                assert report.converged, i
+                for name in free:
+                    assert report.fitted_params[name] == pytest.approx(
+                        getattr(truth, name), rel=1e-6
+                    ), (i, name)
+
+
+_LINEAR_TRUTH = ReceiverParams(c_ret=1.5e-12, c_gb=4.5e-12, l=3e-3, r_l=1000.0, r_s=300.0)
+
+
+@pytest.mark.parametrize("free", _IDENTIFIABLE_FREE, ids="+".join)
+def test_the_linear_start_is_exact_on_a_noiseless_c_l_0_channel(free):
+    observed = _observed_sweep(_LINEAR_TRUTH)
+    start = replace(_LINEAR_TRUTH, **{name: 2.0 * getattr(_LINEAR_TRUTH, name) for name in free})
+    values = analysis._linear_start(observed.values, observed.p_out_rms, free, start, SRC, BODY)
+    assert values == pytest.approx([getattr(_LINEAR_TRUTH, name) for name in free], rel=1e-9)
+
+
+def _powers_of(c0, c1, c2, freqs):
+    """Powers on SRC, BODY and _LINEAR_TRUTH's load whose
+    |V_B|^2*R_L/P is c0 + c1*w^2 + c2/w^2."""
+    w2 = (2.0 * math.pi * freqs) ** 2
+    return body_potential(SRC, BODY, 1.0) ** 2 * _LINEAR_TRUTH.r_l / (c0 + c1 * w2 + c2 / w2)
+
+
+def _linear_start_none_cases():
+    rx = _LINEAR_TRUTH
+    f0 = resonant_frequency(rx)
+    freqs = np.geomspace(f0 / 3, f0 * 3, 41)
+    p = simulate_frequency_sweep(rx, SRC, BODY, freqs).p_out_rms
+    beta, gamma = 4.0 * rx.l, 1.0 / rx.c_ret  # k = 1 + C_GB/C_ret = 4
+    off_peak = np.geomspace(2 * f0, 4 * f0, 41)
+    return {
+        "two rows": (freqs[:2], p[:2], ["c_ret"], rx),
+        "one frequency": (np.full(5, f0), np.full(5, p[20]), ["c_ret"], rx),
+        "c1 < 0": (freqs, _powers_of(1e6, -1e-12, 1e20, freqs), ["c_ret"], rx),
+        "c2 < 0": (freqs, _powers_of(1e6, 1e-3, -1e16, freqs), ["c_ret"], rx),
+        "alpha^2 < 0": (
+            off_peak,
+            _powers_of(-3.0 * beta * gamma, beta**2, gamma**2, off_peak),
+            ["c_ret"],
+            rx,
+        ),
+        "c_gb, r_s and l free": (freqs, p, ["c_gb", "r_s", "l"], rx),
+        "c_gb < 0 (L fixed at 8x)": (freqs, p, ["c_gb"], replace(rx, l=8.0 * rx.l)),
+        "r_s < 0 (C_GB fixed at 3x)": (freqs, p, ["r_s"], replace(rx, c_gb=3.0 * rx.c_gb)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_linear_start_none_cases()))
+def test_the_linear_start_gives_none_where_it_has_no_solution(case):
+    freqs, p, free, rx = _linear_start_none_cases()[case]
+    assert analysis._linear_start(freqs, p, free, rx, SRC, BODY) is None
+
+
+def _extreme_fits():
+    rx = _LINEAR_TRUTH
+    observed = _observed_sweep(rx)
+    far = np.geomspace(1e150, 4e150, 41)
+    return {
+        "powers of 1e-300": (
+            replace(observed, p_out_rms=observed.p_out_rms * (1e-300 / observed.p_out_rms.max())),
+            ["c_ret", "c_gb"],
+            rx,
+        ),
+        "frequencies of 1e150": (simulate_frequency_sweep(rx, SRC, BODY, far), ["c_ret"], rx),
+        "L = 0 with c_gb free": (observed, ["c_gb"], replace(rx, l=0.0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_extreme_fits()))
+def test_the_linear_start_and_the_fit_raise_no_warning_on_extreme_inputs(case):
+    # Every warning is an error in this suite.
+    observed, free, rx = _extreme_fits()[case]
+    values = analysis._linear_start(observed.values, observed.p_out_rms, free, rx, SRC, BODY)
+    assert values is None or all(0.0 < x < math.inf for x in values)
+    try:
+        fit_params(observed, free, rx, SRC, BODY)
+    except ValueError:
+        pass
 
 
 # ── sensitivities ───────────────────────────────────────────────────────

@@ -1,6 +1,7 @@
 """Scenario parsing, command orchestration, CSV schema, exit codes, and
 measured-data import."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bodychannel import analysis
 from bodychannel.analysis import AXES, SweepResult, simulate_frequency_sweep
 from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, resonant_frequency
 from bodychannel.cli import (
@@ -493,15 +495,16 @@ def test_fit_command_recovers_parameters(tmp_path):
     assert row["converged"] == 1.0
 
 
-def test_fit_step_past_exp_range_is_rejected_not_a_crash(tmp_path, capsys):
-    # Noiseless data, started at 1.3x, 0.7x and 1.5x truth: an undamped
-    # log-space step overflows math.exp.  The step is rejected, and the fit
-    # then stops by name on the parameter it has driven out of the data's
-    # reach (a fit that converges here is ROADMAP item 1).
-    truth = ReceiverParams(
-        c_ret=3.3561825205574013e-11, c_gb=1.7017936321731197e-12, l=0.33e-3, r_l=1000.0,
-        r_s=468.83779493693976,
-    )
+_EXP_RANGE_TRUTH = ReceiverParams(
+    c_ret=3.3561825205574013e-11, c_gb=1.7017936321731197e-12, l=0.33e-3, r_l=1000.0,
+    r_s=468.83779493693976,
+)
+
+
+def _exp_range_fit_scenario(tmp_path):
+    """Noiseless data, and a fit of C_ret, C_GB and r_s started at 1.3x, 0.7x
+    and 1.5x truth."""
+    truth = _EXP_RANGE_TRUTH
     f0 = resonant_frequency(truth)
     sweep = simulate_frequency_sweep(
         truth, GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12), np.linspace(0.8 * f0, 1.2 * f0, 101)
@@ -514,9 +517,41 @@ def test_fit_step_past_exp_range_is_rejected_not_a_crash(tmp_path, capsys):
         .replace("r_s = 0", f"r_s = {1.5 * truth.r_s!r}")
         .replace("V_in = 12", "V_in = 5")
     )
-    path = _scenario(tmp_path, text + "\n[fit]\ndata = measured.csv\nfree = C_ret,C_GB,r_s\n")
+    return _scenario(tmp_path, text + "\n[fit]\ndata = measured.csv\nfree = C_ret,C_GB,r_s\n")
+
+
+def test_fit_step_past_exp_range_is_rejected_not_a_crash(tmp_path, capsys, monkeypatch):
+    # From the given start alone (no linear start), an undamped log-space
+    # step overflows math.exp.  The step is rejected, and the fit then stops
+    # by name on the parameter it has driven out of the data's reach.
+    overflows = []
+    exp = math.exp
+
+    def recording_exp(x):
+        try:
+            return exp(x)
+        except OverflowError:
+            overflows.append(x)
+            raise
+
+    monkeypatch.setattr(analysis, "_linear_start", lambda *args: None)
+    monkeypatch.setattr(math, "exp", recording_exp)
+    path = _exp_range_fit_scenario(tmp_path)
     assert main(["fit", "--config", str(path)]) == 3
     assert "the data is insensitive to parameter 'c_gb'" in capsys.readouterr().err
+    assert overflows
+
+
+def test_fit_from_the_linear_start_recovers_the_exp_range_fit(tmp_path):
+    path = _exp_range_fit_scenario(tmp_path)
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--config", str(path), "--out", str(out)]) == 0
+    lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
+    row = dict(zip(lines[0].split(","), [float(v) for v in lines[1].split(",")]))
+    truth = _EXP_RANGE_TRUTH
+    for column, value in (("C_ret[F]", truth.c_ret), ("C_GB[F]", truth.c_gb), ("r_s[ohm]", truth.r_s)):
+        assert row[column] == pytest.approx(value, rel=1e-12)
+    assert row["converged"] == 1.0
 
 
 def test_fit_on_a_negative_power_exits_2_naming_the_line(tmp_path, capsys):
