@@ -398,9 +398,10 @@ def fit_params(
     J/|columns| = U*diag(s)*Vt, and forms no normal equations: the damped
     step for damping lam is -V*(s/(s^2 + lam) * U'r)/|columns|, the solution
     of (J'J + lam*diag(J'J))*delta = -J'r.  A trial whose log step overflows
-    ``math.exp``, whose power is 0 or not finite, or that does not lower the
-    SSE, is rejected and the damping grows tenfold, up to 25 trials per
-    iteration.
+    ``math.exp``, whose kernel overflows (a power that is 0 or not finite,
+    or a Jacobian that is not finite; numpy's warning stays inside), or that
+    does not lower the SSE, is rejected and the damping grows tenfold, up to
+    25 trials per iteration.
 
     The fit converges, before any trial of an iteration, when the residual
     is orthogonal to every Jacobian column to a cosine of 1e-8 (gtol), or
@@ -451,14 +452,16 @@ def fit_params(
 
     def evaluate(t: list):
         """Model powers, log residuals and their Jacobian at log-parameters
-        ``t``, or None for a step past ``math.exp``'s range or to a power
-        that is 0 or not finite (whose log residual is undefined)."""
+        ``t``, or None for a step past ``math.exp``'s range, to a power that
+        is 0 or not finite (whose log residual is undefined) or to a
+        Jacobian that is not finite (a kernel that overflows there)."""
         try:
             r = ReceiverParams(**{**fields, **dict(zip(free, map(math.exp, t)))})
         except OverflowError:
             return None
-        p, jac = _power_and_log_gradient(r, src, body, freqs, free)
-        if not 0.0 < p.min() <= p.max() < math.inf:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, jac = _power_and_log_gradient(r, src, body, freqs, free)
+        if not (0.0 < p.min() <= p.max() < math.inf and np.isfinite(jac).all()):
             return None
         return p, np.log(p) - log_p_obs, jac
 

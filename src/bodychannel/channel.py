@@ -45,6 +45,11 @@ class NonResonantReceiverError(ValueError):
     """Raised when a resonance quantity is requested for a receiver with L = 0."""
 
 
+class NonFiniteResultError(ValueError):
+    """Raised when the closed form gives a number that is not finite: the
+    inputs lie outside the range that double precision can evaluate."""
+
+
 def _unknown_convention(convention) -> ValueError:
     return ValueError(
         f"unknown amplitude convention {convention!r}; expected one of {sorted(RMS_FACTOR)}"

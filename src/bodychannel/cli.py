@@ -117,12 +117,18 @@ class ScenarioConfig:
         return self.receivers[0]
 
 
-_RECEIVER_KEYS = ("C_ret", "C_GB", "L", "R_L", "C_L", "r_s")
-_BODY_KEYS = ("C_B", "R_B")
-_SOURCE_KINDS = ("grounded", "wearable", "resonant-wearable")
-
-#: config tokens -> ReceiverParams field names (shared with the fit command)
-PARAM_TOKEN = {"C_ret": "c_ret", "C_GB": "c_gb", "r_s": "r_s", "L": "l"}
+#: config key -> model field, in the order the keys are read; the receiver's
+#: map also names the fields of the fit's free tokens
+_RECEIVER_FIELDS = {
+    "C_ret": "c_ret", "C_GB": "c_gb", "L": "l", "R_L": "r_l", "C_L": "c_l", "r_s": "r_s"
+}
+_BODY_FIELDS = {"C_B": "c_b", "R_B": "r_b"}
+_SOURCES = {
+    "grounded": (GroundedTx, {"R_S": "r_src"}),
+    "wearable": (WearableTx, {"C_ret_tx": "c_ret_tx"}),
+    "resonant-wearable": (ResonantWearableTx, {"C_ret_tx": "c_ret_tx", "Q": "q"}),
+}
+#: fit.free tokens and the units of their output columns
 _PARAM_UNIT = {"C_ret": "F", "C_GB": "F", "r_s": "ohm", "L": "H"}
 
 
@@ -147,46 +153,32 @@ def _reject_unknown(items: dict, section: str) -> None:
         raise ConfigError(f"{section}.{key}: unknown key")
 
 
-def _build_receiver(section: str, items: dict) -> ReceiverParams:
-    values = {k: parse_quantity(_take(items, section, k), f"{section}.{k}") for k in _RECEIVER_KEYS}
+def _build(model, section: str, items: dict, keys: dict, **fixed):
+    """``model`` from the quantities of ``section``, read in ``keys`` order
+    (config key -> field) beside the ``fixed`` fields; any other key fails."""
+    values = {
+        field: parse_quantity(_take(items, section, key), f"{section}.{key}")
+        for key, field in keys.items()
+    }
     _reject_unknown(items, section)
     try:
-        return ReceiverParams(
-            c_ret=values["C_ret"],
-            c_gb=values["C_GB"],
-            l=values["L"],
-            r_l=values["R_L"],
-            c_l=values["C_L"],
-            r_s=values["r_s"],
-        )
+        return model(**fixed, **values)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from None
 
 
 def _build_source(items: dict) -> SourceModel:
     kind = _take(items, "source", "kind").strip()
-    if kind not in _SOURCE_KINDS:
-        raise ConfigError(f"source.kind: expected one of {_SOURCE_KINDS}, got {kind!r}")
+    if kind not in _SOURCES:
+        raise ConfigError(f"source.kind: expected one of {tuple(_SOURCES)}, got {kind!r}")
     v_in = parse_quantity(_take(items, "source", "V_in"), "source.V_in")
     convention = _take(items, "source", "convention").strip()
     if convention not in ("pp", "amplitude", "rms"):
         raise ConfigError(
             f"source.convention: expected pp, amplitude, or rms, got {convention!r}"
         )
-    try:
-        if kind == "grounded":
-            r_src = parse_quantity(_take(items, "source", "R_S"), "source.R_S")
-            _reject_unknown(items, "source")
-            return GroundedTx(v_in=v_in, convention=convention, r_src=r_src)
-        c_ret_tx = parse_quantity(_take(items, "source", "C_ret_tx"), "source.C_ret_tx")
-        if kind == "wearable":
-            _reject_unknown(items, "source")
-            return WearableTx(v_in=v_in, convention=convention, c_ret_tx=c_ret_tx)
-        q = parse_quantity(_take(items, "source", "Q"), "source.Q")
-        _reject_unknown(items, "source")
-        return ResonantWearableTx(v_in=v_in, convention=convention, c_ret_tx=c_ret_tx, q=q)
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from None
+    model, keys = _SOURCES[kind]
+    return _build(model, "source", items, keys, v_in=v_in, convention=convention)
 
 
 def _build_sweep(items: dict) -> SweepSpec:
@@ -240,32 +232,23 @@ def load_scenario(path) -> ScenarioConfig:
         key = sorted(cp.defaults())[0]
         raise ConfigError(f"{key}: keys must live inside a section")
 
-    receiver_sections = ["receiver"]
+    extra = []
     for name in cp.sections():
         if name.startswith("receiver") and name != "receiver":
             suffix = name[len("receiver"):]
             if not suffix.isdigit() or int(suffix) < 2:
                 raise ConfigError(f"[{name}]: extra receivers are named receiver2, receiver3, ...")
-            receiver_sections.append(name)
+            extra.append(name)
         elif name not in ("receiver", "source", "body", "sweep", "safety", "fit"):
             raise ConfigError(f"[{name}]: unknown section")
-    receiver_sections = ["receiver"] + sorted(
-        (n for n in receiver_sections if n != "receiver"), key=lambda n: int(n[len("receiver"):])
-    )
-
-    receivers = []
-    for name in receiver_sections:
-        items = _section(cp, name)
-        receivers.append(_build_receiver(name, items))
-
+    # A stable sort by number: [receiver02] and [receiver2] both stay, in file order.
+    extra.sort(key=lambda n: int(n[len("receiver"):]))
+    receivers = [
+        _build(ReceiverParams, name, _section(cp, name), _RECEIVER_FIELDS)
+        for name in ["receiver", *extra]
+    ]
     source = _build_source(_section(cp, "source"))
-    body_items = _section(cp, "body")
-    body_values = {k: parse_quantity(_take(body_items, "body", k), f"body.{k}") for k in _BODY_KEYS}
-    _reject_unknown(body_items, "body")
-    try:
-        body = BodyModel(c_b=body_values["C_B"], r_b=body_values["R_B"])
-    except ValueError as exc:
-        raise ConfigError(f"body: {exc}") from None
+    body = _build(BodyModel, "body", _section(cp, "body"), _BODY_FIELDS)
 
     sweep_items = _section(cp, "sweep", required=False)
     sweep = _build_sweep(sweep_items) if sweep_items is not None else None
@@ -287,9 +270,9 @@ def load_scenario(path) -> ScenarioConfig:
         _reject_unknown(fit_items, "fit")
         tokens = [t.strip() for t in free_text.split(",") if t.strip()]
         for t in tokens:
-            if t not in PARAM_TOKEN:
+            if t not in _PARAM_UNIT:
                 raise ConfigError(
-                    f"fit.free: unknown parameter {t!r}; expected from {sorted(PARAM_TOKEN)}"
+                    f"fit.free: unknown parameter {t!r}; expected from {sorted(_PARAM_UNIT)}"
                 )
         data_path = (path.parent / data_rel).resolve()
         if not data_path.exists():
@@ -432,10 +415,13 @@ def _require_axis(config: ScenarioConfig, axis: str) -> SweepSpec:
     return config.sweep
 
 
-def _operating_frequency(config: ScenarioConfig) -> float:
-    """Fixed-frequency commands use sweep.frequency, else the receiver resonance."""
+def _operating_frequency(config: ScenarioConfig, required: Optional[str] = None) -> float:
+    """sweep.frequency.  Without it, a command that needs it fails with the
+    message ``required``; the others run at the receiver resonance."""
     if config.sweep is not None and config.sweep.frequency is not None:
         return config.sweep.frequency
+    if required is not None:
+        raise ConfigError(required)
     return resonant_frequency(config.receiver)
 
 
@@ -488,9 +474,8 @@ def _optimize_load(config: ScenarioConfig, options: RunOptions) -> tuple:
 
 
 def _optimize_inductor(config: ScenarioConfig, options: RunOptions) -> tuple:
-    if config.sweep is None or config.sweep.frequency is None:
-        raise ConfigError("optimize-inductor needs sweep.frequency as the target")
-    l_opt = optimize.optimal_inductor(config.receiver, config.sweep.frequency)
+    f = _operating_frequency(config, "optimize-inductor needs sweep.frequency as the target")
+    l_opt = optimize.optimal_inductor(config.receiver, f)
     achieved = resonant_frequency(replace(config.receiver, l=l_opt))
     table = ResultTable(
         columns=["inductance_opt[H]", "resonant_frequency[Hz]"],
@@ -499,9 +484,12 @@ def _optimize_inductor(config: ScenarioConfig, options: RunOptions) -> tuple:
     return table, EXIT_OK, {}
 
 
+_SAFETY_NEEDS_FREQUENCY = "safety commands need sweep.frequency (the operating point)"
+
+
 def _safety(config: ScenarioConfig, options: RunOptions) -> tuple:
     limits = _load_limits(config)
-    f = _safety_frequency(config)
+    f = _operating_frequency(config, _SAFETY_NEEDS_FREQUENCY)
     rx = config.receiver if options.oracle else None
     report = safety.check(config.source, config.body, f, limits, rx=rx, mna=options.oracle)
     table = ResultTable(
@@ -514,7 +502,7 @@ def _safety(config: ScenarioConfig, options: RunOptions) -> tuple:
 
 def _max_safe_vin(config: ScenarioConfig, options: RunOptions) -> tuple:
     limits = _load_limits(config)
-    f = _safety_frequency(config)
+    f = _operating_frequency(config, _SAFETY_NEEDS_FREQUENCY)
     src = config.source
     v_max = safety.max_safe_input(config.body, f, limits, src)
     unit = {"pp": "Vpp", "amplitude": "Vamp", "rms": "Vrms"}[src.convention]
@@ -530,7 +518,7 @@ def _fit(config: ScenarioConfig, options: RunOptions) -> tuple:
         raise ConfigError("fit needs a [fit] section with data and free keys")
     observed = import_measured(config.fit.data, axis="frequency")
     tokens = config.fit.free
-    free_fields = [PARAM_TOKEN[t] for t in tokens]
+    free_fields = [_RECEIVER_FIELDS[t] for t in tokens]
     report = analysis.fit_params(observed, free_fields, config.receiver, config.source, config.body)
     columns = [f"{t}[{_PARAM_UNIT[t]}]" for t in tokens]
     columns += ["residual_rms[W]", "iterations", "converged"]
@@ -541,39 +529,20 @@ def _fit(config: ScenarioConfig, options: RunOptions) -> tuple:
 
 def _multi(config: ScenarioConfig, options: RunOptions) -> tuple:
     receivers, src, body = config.receivers, config.source, config.body
-    points_out = optimize.multi_receiver_power(receivers, src, body)
-    if not options.joint:
-        table = ResultTable(
-            columns=["receiver", "frequency[Hz]", "v_o_mag[V]", "p_out_rms[W]"],
-            rows=[
-                [float(i + 1), pt.frequency, abs(pt.v_o), pt.p_out_rms]
-                for i, pt in enumerate(points_out)
-            ],
-        )
-        return table, EXIT_OK, {}
-    records = optimize.joint_loading_check(receivers, src, body)
-    table = ResultTable(
-        columns=[
-            "receiver",
-            "frequency[Hz]",
-            "v_o_mag[V]",
-            "p_out_rms[W]",
-            "p_joint_rms[W]",
-            "deviation_rel",
-        ],
-        rows=[
-            [
-                float(r.receiver_index + 1),
-                r.frequency,
-                abs(r.independent.v_o),
-                r.independent.p_out_rms,
-                r.joint_power_rms,
-                r.deviation,
-            ]
-            for r in records
-        ],
-    )
-    return table, EXIT_OK, {}
+    columns = ["receiver", "frequency[Hz]", "v_o_mag[V]", "p_out_rms[W]"]
+    if options.joint:
+        records = optimize.joint_loading_check(receivers, src, body)
+        points = [r.independent for r in records]
+        joint = [[r.joint_power_rms, r.deviation] for r in records]
+        columns += ["p_joint_rms[W]", "deviation_rel"]
+    else:
+        points = optimize.multi_receiver_power(receivers, src, body)
+        joint = [[] for _ in points]
+    rows = [
+        [float(i + 1), pt.frequency, abs(pt.v_o), pt.p_out_rms, *more]
+        for i, (pt, more) in enumerate(zip(points, joint))
+    ]
+    return ResultTable(columns=columns, rows=rows), EXIT_OK, {}
 
 
 _TOPOLOGY_COLUMNS = {
@@ -670,12 +639,6 @@ def _load_limits(config: ScenarioConfig):
         return safety.load_limit_table(config.limit_table_path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _safety_frequency(config: ScenarioConfig) -> float:
-    if config.sweep is None or config.sweep.frequency is None:
-        raise ConfigError("safety commands need sweep.frequency (the operating point)")
-    return config.sweep.frequency
 
 
 def _write_atomic(path: Path, text: str) -> None:

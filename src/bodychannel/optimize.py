@@ -17,6 +17,7 @@ import numpy as np
 from . import acnet, safety
 from .channel import (
     BodyModel,
+    NonFiniteResultError,
     OperatingPoint,
     ReceiverParams,
     SourceModel,
@@ -63,8 +64,10 @@ class OptimizationResult:
 
 
 def _at_load(rx, src, body, f, r_l: float) -> tuple:
-    """Load current and power at one load resistance."""
-    v_o, p = _response(rx, src, body, f, r_l=r_l)
+    """Load current and power at one load resistance.  An overflow inside the
+    kernel gives inf or nan without numpy's warning; the caller checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_o, p = _response(rx, src, body, f, r_l=r_l)
     return float(abs(v_o)) / r_l, float(p)
 
 
@@ -74,6 +77,11 @@ def _optimum(rx, src, body, f, r_l: float, bounds: tuple, r_c=None) -> Optimizat
     lo, hi = bounds
     argmax = min(max(r_l, lo), hi)
     objective = _at_load(rx, src, body, f, argmax)[1]
+    if not math.isfinite(objective):
+        raise NonFiniteResultError(
+            f"the closed-form power at R_L = {argmax!r} ohm and f = {f!r} Hz is "
+            f"{objective!r}, not finite"
+        )
     constraint = None
     if argmax == r_c:
         constraint = "load-current"
@@ -107,7 +115,9 @@ def optimal_load(
     r_s > 0, so the load current |V_B| / |A + R*M| falls strictly with R_L
     and P = |V_B|^2 * R / |A + R*M|^2 peaks at the matched load
     R* = |A| / |M|.  The result is R* clipped to ``bounds``; ``trace`` holds
-    that one evaluated point.
+    that one evaluated point.  A power there that is not finite (inputs past
+    double precision's range, such as C_L = 1e300 F) raises
+    :class:`~bodychannel.channel.NonFiniteResultError`.
     """
     if not 0.0 < f < _INF:
         raise ValueError(f"frequency must be finite and > 0, got {f!r}")
@@ -150,7 +160,9 @@ def max_power_under_current_limit(
     it binds, the optimum sits on the constraint boundary and the result
     says so.  In closed form the result is max(R*, r_c) clipped to
     ``bounds``: R* is the matched load of :func:`optimal_load` and r_c the
-    load whose current equals the limit.
+    load whose current equals the limit.  A power there that is not finite
+    raises :class:`~bodychannel.channel.NonFiniteResultError`, as in
+    :func:`optimal_load`.
     """
     if not 0.0 < f < _INF:
         raise ValueError(f"frequency must be finite and > 0, got {f!r}")

@@ -31,6 +31,7 @@ from bodychannel.channel import (
     _response,
     GroundedTx,
     ReceiverParams,
+    WearableTx,
     body_potential,
     received_power,
     resonant_frequency,
@@ -710,6 +711,27 @@ def test_a_trial_whose_power_underflows_is_rejected_without_a_warning(seed, monk
 @pytest.mark.parametrize("seed", [66, 107, 264])
 def test_the_linear_start_recovers_the_fits_whose_trials_underflow(seed):
     assert _underflow_fit(seed)().converged
+
+
+def test_a_trial_whose_kernel_overflows_is_rejected_without_a_warning(monkeypatch):
+    # From the given start alone (no linear start), a trial step on this
+    # receiver overflows inside channel._coefficients, which would warn
+    # "overflow encountered in multiply" (an error under this suite's
+    # filterwarnings).  The trial is rejected, and the fit reaches the truth.
+    truth = ReceiverParams(
+        c_ret=7.104028214140488e-12, c_gb=6.855457299225197e-13, l=4.686570167283964e-05,
+        r_l=28.681870332061326, r_s=182.7827337067406,
+    )
+    src = WearableTx(5.0, "pp", c_ret_tx=4.3291159918567766e-12)
+    body = BodyModel(c_b=189.97e-12)
+    f0 = resonant_frequency(truth)
+    observed = simulate_frequency_sweep(truth, src, body, np.geomspace(f0 / 2.7185, 2.7185 * f0, 195))
+    monkeypatch.setattr(analysis, "_linear_start", lambda *args: None)
+    start = replace(truth, c_ret=1.3589e-11, c_gb=9.106e-13, r_s=194.6)
+    report = fit_params(observed, ["c_ret", "c_gb", "r_s"], start, src, body)
+    assert report.converged
+    for name, value in report.fitted_params.items():
+        assert value == pytest.approx(getattr(truth, name), rel=1e-9)
 
 
 def test_fit_rejects_a_start_whose_model_power_underflows():

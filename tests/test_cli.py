@@ -16,6 +16,7 @@ from bodychannel import analysis
 from bodychannel.analysis import AXES, SweepResult, simulate_frequency_sweep
 from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, resonant_frequency
 from bodychannel.cli import (
+    COMMANDS,
     ConfigError,
     CsvFormatError,
     DuplicateAxisError,
@@ -824,3 +825,45 @@ def test_result_table_header_order_is_stable():
     assert lines[0] == "# config_sha256=ff"
     assert lines[1] == "# command=c"
     assert lines[2] == "# version=v"
+
+
+# ── every command on every shipped scenario ─────────────────────────────
+
+
+def _run_quietly(argv) -> int:
+    """``main(argv)`` with every warning recorded; none may be raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, f"{argv}: {[str(w.message) for w in caught]}"
+    return code
+
+
+def test_every_command_on_every_shipped_scenario_exits_cleanly_with_finite_cells(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    runs = 0
+    for scenario in sorted(SCENARIO_DIR.glob("*.scn")):
+        for command in COMMANDS:
+            for variant in ([], ["--oracle"], ["--joint"], ["--points", "7"]):
+                out.unlink(missing_ok=True)
+                argv = [command, "--config", str(scenario), "--out", str(out), *variant]
+                assert _run_quietly(argv) in (0, 2, 3, 4), argv
+                if out.exists():
+                    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+                    assert rows, argv
+                    assert all(math.isfinite(float(c)) for row in rows for c in row.split(",")), argv
+                runs += 1
+    capsys.readouterr()
+    assert runs == 312
+
+
+def test_optimize_load_whose_power_is_not_finite_exits_3(tmp_path, capsys):
+    # C_L = 1e300 F: the power at the clipped optimum is inf/inf.
+    text = (SCENARIO_DIR / "fig4c.scn").read_text().replace("C_L = 0", "C_L = 1e300")
+    out = tmp_path / "opt.csv"
+    assert _run_quietly(["optimize-load", "--config", str(_scenario(tmp_path, text)), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "model error: the closed-form power at R_L = 100.0 ohm and f = 1599567.362927827 Hz "
+        "is nan, not finite\n"
+    )

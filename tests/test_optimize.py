@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bodychannel.channel import (
     BodyModel,
     GroundedTx,
+    NonFiniteResultError,
     ReceiverParams,
     WearableTx,
     body_potential,
@@ -233,6 +234,20 @@ def test_load_optimizers_reject_a_bad_frequency(f):
         optimal_load(rx, SRC, BODY, f, (100.0, 1e4))
     with pytest.raises(ValueError, match="frequency"):
         max_power_under_current_limit(rx, SRC, BODY, f, 1e-3, bounds=(100.0, 1e4))
+
+
+def test_load_optimizers_name_a_power_that_is_not_finite():
+    # C_L = 1e300 F overflows j*w*C_L*A, so the power at the optimum is
+    # inf/inf; it is named, and numpy's warning (an error under this suite's
+    # filterwarnings) stays inside.
+    rx = replace(_lossy_rx(1000.0), c_l=1e300)
+    message = "the closed-form power at R_L = 100.0 ohm and f = 1600000.0 Hz is nan, not finite"
+    with pytest.raises(NonFiniteResultError) as excinfo:
+        optimal_load(rx, SRC, BODY, 1.6e6, (100.0, 1e4))
+    assert str(excinfo.value) == message
+    with pytest.raises(NonFiniteResultError) as excinfo:
+        max_power_under_current_limit(rx, SRC, BODY, 1.6e6, 1.0, bounds=(100.0, 1e4))
+    assert str(excinfo.value) == message
 
 
 def test_unreachable_load_current_reports_closest_candidate():
