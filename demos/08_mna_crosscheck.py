@@ -13,8 +13,8 @@ body = BodyModel(c_b=150e-12)
 
 print("netlist rendered from the receiver model:")
 net = acnet.build_channel_netlist(rx, GroundedTx(1.0, "rms"), body)
-for line in net.describe().splitlines():
-    print(f"  {line}")
+for e in net.elements:
+    print(f"  {e.kind.name} {e.node_a} {e.node_b} {e.value!r}")
 
 freqs = np.geomspace(1e5, 1e7, 25)
 gaps = oracle_gap(rx, freqs)
@@ -23,7 +23,7 @@ print(f"  worst relative difference: {gaps.max():.3e}  (solver precision)")
 
 f_mid = 1e6
 h = transfer_function(rx, f_mid)
-probe = acnet.solve(net, f_mid).probe_voltage
+probe = complex(acnet.solve_many(net, f_mid).probe_voltage[0])
 print(f"  at 1 MHz: H = {h:.6e}")
 print(f"            probe/source = {probe:.6e}")
 

@@ -28,8 +28,9 @@ frequency.  Against a 40-digit reference on 400 random receivers, each at
 f0 and four frequencies in 0.1-10*f0, the probe voltage's relative error
 had median 2e-15, p99 6e-11 and maximum 4e-9: the probe is a difference of
 node voltages that can cancel, so a few badly conditioned points exceed
-the 1e-9 oracle tolerance.  :func:`solve` is :func:`solve_many` on one
-point.
+the 1e-9 oracle tolerance.  :func:`_response` evaluates the channel
+netlist with the signature of ``channel._response``, the closed form's
+kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import cmath
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -163,27 +164,6 @@ class Netlist:
         floating = declared - seen
         if floating:
             raise NetlistError(f"nodes not connected to ground: {sorted(map(str, floating))}")
-
-    def describe(self) -> str:
-        """Debug rendering, one element per line: ``KIND node_a node_b value``.
-
-        Diagnostic only; this is not a parse format.
-        """
-        return "\n".join(
-            f"{e.kind.name} {e.node_a} {e.node_b} {e.value!r}" for e in self.elements
-        )
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Solved state at one frequency.  ``node_voltages`` maps every node id
-    (including ground) to its complex phasor; ``source_current`` is the
-    current through the first voltage source, flowing a -> b externally."""
-
-    frequency: float
-    node_voltages: dict
-    source_current: complex
-    probe_voltage: complex
 
 
 @dataclass(frozen=True)
@@ -355,18 +335,6 @@ def solve_many(
     )
 
 
-def solve(netlist: Netlist, f: float) -> SolveResult:
-    """Solve node voltages and source currents at one frequency:
-    :func:`solve_many` on one point, with the same checks and errors."""
-    res = solve_many(netlist, [f])
-    return SolveResult(
-        frequency=f,
-        node_voltages={node: complex(v[0]) for node, v in res.node_voltages.items()},
-        source_current=complex(res.source_current[0]),
-        probe_voltage=complex(res.probe_voltage[0]),
-    )
-
-
 def _diagnose_singular(a: np.ndarray, unknown_nodes: list) -> str:
     dead = [i for i in range(len(unknown_nodes)) if not np.any(a[i])]
     if dead:
@@ -461,3 +429,29 @@ def build_multi_receiver_netlist(
     if not receivers:
         raise NetlistError("need at least one receiver")
     return _build_netlist(src, body, receivers, range(len(receivers)))
+
+
+def _response(rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None, l=None, v_in=None):
+    """Rms load voltages and powers ``(v_o, p_out_rms)`` of the channel
+    netlist: ``channel._response``'s counterpart, with its parameters and
+    without input checks beyond :func:`solve_many`'s.
+
+    At most one of ``r_l``, ``l`` and ``v_in`` is given; it broadcasts
+    against ``f`` over a one-dimensional grid.  The netlist is stamped once
+    and solved once: a swept load resistance or inductance replaces the
+    value of the resistor between the probe nodes or of the inductor at
+    each point, and a drive sweep scales the solve by ``v_in / src.v_in``,
+    since the network is linear in its source.
+    """
+    if l is not None:
+        rx = replace(rx, l=float(np.ravel(l)[0]))  # the netlist needs an inductor to sweep
+    net = build_channel_netlist(rx, src, body)
+    element = values = None
+    if r_l is not None:
+        element, values = net.elements.index(resistor(*net.output_probe, rx.r_l)), r_l
+    elif l is not None:
+        element, values = [e.kind for e in net.elements].index(Kind.INDUCTOR), l
+    v_o = solve_many(net, f, element, values).probe_voltage
+    if v_in is not None:
+        v_o = v_o * (v_in / src.v_in)
+    return v_o, np.abs(v_o) ** 2 / (rx.r_l if r_l is None else r_l)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional, Sequence
 
@@ -127,10 +127,9 @@ def simulate(
     inductance axis evaluates each inductance at the resonant frequency it
     produces; input voltages are in the source's own convention.  A
     closed-form frequency sweep carries ``(rx, src, body)`` as its
-    ``circuit``.  With ``mna=True`` the netlist is stamped once: on the load
-    and inductance axes the swept passive takes one value per point, and a
-    drive sweep is one solve at ``f`` scaled by the drive, since the network
-    is linear in its source.
+    ``circuit``.  Both backends run one kernel with one signature:
+    ``channel._response`` for the closed form, ``acnet._response`` for the
+    node-level solve (``mna=True``), which stamps the netlist once.
 
     The inputs are checked once, before either backend runs, so both raise
     the same error: every axis value, and a fixed ``f``, must be finite and
@@ -138,24 +137,8 @@ def simulate(
     """
     values = np.asarray(values, dtype=float)
     freqs, swept = _sweep_points(axis, rx, values, f)
-    if mna:
-        if axis == "inductance":
-            rx = replace(rx, l=float(values[0]))  # the netlist needs an inductor to sweep
-        net = acnet.build_channel_netlist(rx, src, body)
-        element = per_point = None
-        if axis == "load":
-            element, per_point = _element_at(net, acnet.Kind.RESISTOR, net.output_probe), values
-        elif axis == "inductance":
-            element, per_point = _element_at(net, acnet.Kind.INDUCTOR), values
-        v_o = acnet.solve_many(net, freqs, element, per_point).probe_voltage
-        if axis == "input_voltage":
-            # The source amplitude is linear in the drive voltage for every source kind.
-            v_o = v_o * (values / src.v_in)
-        p = np.abs(v_o) ** 2 / swept.get("r_l", rx.r_l)
-        return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o)
-
-    v_o, p = _response(rx, src, body, freqs, **swept)
-    circuit = (rx, src, body) if axis == "frequency" else None
+    v_o, p = (acnet._response if mna else _response)(rx, src, body, freqs, **swept)
+    circuit = (rx, src, body) if axis == "frequency" and not mna else None
     return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o, circuit=circuit)
 
 
@@ -195,15 +178,6 @@ def _require_positive(what: str, x) -> None:
     bad = ~(np.isfinite(x) & (x > 0.0))
     if bad.any():
         raise ValueError(f"{what} must be finite and > 0, got {float(x[bad][0])!r}")
-
-
-def _element_at(net: acnet.Netlist, kind: acnet.Kind, nodes=None) -> int:
-    """Index of the first element of ``kind`` (between ``nodes``, if given)."""
-    return next(
-        i
-        for i, e in enumerate(net.elements)
-        if e.kind is kind and (nodes is None or (e.node_a, e.node_b) == tuple(nodes))
-    )
 
 
 def find_resonant_peak(sweep: SweepResult) -> tuple:
@@ -734,7 +708,7 @@ def oracle_gap(rx: ReceiverParams, freqs) -> np.ndarray:
     src = GroundedTx(v_in=1.0, convention="rms")
     body = BodyModel(c_b=100e-12)
     freqs = np.asarray(freqs, dtype=float)
-    h_mna = acnet.solve_many(acnet.build_channel_netlist(rx, src, body), freqs).probe_voltage
+    h_mna = acnet._response(rx, src, body, freqs)[0]
     return np.abs(transfer_function(rx, freqs) - h_mna) / np.abs(h_mna)
 
 
@@ -749,6 +723,5 @@ def approximation_gap(
     """
     freqs = np.asarray(freqs, dtype=float)
     _, p_closed = channel_response(rx, src, body, freqs)
-    v = acnet.solve_many(acnet.build_channel_netlist(rx, src, body), freqs).probe_voltage
-    p_mna = np.abs(v) ** 2 / rx.r_l
+    p_mna = acnet._response(rx, src, body, freqs)[1]
     return (p_closed - p_mna) / p_mna

@@ -255,11 +255,18 @@ def _coefficients(rx: ReceiverParams, w, l) -> tuple:
     A = k*(r_s + j*w*L) + 1/(j*w*C_ret) and M = j*w*C_L*A + k, neither of
     which depends on R_L.  Since Re(A*conj(M)) = k^2*r_s,
     |D|^2 = |A|^2 + 2*k^2*r_s*R_L + |M|^2*R_L^2.  With C_L = 0, M is the
-    scalar k, which spares three array operations per evaluation.
+    scalar k, which spares three array operations per evaluation.  A
+    scalar ``w`` so small that j*w*C_ret is 0 raises
+    :class:`NonFiniteResultError` naming the frequency.
     """
     k = 1.0 + rx.c_gb / rx.c_ret
     jw = 1j * w
-    a = k * (rx.r_s + jw * l) + 1.0 / (jw * rx.c_ret)
+    try:
+        a = k * (rx.r_s + jw * l) + 1.0 / (jw * rx.c_ret)
+    except ZeroDivisionError:  # Python complex arithmetic: a scalar w
+        raise NonFiniteResultError(
+            f"the return-path impedance 1/(j*w*C_ret) at f = {float(w / TWO_PI)!r} Hz is not finite"
+        ) from None
     return a, jw * rx.c_l * a + k if rx.c_l else k, k
 
 

@@ -136,11 +136,19 @@ def optimal_load(
 
 def optimal_inductor(rx: ReceiverParams, f_target: float) -> float:
     """Series inductance resonating the receiver's parasitics at ``f_target``:
-    L = 1 / ((2*pi*f_target)^2 * (C_ret + C_GB))."""
+    L = 1 / ((2*pi*f_target)^2 * (C_ret + C_GB)).  Raises
+    :class:`~bodychannel.channel.NonFiniteResultError` when that
+    denominator underflows to 0 or overflows, or L overflows."""
     if not 0.0 < f_target < _INF:
         raise ValueError(f"f_target must be finite and > 0, got {f_target!r}")
-    c_total = rx.c_ret + rx.c_gb
-    return 1.0 / ((TWO_PI * f_target) ** 2 * c_total)
+    w = TWO_PI * f_target
+    denominator = w * w * (rx.c_ret + rx.c_gb)
+    if not (0.0 < denominator < _INF and 1.0 / denominator < _INF):
+        raise NonFiniteResultError(
+            f"no finite inductor resonates at f_target = {f_target!r} Hz: "
+            f"(2*pi*f_target)^2 * (C_ret + C_GB) = {denominator!r}"
+        )
+    return 1.0 / denominator
 
 
 def max_power_under_current_limit(

@@ -167,7 +167,7 @@ def contact_current(
             raise ValueError("receiver loading (rx) needs mna=True; the closed form has no receiver")
         return TWO_PI * f * body.c_b * body_potential(src, body, f)
     net, _ = acnet._build_netlist(src, body, [] if rx is None else [rx], [""])
-    v_body = acnet.solve(net, f).node_voltages["body"]
+    v_body = complex(acnet.solve_many(net, f).node_voltages["body"][0])
     return abs(v_body * 1j * TWO_PI * f * body.c_b)
 
 

@@ -7,9 +7,22 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, ResonantWearableTx, WearableTx
+from bodychannel.cli import COMMANDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+
+def shipped_cli_runs(out):
+    """The argv of every command on every shipped scenario, plain and with
+    ``--oracle``, ``--joint`` and ``--points 7``, each writing its CSV to
+    ``out``: 13 commands x 6 scenarios x 4 variants = 312 runs."""
+    return [
+        [command, "--config", str(scenario), "--out", str(out), *variant]
+        for scenario in sorted(SCENARIO_DIR.glob("*.scn"))
+        for command in COMMANDS
+        for variant in ([], ["--oracle"], ["--joint"], ["--points", "7"])
+    ]
 
 
 def log_uniform(rng, lo, hi):

@@ -57,7 +57,7 @@ def test_c02_oracle_equivalence():
         net = acnet.build_channel_netlist(rx, src, body)
         for _ in range(20):
             f = log_uniform(rng, 1.5e5, 8e6)
-            v_net = acnet.solve(net, f).probe_voltage
+            v_net = acnet.solve_many(net, f).probe_voltage[0]
             v_o = body_potential(src, body, f) * transfer_function(rx, f)
             worst = max(worst, abs(v_o - v_net) / abs(v_net))
     elapsed = time.perf_counter() - start

@@ -3,6 +3,7 @@ channel netlist builders."""
 
 import cmath
 import dataclasses
+import inspect
 import math
 import re
 
@@ -23,7 +24,6 @@ from bodychannel.acnet import (
     capacitor,
     inductor,
     resistor,
-    solve,
     solve_many,
     vsource,
 )
@@ -34,6 +34,7 @@ from bodychannel.channel import (
     ReceiverParams,
     ResonantWearableTx,
     WearableTx,
+    _response as closed_form_response,
     channel_response,
     resonant_frequency,
     transfer_function,
@@ -49,8 +50,8 @@ def solved_impedance(element, f: float) -> complex:
     """V / I of ``element`` placed alone across a 1 V source, as solved."""
     alone = dataclasses.replace(element, node_a="a", node_b=GROUND)
     net = Netlist(nodes=(0, "a"), elements=(vsource("a", 0, 1.0), alone), output_probe=("a", 0))
-    res = solve(net, f)
-    return res.probe_voltage / -res.source_current
+    res = solve_many(net, f)
+    return res.probe_voltage[0] / -res.source_current[0]
 
 
 def test_capacitor_impedance_half_picofarad_at_1mhz():
@@ -79,9 +80,9 @@ def test_inductor_impedance_matches_branch_voltage_over_current():
         elements=(vsource("a", 0, 1.0), inductor("a", "b", l_val), resistor("b", 0, 1e3)),
         output_probe=("a", "b"),
     )
-    res = solve(net, f)
-    i_branch = -res.source_current  # series loop current
-    assert abs(res.probe_voltage / i_branch) == pytest.approx(abs(z), rel=1e-9)
+    res = solve_many(net, f)
+    i_branch = -res.source_current[0]  # series loop current
+    assert abs(res.probe_voltage[0] / i_branch) == pytest.approx(abs(z), rel=1e-9)
 
 
 # ── canonical solves ────────────────────────────────────────────────────
@@ -100,8 +101,8 @@ def _divider() -> Netlist:
 
 
 def test_equal_series_resistors_halve_the_source():
-    res = solve(_divider(), 1e6)
-    assert res.probe_voltage == pytest.approx(0.5 + 0j, abs=1e-12)
+    res = solve_many(_divider(), 1e6)
+    assert res.probe_voltage[0] == pytest.approx(0.5 + 0j, abs=1e-12)
 
 
 def test_rc_corner_magnitude_is_inverse_sqrt2():
@@ -116,16 +117,8 @@ def test_rc_corner_magnitude_is_inverse_sqrt2():
         ),
         output_probe=("out", 0),
     )
-    res = solve(net, f_corner)
-    assert abs(res.probe_voltage) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-
-
-def test_sweep_single_point_equals_solve():
-    net = _divider()
-    res = solve_many(net, [2.5e6])
-    direct = solve(net, 2.5e6)
-    assert len(res.probe_voltage) == 1
-    assert res.probe_voltage[0] == direct.probe_voltage
+    res = solve_many(net, f_corner)
+    assert abs(res.probe_voltage[0]) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_sweep_divider_constant_over_frequency():
@@ -148,8 +141,9 @@ def test_channel_sweep_peak_sits_at_closed_form_resonance():
 # ── invariants ──────────────────────────────────────────────────────────
 
 
-def _kcl_residual(net: Netlist, res) -> float:
-    """Recompute the KCL residual from scratch, independent of the solver."""
+def _kcl_residual(net: Netlist, res, f: float) -> float:
+    """Recompute the KCL residual of the one-point solve ``res`` at ``f``
+    from scratch, independent of the solver."""
     currents = {n: 0j for n in net.nodes if n != GROUND}
     max_i = 0.0
     source_idx = 0
@@ -157,14 +151,14 @@ def _kcl_residual(net: Netlist, res) -> float:
     for e in net.elements:
         if e.kind is Kind.VSOURCE:
             continue
-        i = (res.node_voltages[e.node_a] - res.node_voltages[e.node_b]) * admittance(e, res.frequency)
+        i = (res.node_voltages[e.node_a][0] - res.node_voltages[e.node_b][0]) * admittance(e, f)
         max_i = max(max_i, abs(i))
         if e.node_a != GROUND:
             currents[e.node_a] += i
         if e.node_b != GROUND:
             currents[e.node_b] -= i
     assert len(sources) == 1
-    i_src = res.source_current
+    i_src = res.source_current[0]
     max_i = max(max_i, abs(i_src))
     e = sources[source_idx]
     if e.node_a != GROUND:
@@ -179,8 +173,8 @@ def test_kcl_residual_below_threshold_on_random_channels():
     for _ in range(25):
         rx = random_receiver(rng)
         net = build_channel_netlist(rx, unit_source(), random_body(rng))
-        res = solve(net, random_frequency(rng))
-        assert _kcl_residual(net, res) < 1e-9
+        f = random_frequency(rng)
+        assert _kcl_residual(net, solve_many(net, f), f) < 1e-9
 
 
 def test_linearity_in_source_amplitude():
@@ -189,12 +183,12 @@ def test_linearity_in_source_amplitude():
     body = random_body(rng)
     f = random_frequency(rng)
     alpha = 7.3
-    v1 = solve(build_channel_netlist(rx, GroundedTx(1.0, "rms"), body), f).node_voltages
-    v2 = solve(build_channel_netlist(rx, GroundedTx(alpha, "rms"), body), f).node_voltages
+    v1 = solve_many(build_channel_netlist(rx, GroundedTx(1.0, "rms"), body), f).node_voltages
+    v2 = solve_many(build_channel_netlist(rx, GroundedTx(alpha, "rms"), body), f).node_voltages
     for node, v in v1.items():
         if node == GROUND:
             continue
-        assert abs(v2[node] - alpha * v) <= 1e-12 * abs(alpha * v)
+        assert abs(v2[node][0] - alpha * v[0]) <= 1e-12 * abs(alpha * v[0])
 
 
 def test_oracle_equivalence_random_draws():
@@ -204,7 +198,7 @@ def test_oracle_equivalence_random_draws():
         net = build_channel_netlist(rx, unit_source(), random_body(rng))
         for _ in range(5):
             f = random_frequency(rng)
-            h_net = solve(net, f).probe_voltage
+            h_net = solve_many(net, f).probe_voltage[0]
             h = transfer_function(rx, f)
             assert abs(h_net - h) / abs(h) < 1e-9
 
@@ -280,7 +274,7 @@ def test_parallel_ideal_sources_are_singular():
         output_probe=("a", 0),
     )
     with pytest.raises(SingularNetworkError, match=re.escape(f"sweep failed at {1e6:.6g} Hz: singular network")):
-        solve(net, 1e6)
+        solve_many(net, 1e6)
 
 
 @pytest.mark.parametrize("element", [resistor("a", 0, 5e-324), inductor("a", 0, 5e-324)])
@@ -292,14 +286,7 @@ def test_an_admittance_that_overflows_names_its_frequency(element):
         output_probe=("a", 0),
     )
     with pytest.raises(SingularNetworkError, match=re.escape(f"sweep failed at {1e6:.6g} Hz: ")):
-        solve(net, 1e6)
-
-
-def test_describe_renders_one_element_per_line():
-    net = _divider()
-    lines = net.describe().splitlines()
-    assert lines[0].split() == ["VSOURCE", "in", "0", "1.0"]
-    assert all(len(line.split()) == 4 for line in lines)
+        solve_many(net, 1e6)
 
 
 # ── channel netlist builder ─────────────────────────────────────────────
@@ -321,8 +308,8 @@ def test_builder_ideal_grounded_source_pins_body():
     src = GroundedTx(v_in=3.0, convention="rms", r_src=0.0)
     net = build_channel_netlist(rx, src, BodyModel(c_b=100e-12, r_b=0.0))
     for f in (1e5, 1e6, 9e6):
-        res = solve(net, f)
-        assert res.node_voltages["body"] == pytest.approx(3.0 + 0j, abs=1e-12)
+        res = solve_many(net, f)
+        assert res.node_voltages["body"][0] == pytest.approx(3.0 + 0j, abs=1e-12)
 
 
 def test_builder_merges_shorted_receiver_branch():
@@ -336,7 +323,7 @@ def test_builder_full_params_match_closed_form():
     rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1e3, c_l=1e-12, r_s=250.0)
     net = build_channel_netlist(rx, unit_source(), BodyModel(c_b=150e-12))
     for f in (2e5, 1e6, 5e6):
-        h_net = solve(net, f).probe_voltage
+        h_net = solve_many(net, f).probe_voltage[0]
         assert h_net == pytest.approx(transfer_function(rx, f), rel=1e-9)
 
 
@@ -619,7 +606,77 @@ def test_grid_longer_than_a_block_equals_points_solved_alone():
         for node, v in alone.node_voltages.items():
             assert v[0] == whole.node_voltages[node][k]
         assert solve_many(net, freqs[k], load, loads[k]).probe_voltage[0] == swept.probe_voltage[k]
-        assert solve(net, freqs[k]).probe_voltage == whole.probe_voltage[k]
+
+
+@st.composite
+def _kernel_channels(draw):
+    """A receiver, source and body of any of the three source kinds, with
+    R_S, R_B, r_s, L, C_L and C_GB each zero or not, so the netlist may
+    hold up to four resistors and a kernel that sweeps the wrong one fails."""
+
+    def zero_or(lo, hi):
+        return draw(st.just(0.0) | _log_uniform(lo, hi))
+
+    rx = ReceiverParams(
+        c_ret=draw(_log_uniform(0.2e-12, 5e-12)),
+        c_gb=zero_or(0.1e-12, 10e-12),
+        l=zero_or(0.05e-3, 10e-3),
+        r_l=draw(_log_uniform(100.0, 10e3)),
+        c_l=zero_or(0.05e-12, 5e-12),
+        r_s=zero_or(10.0, 2e3),
+    )
+    body = BodyModel(c_b=draw(_log_uniform(50e-12, 300e-12)), r_b=zero_or(10.0, 1e3))
+    kind = draw(st.sampled_from(("grounded", "wearable", "resonant-wearable")))
+    v_in = draw(st.floats(1.0, 12.0))
+    if kind == "grounded":
+        return rx, GroundedTx(v_in, "pp", r_src=zero_or(10.0, 1e3)), body
+    c_ret_tx = draw(_log_uniform(0.5e-12, 5e-12))
+    if kind == "wearable":
+        return rx, WearableTx(v_in, "pp", c_ret_tx=c_ret_tx), body
+    return rx, ResonantWearableTx(v_in, "pp", c_ret_tx=c_ret_tx, q=draw(st.floats(2.0, 20.0))), body
+
+
+def test_kernel_takes_the_closed_form_kernels_parameters():
+    assert inspect.signature(acnet._response) == inspect.signature(closed_form_response)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    channel=_kernel_channels(),
+    f=_log_uniform(1.5e5, 8e6),
+    axis=st.sampled_from(("load", "inductance", "input_voltage")),
+)
+def test_kernel_sweep_equals_a_netlist_rebuilt_at_each_point(channel, f, axis):
+    # The kernel stamps one netlist and varies one element (or scales the
+    # drive); the reference rebuilds and solves the netlist at each point.
+    rx, src, body = channel
+    scale = np.geomspace(0.5, 2.0, 5)
+    if axis == "load":
+        values, rebuild = rx.r_l * scale, lambda x: (dataclasses.replace(rx, r_l=x), src)
+    elif axis == "inductance":
+        values, rebuild = 2e-3 * scale, lambda x: (dataclasses.replace(rx, l=x), src)
+    else:
+        values, rebuild = src.v_in * scale, lambda x: (rx, dataclasses.replace(src, v_in=x))
+    freqs = np.array([resonant_frequency(rebuild(float(x))[0]) for x in values]) if axis == "inductance" else f
+    keyword = {"load": "r_l", "inductance": "l", "input_voltage": "v_in"}[axis]
+    v_o, p = acnet._response(rx, src, body, freqs, **{keyword: values})
+    sweep = analysis.simulate(axis, rx, src, body, values, f=f, mna=True)
+    assert np.array_equal(sweep.v_o, v_o) and np.array_equal(sweep.p_out_rms, p)
+
+    refs = [
+        solve_many(build_channel_netlist(*rebuild(float(x)), body), f_k)
+        for x, f_k in zip(values, np.broadcast_to(freqs, values.shape))
+    ]
+    ref_v = np.array([ref.probe_voltage[0] for ref in refs])
+    assert np.array_equal(p, np.abs(v_o) ** 2 / (values if axis == "load" else rx.r_l))
+    if axis == "input_voltage":
+        # One solve scaled by the drive agrees to rounding, not bit for bit.
+        # The probe is a difference of node voltages that can cancel, so the
+        # bound is relative to the largest node voltage.
+        node_scale = np.array([max(abs(v[0]) for v in ref.node_voltages.values()) for ref in refs])
+        assert np.all(np.abs(v_o - ref_v) <= 1e-12 * node_scale)
+    else:
+        assert np.array_equal(v_o, ref_v)
 
 
 def test_singular_point_inside_a_stack_names_its_frequency():
@@ -654,7 +711,7 @@ def test_solve_many_input_validation():
         solve_many(net, [])
     for f in (0.0, -5.0, math.nan):
         with pytest.raises(ValueError, match="finite and > 0"):
-            solve(net, f)
+            solve_many(net, f)
     with pytest.raises(ValueError, match="together"):
         solve_many(net, [1e6], element=1)
     with pytest.raises(ValueError, match="RESISTOR"):

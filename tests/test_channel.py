@@ -173,7 +173,7 @@ def test_transfer_function_matches_netlist_with_loss():
         rx = random_receiver(rng)  # r_s > 0 in most draws
         net = acnet.build_channel_netlist(rx, unit_source(), random_body(rng))
         f = random_frequency(rng)
-        h_net = acnet.solve(net, f).probe_voltage
+        h_net = acnet.solve_many(net, f).probe_voltage[0]
         h = transfer_function(rx, f)
         assert abs(h - h_net) / abs(h_net) < 1e-9
 

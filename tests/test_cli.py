@@ -16,7 +16,6 @@ from bodychannel import analysis
 from bodychannel.analysis import AXES, SweepResult, simulate_frequency_sweep
 from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, resonant_frequency
 from bodychannel.cli import (
-    COMMANDS,
     ConfigError,
     CsvFormatError,
     DuplicateAxisError,
@@ -29,7 +28,7 @@ from bodychannel.cli import (
     run,
     sweep_to_table,
 )
-from helpers import REPO_ROOT, SCENARIO_DIR
+from helpers import REPO_ROOT, SCENARIO_DIR, shipped_cli_runs
 
 BASE_SCENARIO = """\
 [receiver]
@@ -841,20 +840,49 @@ def _run_quietly(argv) -> int:
 
 def test_every_command_on_every_shipped_scenario_exits_cleanly_with_finite_cells(tmp_path, capsys):
     out = tmp_path / "out.csv"
-    runs = 0
-    for scenario in sorted(SCENARIO_DIR.glob("*.scn")):
-        for command in COMMANDS:
-            for variant in ([], ["--oracle"], ["--joint"], ["--points", "7"]):
-                out.unlink(missing_ok=True)
-                argv = [command, "--config", str(scenario), "--out", str(out), *variant]
-                assert _run_quietly(argv) in (0, 2, 3, 4), argv
-                if out.exists():
-                    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
-                    assert rows, argv
-                    assert all(math.isfinite(float(c)) for row in rows for c in row.split(",")), argv
-                runs += 1
+    runs = shipped_cli_runs(out)
+    for argv in runs:
+        out.unlink(missing_ok=True)
+        assert _run_quietly(argv) in (0, 2, 3, 4), argv
+        if out.exists():
+            rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+            assert rows, argv
+            assert all(math.isfinite(float(c)) for row in rows for c in row.split(",")), argv
     capsys.readouterr()
-    assert runs == 312
+    assert len(runs) == 312
+
+
+def _at_frequency(scenario: str, frequency: str) -> str:
+    """The text of a shipped scenario with ``sweep.frequency`` set to ``frequency``."""
+    lines = (SCENARIO_DIR / scenario).read_text().splitlines()
+    lines = [line for line in lines if not line.startswith("frequency")]
+    k = lines.index("[sweep]") + 1
+    return "\n".join([*lines[:k], f"frequency = {frequency}", *lines[k:]]) + "\n"
+
+
+_EXTREME_FREQUENCY_RUNS = [
+    *(
+        ("optimize-inductor", scenario, frequency)
+        for scenario in sorted(p.name for p in SCENARIO_DIR.glob("*.scn"))
+        for frequency in ("1e-200", "1e200")
+    ),
+    *((command, "fig4c.scn", "5e-324") for command in ("sweep-load", "sweep-load --oracle", "optimize-load", "optimize-load --oracle")),
+    *(("sweep-vin", scenario, "5e-324") for scenario in ("rx1.scn", "rx2.scn", "rx3.scn")),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "scenario", "frequency"), _EXTREME_FREQUENCY_RUNS, ids=[" ".join(run) for run in _EXTREME_FREQUENCY_RUNS]
+)
+def test_an_extreme_operating_frequency_is_a_model_error(tmp_path, capsys, command, scenario, frequency):
+    # (2*pi*f)^2 underflows or overflows, or 1/(j*w*C_ret) divides by a
+    # complex zero: each is named instead of ending in a traceback.
+    path = _scenario(tmp_path, _at_frequency(scenario, frequency))
+    (tmp_path / "example_limits.lmt").write_bytes((SCENARIO_DIR / "example_limits.lmt").read_bytes())
+    out = tmp_path / "out.csv"
+    assert _run_quietly([*command.split(), "--config", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("model error:")
 
 
 def test_optimize_load_whose_power_is_not_finite_exits_3(tmp_path, capsys):
