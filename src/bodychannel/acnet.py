@@ -212,10 +212,10 @@ class _Stamped:
         self.inc = incidence[passive_at]
         self.src_inc = incidence[source_at]
         self.outer = np.einsum("ei,ej->eij", self.inc, self.inc).reshape(len(passive_at), n * n)
-        passives = [netlist.elements[i] for i in passive_at]
-        self.values = np.array([e.value for e in passives])
+        self.passives = [netlist.elements[i] for i in passive_at]
+        self.values = np.array([e.value for e in self.passives])
         self.is_r, self.is_c, self.is_l = (
-            np.array([e.kind is kind for e in passives], dtype=float)
+            np.array([e.kind is kind for e in self.passives], dtype=float)
             for kind in (Kind.RESISTOR, Kind.CAPACITOR, Kind.INDUCTOR)
         )
         self.swept = None if swept is None else passive_at.index(swept)
@@ -248,7 +248,7 @@ class _Stamped:
                 x = np.linalg.solve(a, rhs)[:, :, 0]
             except np.linalg.LinAlgError:
                 if len(f) == 1:
-                    raise self._failure(f[0], _diagnose_singular(a[0], self.nodes)) from None
+                    raise self._singular(f[0], v[0], a[0]) from None
                 # Name the first failing point: solve the block one point at a time.
                 for k in range(len(f)):
                     self.solve(f[k : k + 1], None if values is None else values[k : k + 1])
@@ -265,13 +265,36 @@ class _Stamped:
         if bad.any():
             k = int(np.argmax(bad))
             if not finite[k]:
-                raise self._failure(f[k], _diagnose_singular(a[k], self.nodes))
+                raise self._singular(f[k], v[k], a[k])
             raise self._failure(
                 f[k],
                 f"KCL residual {residual[k]:.3e} exceeds 1e-9 of max branch current "
                 f"{max_branch[k]:.3e}; system is ill conditioned",
             )
         return x
+
+    def _singular(self, f: float, v: np.ndarray, a: np.ndarray) -> SingularNetworkError:
+        """The error for a singular point at frequency ``f``, with element
+        values ``v`` and matrix ``a``: it names each element whose admittance
+        is 0 or not finite in double precision, else a dead node, else a
+        source loop."""
+        s = 1j * (TWO_PI * f)
+        with np.errstate(all="ignore"):
+            y = np.where(self.is_r, 1.0 / v, np.where(self.is_c, s * v, 1.0 / (s * v)))
+        degenerate = [
+            f"the {e.kind.name.lower()} between {e.node_a!r} and {e.node_b!r} "
+            f"is {'0' if y_e == 0 else 'not finite'}"
+            for e, y_e in zip(self.passives, y.tolist())
+            if y_e == 0 or not cmath.isfinite(y_e)
+        ]
+        dead = ", ".join(repr(node) for node, row in zip(self.nodes, a) if not row.any())
+        if degenerate:
+            why = "in double precision the admittance of " + ", of ".join(degenerate)
+        elif dead:
+            why = f"singular network: node(s) {dead} have no admittance to the rest"
+        else:
+            why = "singular network: MNA matrix is not invertible (check for source loops)"
+        return self._failure(f, why)
 
     @staticmethod
     def _failure(f: float, why: str) -> SingularNetworkError:
@@ -333,14 +356,6 @@ def solve_many(
         source_current=x[:, stamped.n],
         probe_voltage=voltages[v_plus] - voltages[v_minus],
     )
-
-
-def _diagnose_singular(a: np.ndarray, unknown_nodes: list) -> str:
-    dead = [i for i in range(len(unknown_nodes)) if not np.any(a[i])]
-    if dead:
-        names = ", ".join(repr(unknown_nodes[i]) for i in dead)
-        return f"singular network: node(s) {names} have no admittance to the rest"
-    return "singular network: MNA matrix is not invertible (check for source loops)"
 
 
 def _build_netlist(src: SourceModel, body: BodyModel, receivers: Sequence[ReceiverParams], tags):

@@ -28,7 +28,6 @@ from .channel import (
     _body_potential,
     _peak_frequency,
     _power_and_log_gradient,
-    _power_slope_at_zero,
     _resonance,
     _response,
     channel_response,
@@ -366,8 +365,9 @@ def fit_params(
     damped Gauss-Newton (Levenberg-Marquardt) iteration.  Free parameters
     are optimized in log space, which enforces positivity.  Each trial step
     costs one closed-form evaluation, which returns the powers together with
-    their analytic log-log Jacobian (``channel._power_and_log_gradient``);
-    an accepted trial's Jacobian serves the next iteration.  Each iteration
+    their analytic gradient d log P / d theta (``channel._power_and_log_gradient``),
+    which times the trial's field values is the log-log Jacobian; an
+    accepted trial's Jacobian serves the next iteration.  Each iteration
     factors its Jacobian once, by one thin SVD of the column-scaled
     J/|columns| = U*diag(s)*Vt, and forms no normal equations: the damped
     step for damping lam is -V*(s/(s^2 + lam) * U'r)/|columns|, the solution
@@ -430,11 +430,13 @@ def fit_params(
         is 0 or not finite (whose log residual is undefined) or to a
         Jacobian that is not finite (a kernel that overflows there)."""
         try:
-            r = ReceiverParams(**{**fields, **dict(zip(free, map(math.exp, t)))})
+            values = list(map(math.exp, t))
         except OverflowError:
             return None
+        r = ReceiverParams(**{**fields, **dict(zip(free, values))})
         with np.errstate(over="ignore", invalid="ignore"):
             p, jac = _power_and_log_gradient(r, src, body, freqs, free)
+            jac *= values  # d log P / d log theta = theta * d log P / d theta
         if not (0.0 < p.min() <= p.max() < math.inf and np.isfinite(jac).all()):
             return None
         return p, np.log(p) - log_p_obs, jac
@@ -621,15 +623,14 @@ def sensitivity(
 
     Targets: ``"f0"`` (resonant frequency), ``"gain"`` (resonant gain), or
     ``"power"`` (received power at ``f``, which also needs ``src`` and
-    ``body``).  Each is a closed form; the power's is P * (d log P / d log
-    theta) / theta, from the kernel's analytic log-log gradient, and at
-    theta = 0 it is -2*P*Re(dD/dtheta / D) (``channel._power_slope_at_zero``).
+    ``body``).  Each is a closed form; the power's is P * d log P / d theta,
+    from the kernel's analytic gradient (``channel._power_and_log_gradient``),
+    for every field and every value, 0 included.
     """
     if target not in ("f0", "gain", "power"):
         raise ValueError(f"unknown target {target!r}")
     if param not in ReceiverParams.__dataclass_fields__:
         raise ValueError(f"unknown receiver parameter {param!r}")
-    x0 = getattr(rx, param)
 
     c_total = rx.c_ret + rx.c_gb
     if target == "power":
@@ -637,11 +638,8 @@ def sensitivity(
             raise ValueError("target 'power' needs f, src, and body")
         if not 0.0 < f < math.inf:
             raise ValueError(f"frequency must be finite and > 0, got {f!r}")
-        if x0 == 0.0:
-            value = _power_slope_at_zero(rx, src, body, f, param)
-        else:
-            p, g = _power_and_log_gradient(rx, src, body, np.array([f], dtype=float), (param,))
-            value = float(p[0] * g[0, 0]) / x0
+        p, g = _power_and_log_gradient(rx, src, body, np.array([f], dtype=float), (param,))
+        value = float(p[0] * g[0, 0])
     elif target == "f0":
         # f0 is proportional to (L * (C_ret + C_GB))**-0.5.
         f0 = resonant_frequency(rx)

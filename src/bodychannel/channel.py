@@ -274,15 +274,16 @@ def _power_and_log_gradient(
     rx: ReceiverParams, src: SourceModel, body: BodyModel, f, free
 ) -> tuple:
     """The rms load power at each frequency ``f`` (as :func:`_response`
-    gives it, bit for bit) and its log-log sensitivities
-    d log P / d log theta, one column per receiver field named in ``free``.
+    gives it, bit for bit) and its gradient d log P / d theta, one column per
+    receiver field named in ``free``, per unit of that field.
 
     P = |V_B|^2 * R_L / |D|^2, and the body potential does not depend on the
-    receiver, so d log P / d log theta = -2*Re(theta * dD/dtheta / D), plus 1
-    for r_l.  With e = 1 + j*w*C_L*R_L, Z_s = r_s + j*w*L and
-    rho = C_GB/C_ret, theta * dD/dtheta is k*r_s*e, j*w*L*k*e,
-    rho*(Z_s*e + R_L), -(rho*Z_s + 1/(j*w*C_ret))*e - rho*R_L, R_L*M and
-    j*w*C_L*R_L*A for r_s, l, c_gb, c_ret, r_l and c_l.
+    receiver, so d log P / d theta = -2*Re(dD/dtheta / D), plus 1/R_L for
+    r_l.  With e = 1 + j*w*C_L*R_L, Z_s = r_s + j*w*L and
+    g = (Z_s*e + R_L)/C_ret, dD/dtheta is k*e, j*w*k*e, g,
+    -(C_GB*g + e/(j*w*C_ret))/C_ret, M and j*w*R_L*A for r_s, l, c_gb,
+    c_ret, r_l and c_l, each evaluated only for a named field.  D is affine
+    in r_s, l, c_gb and c_l, so their columns hold where the field is 0 too.
     """
     w = TWO_PI * f
     a, m, k = _coefficients(rx, w, rx.l)
@@ -291,48 +292,22 @@ def _power_and_log_gradient(
     jw = 1j * w
     # With C_L = 0, e is the scalar 1, which spares array products.
     e = 1.0 + jw * (rx.c_l * rx.r_l) if rx.c_l else 1.0
-    rho_g = rx.c_gb / rx.c_ret * ((rx.r_s + jw * rx.l) * e + rx.r_l)
-    scaled = {
-        "r_s": lambda: k * rx.r_s * e,
-        "l": lambda: jw * rx.l * k * e,
-        "c_gb": lambda: rho_g,
-        "c_ret": lambda: e / (jw * -rx.c_ret) - rho_g,  # -e/(j*w*C_ret) - rho*(Z_s*e + R_L)
-        "r_l": lambda: rx.r_l * m,
-        "c_l": lambda: jw * (rx.c_l * rx.r_l) * a,
+    g = ((rx.r_s + jw * rx.l) * e + rx.r_l) / rx.c_ret
+    derivative = {
+        "r_s": lambda: k * e,
+        "l": lambda: jw * k * e,
+        "c_gb": lambda: g,
+        "c_ret": lambda: (e / (jw * -rx.c_ret) - rx.c_gb * g) / rx.c_ret,
+        "r_l": lambda: m,
+        "c_l": lambda: jw * rx.r_l * a,
     }
     minus_2_over_d = -2.0 / d
     jac = np.empty((len(w), len(free)))
     for i, name in enumerate(free):
-        jac[:, i] = (scaled[name]() * minus_2_over_d).real
+        jac[:, i] = (derivative[name]() * minus_2_over_d).real
         if name == "r_l":
-            jac[:, i] += 1.0
+            jac[:, i] += 1.0 / rx.r_l
     return np.abs(v_o) ** 2 / rx.r_l, jac
-
-
-def _power_slope_at_zero(
-    rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float, name: str
-) -> float:
-    """dP/dtheta at one frequency ``f`` for a receiver field ``name`` (r_s,
-    l, c_gb or c_l) whose value in ``rx`` is 0, where the log-log
-    sensitivity of :func:`_power_and_log_gradient` carries no slope.
-
-    D is affine in each of these fields, so dD/dtheta is that function's
-    theta*dD/dtheta over theta: k*e, j*w*k*e, (Z_s*e + R_L)/C_ret and
-    j*w*R_L*A, and dP/dtheta = -2*P*Re(dD/dtheta / D).
-    """
-    w = TWO_PI * f
-    a, m, k = _coefficients(rx, w, rx.l)
-    d = a + rx.r_l * m
-    jw = 1j * w
-    e = 1.0 + jw * (rx.c_l * rx.r_l)
-    slope = {
-        "r_s": k * e,
-        "l": jw * k * e,
-        "c_gb": ((rx.r_s + jw * rx.l) * e + rx.r_l) / rx.c_ret,
-        "c_l": jw * rx.r_l * a,
-    }[name]
-    p = abs(_body_potential(src, body, v_in_rms(src)) * (rx.r_l / d)) ** 2 / rx.r_l
-    return -2.0 * p * (slope / d).real
 
 
 def _resonance(l, c_total):

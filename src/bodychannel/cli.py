@@ -17,6 +17,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -27,6 +28,7 @@ from .analysis import AXES, AXIS_LABEL, SweepResult
 from .channel import (
     BodyModel,
     GroundedTx,
+    NonFiniteResultError,
     ReceiverParams,
     ResonantWearableTx,
     SourceModel,
@@ -293,7 +295,8 @@ def load_scenario(path) -> ScenarioConfig:
 @dataclass
 class ResultTable:
     """Rectangular numeric table with unit-bearing column names and a
-    timestamp-free provenance header."""
+    timestamp-free provenance header.  A cell that is not finite raises
+    :class:`NonFiniteResultError` naming its column and row."""
 
     columns: list
     rows: list
@@ -305,6 +308,13 @@ class ResultTable:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("rows must match the column count")
+        # One C-level pass over the cells; numpy's fixed cost per call would
+        # dominate the one-row tables of the design commands.
+        if not all(map(math.isfinite, chain.from_iterable(self.rows))):
+            i, j = np.argwhere(~np.isfinite(np.array(self.rows, dtype=float)))[0]
+            raise NonFiniteResultError(
+                f"column {self.columns[j]!r} of row {i + 1} is {float(self.rows[i][j])!r}, not finite"
+            )
 
     def to_csv(self) -> str:
         lines = [f"# {k}={v}" for k, v in self.provenance.items()]

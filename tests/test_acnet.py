@@ -289,6 +289,20 @@ def test_an_admittance_that_overflows_names_its_frequency(element):
         solve_many(net, 1e6)
 
 
+def test_a_frequency_whose_admittances_leave_double_precision_names_them():
+    # At 5e-324 Hz, s*C underflows to 0 and 1/(s*L) overflows: the channel
+    # netlist is singular through no fault of its topology, so the error
+    # names those elements, not a source loop.
+    rx = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3, r_s=1e3)
+    with pytest.raises(SingularNetworkError) as excinfo:
+        acnet._response(rx, GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12), [5e-324])
+    assert str(excinfo.value) == (
+        f"sweep failed at {5e-324:.6g} Hz: in double precision the admittance of the capacitor "
+        "between 'body' and 0 is 0, of the inductor between 'n1' and 'out' is not finite, "
+        "of the capacitor between 'fg' and 0 is 0"
+    )
+
+
 # ── channel netlist builder ─────────────────────────────────────────────
 
 

@@ -522,25 +522,41 @@ def test_identifiability_error_names_the_degenerate_parameters(seed, n_free, kin
 
 
 @st.composite
-def _jacobian_points(draw):
-    """A receiver with L > 0 and each of C_L and r_s zero or not, a source
-    of each kind, and a frequency within a decade of resonance."""
+def _jacobian_points(draw, zero_fields=("c_l", "r_s")):
+    """A receiver with each field named in ``zero_fields`` zero or not, a
+    source of each kind, and a frequency within a decade of the resonance of
+    a drawn L > 0 (which is then zeroed half the time where ``zero_fields``
+    names ``l``)."""
+
+    def field(name, lo, hi):
+        values = log_uniform_floats(lo, hi)
+        return draw(st.just(0.0) | values if name in zero_fields else values)
+
     rx = ReceiverParams(
         c_ret=draw(log_uniform_floats(0.5e-12, 50e-12)),
-        c_gb=draw(log_uniform_floats(0.1e-12, 20e-12)),
+        c_gb=field("c_gb", 0.1e-12, 20e-12),
         l=draw(log_uniform_floats(10e-6, 10e-3)),
         r_l=draw(log_uniform_floats(10.0, 1e5)),
-        c_l=draw(st.just(0.0) | log_uniform_floats(0.1e-12, 10e-12)),
-        r_s=draw(st.just(0.0) | log_uniform_floats(1.0, 1e4)),
+        c_l=field("c_l", 0.1e-12, 10e-12),
+        r_s=field("r_s", 1.0, 1e4),
     )
     f = resonant_frequency(rx) * draw(log_uniform_floats(0.1, 10.0))
+    if "l" in zero_fields and draw(st.booleans()):
+        rx = replace(rx, l=0.0)
     return rx, draw_source(draw), BodyModel(c_b=draw(log_uniform_floats(10e-12, 300e-12))), f
 
 
+#: A scale for each receiver field: the step of a difference quotient, or of
+#: a slack, where the field itself is 0.
+_FIELD_UNIT = {"c_ret": 1e-12, "c_gb": 1e-12, "l": 1e-3, "r_l": 1e3, "c_l": 1e-12, "r_s": 1e3}
+
+
 def _mp_log_gain_gradient(rx, f, name):
-    """theta * dH/dtheta / H for the field ``name``: the complex gradient of
-    log H, whose real part is half of d log P / d log theta.  A central
-    difference in 60-digit arithmetic on the textbook transfer function."""
+    """dH/dtheta / H for the field ``name``: the complex gradient of log H,
+    whose real part is half of d log P / d theta.  A central difference in
+    60-digit arithmetic on the textbook transfer function, with a step of
+    1e-25 of the field, or of its unit where the field is 0 (H is analytic
+    through 0 in r_s, l, c_gb and c_l)."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(60):
         values = {k: mp.mpf(getattr(rx, k)) for k in ("c_ret", "c_gb", "l", "r_l", "c_l", "r_s")}
@@ -550,19 +566,18 @@ def _mp_log_gain_gradient(rx, f, name):
             return mp_transfer(w, **dict(values, **{name: theta}))
 
         theta = values[name]
-        h = theta * mp.mpf("1e-25")
-        if h == 0:
-            return 0j  # theta * (a finite derivative)
-        return complex(theta * (gain(theta + h) - gain(theta - h)) / (2 * h) / gain(theta))
+        h = (theta or mp.mpf(_FIELD_UNIT[name])) * mp.mpf("1e-25")
+        return complex((gain(theta + h) - gain(theta - h)) / (2 * h) / gain(theta))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(point=_jacobian_points())
+@given(point=_jacobian_points(zero_fields=("c_gb", "l", "c_l", "r_s")))
 def test_fit_jacobian_matches_a_60_digit_central_difference(point):
     # The real part of a complex quotient is resolved relative to its
     # modulus: near resonance |d log H / d log theta| ~ Q while its real
     # part can pass through 0.  P = |V_B*H|^2 / R_L, so the r_l column is
-    # 2*Re(d log H / d log R_L) - 1.
+    # 2*Re(d log H / d R_L) - 1/R_L.  Each field that may be 0 is 0 in some
+    # draws, where its column is checked through the same kernel.
     rx, src, body, f = point
     freqs = np.array([f])
     fields = (*analysis.FIT_PARAMETERS, "r_l", "c_l")
@@ -570,10 +585,11 @@ def test_fit_jacobian_matches_a_60_digit_central_difference(point):
     assert p[0] == _response(rx, src, body, freqs)[1][0]
     for k, name in enumerate(fields):
         g = 2.0 * _mp_log_gain_gradient(rx, f, name)
+        scale = getattr(rx, name) or _FIELD_UNIT[name]
         if name == "r_l":
-            assert abs(jac[0, k] - (g.real - 1.0)) <= 1e-8 * (abs(g) + 1.0) + 1e-12, name
+            assert abs(jac[0, k] - (g.real - 1.0 / rx.r_l)) <= 1e-8 * (abs(g) + 1.0 / rx.r_l) + 1e-12 / scale, name
         elif name == "c_l":
-            assert abs(jac[0, k] - g.real) <= 1e-8 * abs(g) + 1e-12, name
+            assert abs(jac[0, k] - g.real) <= 1e-8 * abs(g) + 1e-12 / scale, name
         else:
             assert abs(jac[0, k] - g.real) <= 1e-8 * abs(g), name
 

@@ -3,6 +3,7 @@ measured-data import."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from bodychannel import analysis
 from bodychannel.analysis import AXES, SweepResult, simulate_frequency_sweep
-from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, resonant_frequency
+from bodychannel.channel import BodyModel, GroundedTx, NonFiniteResultError, ReceiverParams, resonant_frequency
 from bodychannel.cli import (
     ConfigError,
     CsvFormatError,
@@ -883,6 +884,42 @@ def test_an_extreme_operating_frequency_is_a_model_error(tmp_path, capsys, comma
     assert _run_quietly([*command.split(), "--config", str(path), "--out", str(out)]) == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("model error:")
+
+
+def test_an_oracle_run_at_an_underflowing_frequency_names_the_admittances(tmp_path, capsys):
+    # s*C underflows to 0 at 5e-324 Hz; the topology is not at fault.
+    path = _scenario(tmp_path, _at_frequency("fig4c.scn", "5e-324"))
+    assert _run_quietly(["sweep-load", "--oracle", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "in double precision the admittance of the capacitor between 'body' and 0 is 0" in err
+    assert "source loops" not in err
+
+
+_NON_FINITE_MULTI = {
+    "C_GB = 1e300": {"C_GB": "1e300"},
+    "C_L = 1e300": {"C_L": "1e300"},
+    "C_ret = 1e-300, C_GB = 1e30": {"C_ret": "1e-300", "C_GB": "1e30"},
+    "C_ret = 1e-300, C_L = 1e30": {"C_ret": "1e-300", "C_L": "1e30"},
+}
+
+
+@pytest.mark.parametrize("keys", _NON_FINITE_MULTI.values(), ids=_NON_FINITE_MULTI)
+def test_multi_whose_cells_are_not_finite_exits_3(tmp_path, capsys, keys):
+    # k = 1 + C_GB/C_ret or the load's C_L overflows in Python float
+    # arithmetic, which warns nothing; the table names the first bad cell.
+    text = (SCENARIO_DIR / "fig4c.scn").read_text()
+    for key, value in keys.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    out = tmp_path / "multi.csv"
+    assert _run_quietly(["multi", "--config", str(_scenario(tmp_path, text)), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "model error: column 'v_o_mag[V]' of row 1 is nan, not finite\n"
+
+
+def test_result_table_rejects_a_cell_that_is_not_finite():
+    for value, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+        with pytest.raises(NonFiniteResultError, match=re.escape(f"column 'b' of row 2 is {shown}, not finite")):
+            ResultTable(columns=["a", "b"], rows=[[1.0, 2.0], [3.0, value]])
 
 
 def test_optimize_load_whose_power_is_not_finite_exits_3(tmp_path, capsys):
