@@ -96,8 +96,7 @@ class SweepResult:
             raise ValueError("values and p_out_rms must be 1-d arrays of equal length")
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
-        if not np.isfinite(self.p_out_rms).all():
-            raise ValueError("p_out_rms must be finite")
+        self._require_finite("p_out_rms", self.p_out_rms)
         if np.any(np.diff(self.values) <= 0.0):
             raise ValueError("axis values must be strictly increasing")
         if np.any(self.p_out_rms < 0.0):
@@ -106,8 +105,13 @@ class SweepResult:
             self.v_o = np.asarray(self.v_o, dtype=complex)
             if self.v_o.shape != self.values.shape:
                 raise ValueError("v_o must match the axis length")
-            if not np.isfinite(self.v_o).all():
-                raise ValueError("v_o must be finite")
+            self._require_finite("v_o", self.v_o)
+
+    def _require_finite(self, name: str, data: np.ndarray) -> None:
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            at, value = self.values[bad[0]].item(), data[bad[0]].item()
+            raise ValueError(f"{name} must be finite; at {self.axis} = {at!r} it is {value!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -132,11 +136,13 @@ def simulate(
 
     The inputs are checked once, before either backend runs, so both raise
     the same error: every axis value, and a fixed ``f``, must be finite and
-    > 0 (:class:`NonResonantReceiverError` for an inductance <= 0).
+    > 0 (:class:`NonResonantReceiverError` for an inductance <= 0); a result
+    past double precision is a ValueError naming its axis value, with no warning.
     """
     values = np.asarray(values, dtype=float)
-    freqs, swept = _sweep_points(axis, rx, values, f)
-    v_o, p = (acnet._response if mna else _response)(rx, src, body, freqs, **swept)
+    with np.errstate(all="ignore"):
+        freqs, swept = _sweep_points(axis, rx, values, f)
+        v_o, p = (acnet._response if mna else _response)(rx, src, body, freqs, **swept)
     circuit = (rx, src, body) if axis == "frequency" and not mna else None
     return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o, circuit=circuit)
 
@@ -162,8 +168,7 @@ def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple
     if axis == "frequency":
         return values, {}
     if axis == "inductance":
-        with np.errstate(divide="ignore"):  # an underflowing L*C gives inf, rejected next
-            freqs = _resonance(values, rx.c_ret + rx.c_gb)
+        freqs = _resonance(values, rx.c_ret + rx.c_gb)  # an underflowing L*C gives inf
         _require_positive("the resonant frequency of every inductance", freqs)
         return freqs, {"l": values}
     if f is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import inspect
 import math
 import os
 import sys
@@ -435,16 +436,6 @@ def _operating_frequency(config: ScenarioConfig, required: Optional[str] = None)
     return resonant_frequency(config.receiver)
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    """Command-line knobs shared by the command handlers."""
-
-    points: Optional[int] = None
-    tolerance: Optional[float] = None
-    joint: bool = False
-    oracle: bool = False
-
-
 _SWEEP_AXIS = {
     "sweep-freq": "frequency",
     "sweep-load": "load",
@@ -453,24 +444,22 @@ _SWEEP_AXIS = {
 }
 
 
-def _sweep(axis: str, config: ScenarioConfig, options: RunOptions) -> tuple:
+def _sweep(axis: str, config: ScenarioConfig, points: Optional[int] = None, oracle: bool = False) -> tuple:
     spec = _require_axis(config, axis)
     f = _operating_frequency(config) if axis in ("load", "input_voltage") else None
-    xs = spec.grid(options.points)
-    sweep = analysis.simulate(
-        axis, config.receiver, config.source, config.body, xs, f, mna=options.oracle
-    )
+    xs = spec.grid(points)
+    sweep = analysis.simulate(axis, config.receiver, config.source, config.body, xs, f, mna=oracle)
     return sweep_to_table(sweep), EXIT_OK, {} if f is None else {"frequency_hz": repr(f)}
 
 
-def _resonance(config: ScenarioConfig, options: RunOptions) -> tuple:
+def _resonance(config: ScenarioConfig, oracle: bool = False) -> tuple:
     rx = config.receiver
     f0 = resonant_frequency(rx)
-    sweep = analysis.simulate("frequency", rx, config.source, config.body, [f0], mna=options.oracle)
+    sweep = analysis.simulate("frequency", rx, config.source, config.body, [f0], mna=oracle)
     return sweep_to_table(sweep), EXIT_OK, {}
 
 
-def _optimize_load(config: ScenarioConfig, options: RunOptions) -> tuple:
+def _optimize_load(config: ScenarioConfig) -> tuple:
     spec = _require_axis(config, "load")
     f = _operating_frequency(config)
     bounds = (spec.lo, spec.hi)
@@ -483,7 +472,7 @@ def _optimize_load(config: ScenarioConfig, options: RunOptions) -> tuple:
     return table, EXIT_OK, extra
 
 
-def _optimize_inductor(config: ScenarioConfig, options: RunOptions) -> tuple:
+def _optimize_inductor(config: ScenarioConfig) -> tuple:
     f = _operating_frequency(config, "optimize-inductor needs sweep.frequency as the target")
     l_opt = optimize.optimal_inductor(config.receiver, f)
     achieved = resonant_frequency(replace(config.receiver, l=l_opt))
@@ -497,11 +486,11 @@ def _optimize_inductor(config: ScenarioConfig, options: RunOptions) -> tuple:
 _SAFETY_NEEDS_FREQUENCY = "safety commands need sweep.frequency (the operating point)"
 
 
-def _safety(config: ScenarioConfig, options: RunOptions) -> tuple:
+def _safety(config: ScenarioConfig, oracle: bool = False) -> tuple:
     limits = _load_limits(config)
     f = _operating_frequency(config, _SAFETY_NEEDS_FREQUENCY)
-    rx = config.receiver if options.oracle else None
-    report = safety.check(config.source, config.body, f, limits, rx=rx, mna=options.oracle)
+    rx = config.receiver if oracle else None
+    report = safety.check(config.source, config.body, f, limits, rx=rx, mna=oracle)
     table = ResultTable(
         columns=["frequency[Hz]", "contact_current_rms[A]", "limit_rms[A]", "margin", "passed"],
         rows=[[f, report.contact_current_rms, report.limit, report.margin, float(report.passed)]],
@@ -510,7 +499,7 @@ def _safety(config: ScenarioConfig, options: RunOptions) -> tuple:
     return table, code, {"limit_source": limits.source_label}
 
 
-def _max_safe_vin(config: ScenarioConfig, options: RunOptions) -> tuple:
+def _max_safe_vin(config: ScenarioConfig) -> tuple:
     limits = _load_limits(config)
     f = _operating_frequency(config, _SAFETY_NEEDS_FREQUENCY)
     src = config.source
@@ -523,7 +512,7 @@ def _max_safe_vin(config: ScenarioConfig, options: RunOptions) -> tuple:
     return table, EXIT_OK, {"limit_source": limits.source_label}
 
 
-def _fit(config: ScenarioConfig, options: RunOptions) -> tuple:
+def _fit(config: ScenarioConfig) -> tuple:
     if config.fit is None:
         raise ConfigError("fit needs a [fit] section with data and free keys")
     observed = import_measured(config.fit.data, axis="frequency")
@@ -537,20 +526,20 @@ def _fit(config: ScenarioConfig, options: RunOptions) -> tuple:
     return ResultTable(columns=columns, rows=[row]), EXIT_OK, {}
 
 
-def _multi(config: ScenarioConfig, options: RunOptions) -> tuple:
+def _multi(config: ScenarioConfig, joint: bool = False) -> tuple:
     receivers, src, body = config.receivers, config.source, config.body
     columns = ["receiver", "frequency[Hz]", "v_o_mag[V]", "p_out_rms[W]"]
-    if options.joint:
+    if joint:
         records = optimize.joint_loading_check(receivers, src, body)
         points = [r.independent for r in records]
-        joint = [[r.joint_power_rms, r.deviation] for r in records]
+        joint_cells = [[r.joint_power_rms, r.deviation] for r in records]
         columns += ["p_joint_rms[W]", "deviation_rel"]
     else:
         points = optimize.multi_receiver_power(receivers, src, body)
-        joint = [[] for _ in points]
+        joint_cells = [[] for _ in points]
     rows = [
         [float(i + 1), pt.frequency, abs(pt.v_o), pt.p_out_rms, *more]
-        for i, (pt, more) in enumerate(zip(points, joint))
+        for i, (pt, more) in enumerate(zip(points, joint_cells))
     ]
     return ResultTable(columns=columns, rows=rows), EXIT_OK, {}
 
@@ -563,7 +552,7 @@ _TOPOLOGY_COLUMNS = {
 }
 
 
-def _compare_topologies(config: ScenarioConfig, options: RunOptions) -> tuple:
+def _compare_topologies(config: ScenarioConfig, points: Optional[int] = None) -> tuple:
     spec = _require_axis(config, "frequency")
     src = config.source
     if not isinstance(src, ResonantWearableTx):
@@ -571,7 +560,7 @@ def _compare_topologies(config: ScenarioConfig, options: RunOptions) -> tuple:
             "compare-topologies needs source.kind = resonant-wearable "
             "(supplies C_ret_tx and Q for the wearable curves)"
         )
-    xs = spec.grid(options.points)
+    xs = spec.grid(points)
     curves = optimize.compare_topologies(
         config.receiver, config.body, xs, c_ret_tx=src.c_ret_tx, q=src.q
     )
@@ -583,18 +572,20 @@ def _compare_topologies(config: ScenarioConfig, options: RunOptions) -> tuple:
     return table, EXIT_OK, {}
 
 
-def _oracle_check(config: ScenarioConfig, options: RunOptions) -> tuple:
-    tol = options.tolerance if options.tolerance is not None else 1e-9
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"tolerance: must be finite and > 0, got {tol!r}")
-    xs = _require_axis(config, "frequency").grid(options.points)
+def _oracle_check(
+    config: ScenarioConfig, points: Optional[int] = None, tolerance: float = 1e-9, oracle: bool = True
+) -> tuple:
+    # oracle: the check always solves the netlist, so --oracle changes nothing.
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ConfigError(f"tolerance: must be finite and > 0, got {tolerance!r}")
+    xs = _require_axis(config, "frequency").grid(points)
     gaps = analysis.oracle_gap(config.receiver, xs)
     table = ResultTable(
         columns=["frequency[Hz]", "rel_diff"],
         rows=np.column_stack([xs, gaps]).tolist(),
     )
-    code = EXIT_OK if float(np.max(gaps)) <= tol else EXIT_MODEL
-    return table, code, {"tolerance": repr(tol)}
+    code = EXIT_OK if float(np.max(gaps)) <= tolerance else EXIT_MODEL
+    return table, code, {"tolerance": repr(tolerance)}
 
 
 _HANDLERS = {
@@ -612,6 +603,9 @@ _HANDLERS = {
 
 COMMANDS = tuple(_HANDLERS)
 
+#: command -> the flags it reads: its handler's parameters after the scenario
+_FLAGS = {command: tuple(inspect.signature(h).parameters)[1:] for command, h in _HANDLERS.items()}
+
 
 def run(
     command: str,
@@ -623,22 +617,24 @@ def run(
 ) -> tuple:
     """Execute one command against a validated scenario.
 
-    Returns ``(ResultTable, exit_code)``; raises ConfigError for validation
-    problems and model-level exceptions for the rest (main() maps both to
-    exit codes).
+    A flag is given when it is neither None nor False; the handler receives
+    the given flags only, and a given flag that the command does not read
+    raises ConfigError naming both.  Returns ``(ResultTable, exit_code)``;
+    raises ConfigError for validation problems and model-level exceptions
+    for the rest (main() maps both to exit codes).
     """
     try:
         handler = _HANDLERS[command]
     except KeyError:
         raise ConfigError(f"unknown command {command!r}") from None
-    options = RunOptions(points=points, tolerance=tolerance, joint=joint, oracle=oracle)
-    table, code, extra_provenance = handler(config, options)
-    table.provenance = {
-        "config_sha256": config.sha256,
-        "command": command,
-        "version": __version__,
-        **extra_provenance,
-    }
+    given = {}
+    for flag, value in dict(points=points, tolerance=tolerance, joint=joint, oracle=oracle).items():
+        if value is not None and value is not False:
+            if flag not in _FLAGS[command]:
+                raise ConfigError(f"{command} does not read --{flag}")
+            given[flag] = value
+    table, code, extra = handler(config, **given)
+    table.provenance = {"config_sha256": config.sha256, "command": command, "version": __version__, **extra}
     return table, code
 
 
@@ -696,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--points", type=_points_arg, help="override sweep.points (an integer >= 2)")
     parser.add_argument("--tolerance", type=float, help="relative tolerance for oracle-check")
     parser.add_argument("--joint", action="store_true", help="multi: verify against the joint network")
-    parser.add_argument("--oracle", action="store_true", help="force the node-level MNA path")
+    parser.add_argument("--oracle", action="store_true", help="solve the netlist (MNA) instead of the closed form")
     return parser
 
 
@@ -706,14 +702,8 @@ def main(argv=None) -> int:
         config = load_scenario(args.config)
         if args.plot_data and args.out == "-":
             raise ConfigError("--plot-data needs --out pointing at a file")
-        table, code = run(
-            args.command,
-            config,
-            points=args.points,
-            tolerance=args.tolerance,
-            joint=args.joint,
-            oracle=args.oracle,
-        )
+        flags = {flag: getattr(args, flag) for flag in ("points", "tolerance", "joint", "oracle")}
+        table, code = run(args.command, config, **flags)
     except (ConfigError, CsvFormatError, DuplicateAxisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -194,7 +194,11 @@ def check(
 ) -> SafetyReport:
     """Compare the modeled contact current (and optional measured incident
     fields) against the limit band covering ``f``.  The current is
-    :func:`contact_current`'s, so ``rx`` needs ``mna=True``."""
+    :func:`contact_current`'s, so ``rx`` needs ``mna=True``.  A measured
+    field must be finite and >= 0."""
+    for name, measured in (("measured_e", measured_e), ("measured_h", measured_h)):
+        if measured is not None and not 0.0 <= measured < _INF:
+            raise ValueError(f"{name} must be finite and >= 0, got {measured!r}")
     band = _contact_band(table, f)
     actual = contact_current(src, body, f, rx=rx, mna=mna)
     margin = band.contact_current_limit / actual

@@ -16,7 +16,7 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 def shipped_cli_runs(out):
     """The argv of every command on every shipped scenario, plain and with
     ``--oracle``, ``--joint`` and ``--points 7``, each writing its CSV to
-    ``out``: 13 commands x 6 scenarios x 4 variants = 312 runs."""
+    ``out``: 13 commands x 8 scenarios x 4 variants = 416 runs."""
     return [
         [command, "--config", str(scenario), "--out", str(out), *variant]
         for scenario in sorted(SCENARIO_DIR.glob("*.scn"))

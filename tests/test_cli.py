@@ -1,9 +1,11 @@
 """Scenario parsing, command orchestration, CSV schema, exit codes, and
 measured-data import."""
 
+import inspect
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -13,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bodychannel import analysis
+from bodychannel import acnet, analysis, cli
 from bodychannel.analysis import AXES, SweepResult, simulate_frequency_sweep
 from bodychannel.channel import BodyModel, GroundedTx, NonFiniteResultError, ReceiverParams, resonant_frequency
 from bodychannel.cli import (
+    COMMANDS,
     ConfigError,
     CsvFormatError,
     DuplicateAxisError,
@@ -164,9 +167,36 @@ def test_negative_physical_value_carries_section(tmp_path):
 
 def test_shipped_scenarios_all_parse():
     names = {p.name for p in SCENARIO_DIR.glob("*.scn")}
-    assert names == {"fig4a.scn", "fig4c.scn", "rx1.scn", "rx2.scn", "rx3.scn", "safety_example.scn"}
+    assert names == {
+        "fig4a.scn", "fig4c.scn", "rx1.scn", "rx2.scn", "rx3.scn", "safety_example.scn",
+        "resonant_wearable.scn", "wearable_inductance.scn",
+    }
     for name in names:
         load_scenario(SCENARIO_DIR / name)
+
+
+def test_the_shipped_fit_data_is_what_its_recorded_command_writes(tmp_path, monkeypatch):
+    # resonant_wearable.scn records the command that wrote its [fit] data.
+    command = re.search(r"^#\s+(bodychannel .*)$", (SCENARIO_DIR / "resonant_wearable.scn").read_text(), re.M)[1]
+    argv = command.split()[1:]
+    out = argv.index("--out") + 1
+    committed = SCENARIO_DIR / argv[out]
+    argv[out] = str(tmp_path / "fit.csv")
+    monkeypatch.chdir(SCENARIO_DIR)
+    assert main(argv) == 0
+    assert (tmp_path / "fit.csv").read_bytes() == committed.read_bytes()
+
+
+def test_the_shipped_fit_recovers_the_receiver_that_wrote_its_data():
+    config = load_scenario(SCENARIO_DIR / "resonant_wearable.scn")
+    truth = load_scenario(SCENARIO_DIR / "fit_data" / "resonant_wearable_truth.scn").receiver
+    table, code = run("fit", config)
+    assert code == 0
+    (c_ret, c_gb, _, _, converged), = table.rows
+    assert converged == 1.0
+    assert c_ret == pytest.approx(truth.c_ret, rel=1e-12)
+    assert c_gb == pytest.approx(truth.c_gb, rel=1e-12)
+    assert (config.receiver.c_ret, config.receiver.c_gb) != (truth.c_ret, truth.c_gb)
 
 
 def test_sweep_freq_on_calibrated_scenario(tmp_path):
@@ -850,7 +880,7 @@ def test_every_command_on_every_shipped_scenario_exits_cleanly_with_finite_cells
             assert rows, argv
             assert all(math.isfinite(float(c)) for row in rows for c in row.split(",")), argv
     capsys.readouterr()
-    assert len(runs) == 312
+    assert len(runs) == 416
 
 
 def _at_frequency(scenario: str, frequency: str) -> str:
@@ -867,7 +897,7 @@ _EXTREME_FREQUENCY_RUNS = [
         for scenario in sorted(p.name for p in SCENARIO_DIR.glob("*.scn"))
         for frequency in ("1e-200", "1e200")
     ),
-    *((command, "fig4c.scn", "5e-324") for command in ("sweep-load", "sweep-load --oracle", "optimize-load", "optimize-load --oracle")),
+    *((command, "fig4c.scn", "5e-324") for command in ("sweep-load", "sweep-load --oracle", "optimize-load")),
     *(("sweep-vin", scenario, "5e-324") for scenario in ("rx1.scn", "rx2.scn", "rx3.scn")),
 ]
 
@@ -878,8 +908,8 @@ _EXTREME_FREQUENCY_RUNS = [
 def test_an_extreme_operating_frequency_is_a_model_error(tmp_path, capsys, command, scenario, frequency):
     # (2*pi*f)^2 underflows or overflows, or 1/(j*w*C_ret) divides by a
     # complex zero: each is named instead of ending in a traceback.
+    shutil.copytree(SCENARIO_DIR, tmp_path, dirs_exist_ok=True)  # the files a scenario names
     path = _scenario(tmp_path, _at_frequency(scenario, frequency))
-    (tmp_path / "example_limits.lmt").write_bytes((SCENARIO_DIR / "example_limits.lmt").read_bytes())
     out = tmp_path / "out.csv"
     assert _run_quietly([*command.split(), "--config", str(path), "--out", str(out)]) == 3
     assert not out.exists()
@@ -903,17 +933,40 @@ _NON_FINITE_MULTI = {
 }
 
 
+def _fig4c_with(keys: dict) -> str:
+    """The text of fig4c.scn with each key of ``keys`` set to its value."""
+    text = (SCENARIO_DIR / "fig4c.scn").read_text()
+    for key, value in keys.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
 @pytest.mark.parametrize("keys", _NON_FINITE_MULTI.values(), ids=_NON_FINITE_MULTI)
 def test_multi_whose_cells_are_not_finite_exits_3(tmp_path, capsys, keys):
     # k = 1 + C_GB/C_ret or the load's C_L overflows in Python float
     # arithmetic, which warns nothing; the table names the first bad cell.
-    text = (SCENARIO_DIR / "fig4c.scn").read_text()
-    for key, value in keys.items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     out = tmp_path / "multi.csv"
-    assert _run_quietly(["multi", "--config", str(_scenario(tmp_path, text)), "--out", str(out)]) == 3
+    assert _run_quietly(["multi", "--config", str(_scenario(tmp_path, _fig4c_with(keys))), "--out", str(out)]) == 3
     assert not out.exists()
     assert capsys.readouterr().err == "model error: column 'v_o_mag[V]' of row 1 is nan, not finite\n"
+
+
+_OVERFLOWING_SWEEPS = {
+    "sweep-load C_GB = 1e300": ("sweep-load", {"C_GB": "1e300"}, "load = 100.0 it is nan"),
+    "sweep-load C_L = 1e300, R_L = 1e-300": ("sweep-load", {"C_L": "1e300", "R_L": "1e-300"}, "load = 100.0 it is nan"),
+    "resonance V_in = 1e300": ("resonance", {"V_in": "1e300"}, "frequency = 1599567.362927827 it is inf"),
+    "resonance --oracle V_in = 1e300": ("resonance --oracle", {"V_in": "1e300"}, "frequency = 1599567.362927827 it is inf"),
+}
+
+
+@pytest.mark.parametrize(("command", "keys", "where"), _OVERFLOWING_SWEEPS.values(), ids=_OVERFLOWING_SWEEPS)
+def test_a_sweep_past_double_precision_exits_3_without_a_numpy_warning(tmp_path, capsys, command, keys, where):
+    # The kernel's overflow stays inside simulate; the sweep names its first bad point.
+    out = tmp_path / "sweep.csv"
+    path = _scenario(tmp_path, _fig4c_with(keys))
+    assert _run_quietly([*command.split(), "--config", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == f"model error: p_out_rms must be finite; at {where}\n"
 
 
 def test_result_table_rejects_a_cell_that_is_not_finite():
@@ -932,3 +985,90 @@ def test_optimize_load_whose_power_is_not_finite_exits_3(tmp_path, capsys):
         "model error: the closed-form power at R_L = 100.0 ohm and f = 1599567.362927827 Hz "
         "is nan, not finite\n"
     )
+
+
+# ── the flags each command reads ────────────────────────────────────────
+
+#: a shipped scenario on which each command's plain run exits 0
+_PASSING_SCENARIO = {
+    "sweep-freq": "fig4a.scn",
+    "sweep-load": "fig4c.scn",
+    "sweep-inductance": "wearable_inductance.scn",
+    "sweep-vin": "rx1.scn",
+    "resonance": "fig4a.scn",
+    "optimize-load": "fig4c.scn",
+    "optimize-inductor": "safety_example.scn",
+    "safety": "safety_example.scn",
+    "max-safe-vin": "safety_example.scn",
+    "fit": "resonant_wearable.scn",
+    "multi": "rx1.scn",
+    "compare-topologies": "resonant_wearable.scn",
+    "oracle-check": "safety_example.scn",
+}
+#: each flag on the command line, its value in run(), and what it changes
+#: in a table (given whether the run solved a netlist)
+_FLAG_EFFECT = {
+    "points": (["--points", "7"], 7, lambda table, solved: len(table.rows) == 7),
+    "tolerance": (["--tolerance", "0.5"], 0.5, lambda table, solved: table.provenance["tolerance"] == "0.5"),
+    "joint": (["--joint"], True, lambda table, solved: table.columns[-2:] == ["p_joint_rms[W]", "deviation_rel"]),
+    "oracle": (["--oracle"], True, lambda table, solved: solved),
+}
+
+
+@pytest.mark.parametrize("flag", _FLAG_EFFECT)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_reads_the_flags_it_declares_and_exits_2_on_any_other(command, flag, capsys, monkeypatch):
+    path = SCENARIO_DIR / _PASSING_SCENARIO[command]
+    argv, value, effect = _FLAG_EFFECT[flag]
+    if flag not in cli._FLAGS[command]:
+        assert _run_quietly([command, "--config", str(path), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {command} does not read --{flag}\n")
+        return
+    assert _run_quietly([command, "--config", str(path)]) == 0
+    solved = []
+    solve_many = acnet.solve_many
+    monkeypatch.setattr(acnet, "solve_many", lambda *args, **kw: solved.append(1) or solve_many(*args, **kw))
+    table, code = run(command, load_scenario(path), **{flag: value})
+    assert code == 0
+    assert effect(table, bool(solved))
+
+
+def test_each_command_reads_the_flags_its_handler_declares():
+    assert cli._FLAGS == {
+        **dict.fromkeys(("sweep-freq", "sweep-load", "sweep-inductance", "sweep-vin"), ("points", "oracle")),
+        "resonance": ("oracle",),
+        "optimize-load": (),
+        "optimize-inductor": (),
+        "safety": ("oracle",),
+        "max-safe-vin": (),
+        "fit": (),
+        "multi": ("joint",),
+        "compare-topologies": ("points",),
+        "oracle-check": ("points", "tolerance", "oracle"),
+    }
+
+
+def test_a_flag_that_is_none_or_false_is_not_given():
+    # The call shapes of perfbench/worker.py: every command with oracle=False,
+    # and oracle-check with oracle=True.
+    for command in COMMANDS:
+        config = load_scenario(SCENARIO_DIR / _PASSING_SCENARIO[command])
+        assert run(command, config, points=None, tolerance=None, joint=False, oracle=False)[1] == 0
+    assert run("oracle-check", load_scenario(SCENARIO_DIR / "fig4a.scn"), oracle=True)[1] == 0
+
+
+def test_a_flag_of_zero_is_given():
+    config = load_scenario(SCENARIO_DIR / "fig4a.scn")
+    with pytest.raises(ConfigError, match="^tolerance: must be finite and > 0, got 0.0$"):
+        run("oracle-check", config, tolerance=0.0)
+    with pytest.raises(ConfigError, match="^resonance does not read --points$"):
+        run("resonance", config, points=0)
+
+
+def test_run_reads_the_flag_table_without_inspecting_a_handler(monkeypatch):
+    def no_inspect(*args, **kw):
+        raise AssertionError("inspect.signature called per run")
+
+    monkeypatch.setattr(inspect, "signature", no_inspect)
+    table, code = run("sweep-freq", load_scenario(SCENARIO_DIR / "fig4a.scn"), points=3, oracle=True)
+    assert (len(table.rows), code) == (3, 0)

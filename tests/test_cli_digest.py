@@ -15,7 +15,7 @@ def _by_label(lines) -> dict:
 def test_every_shipped_cli_run_matches_its_committed_digest():
     expected = _by_label(GOLDEN.read_text(encoding="utf-8").splitlines())
     actual = _by_label(cli_digest.digest_lines())
-    assert len(actual) == 312
+    assert len(actual) == 416
     assert actual.keys() == expected.keys()
     changed = [label for label, sha in actual.items() if sha != expected[label]]
     assert not changed, f"{len(changed)} run(s) changed their output: {changed}"

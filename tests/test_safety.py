@@ -137,6 +137,19 @@ def test_measured_field_violation_fails_overall():
     assert ok.passed and len(ok.field_checks) == 2
 
 
+@pytest.mark.parametrize("field", ["measured_e", "measured_h"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_a_measured_field_that_is_negative_or_not_finite_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got {value!r}$"):
+        check(SRC12, BODY150, 1.747e6, TABLE, **{field: value})
+
+
+def test_a_measured_field_of_zero_is_checked():
+    report = check(SRC12, BODY150, 1.747e6, TABLE, measured_e=0.0, measured_h=0.0)
+    assert report.passed
+    assert [(fc.name, fc.measured) for fc in report.field_checks] == [("e_field", 0.0), ("h_field", 0.0)]
+
+
 def test_uncovered_frequency_is_an_error():
     with pytest.raises(UncoveredBandError):
         check(SRC12, BODY150, 5e4, TABLE)
