@@ -52,6 +52,7 @@ from .channel import (
     SourceModel,
     TWO_PI,
     WearableTx,
+    _require_range,
     v_in_rms,
 )
 
@@ -332,14 +333,11 @@ def solve_many(
                 "(resistor, capacitor or inductor)"
             )
         freqs, values = np.broadcast_arrays(freqs, np.atleast_1d(np.asarray(values, dtype=float)))
-        if not np.all(np.isfinite(values) & (values > 0.0)):
-            raise ValueError(f"values for element {element} ({kind.name}) must be finite and > 0")
+        _require_range(f"values for element {element} ({kind.name})", values)
     freqs = np.ascontiguousarray(np.atleast_1d(freqs))
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ValueError("frequencies must form a nonempty one-dimensional grid")
-    bad = ~(np.isfinite(freqs) & (freqs > 0.0))
-    if bad.any():
-        raise ValueError(f"all frequencies must be finite and > 0, got {float(freqs[bad][0])!r}")
+    _require_range("frequency", freqs)
     stamped = _Stamped(netlist, element)
     x = np.empty((len(freqs), stamped.size), dtype=complex)
     for start in range(0, len(freqs), BLOCK):

@@ -28,6 +28,8 @@ from .channel import (
     _body_potential,
     _peak_frequency,
     _power_and_log_gradient,
+    _require_finite,
+    _require_range,
     _resonance,
     _response,
     channel_response,
@@ -96,7 +98,7 @@ class SweepResult:
             raise ValueError("values and p_out_rms must be 1-d arrays of equal length")
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
-        self._require_finite("p_out_rms", self.p_out_rms)
+        _require_finite("p_out_rms", self.p_out_rms, self.values, self.axis)
         if np.any(np.diff(self.values) <= 0.0):
             raise ValueError("axis values must be strictly increasing")
         if np.any(self.p_out_rms < 0.0):
@@ -105,13 +107,7 @@ class SweepResult:
             self.v_o = np.asarray(self.v_o, dtype=complex)
             if self.v_o.shape != self.values.shape:
                 raise ValueError("v_o must match the axis length")
-            self._require_finite("v_o", self.v_o)
-
-    def _require_finite(self, name: str, data: np.ndarray) -> None:
-        bad = np.flatnonzero(~np.isfinite(data))
-        if bad.size:
-            at, value = self.values[bad[0]].item(), data[bad[0]].item()
-            raise ValueError(f"{name} must be finite; at {self.axis} = {at!r} it is {value!r}")
+            _require_finite("v_o", self.v_o, self.values, self.axis)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -137,7 +133,7 @@ def simulate(
     The inputs are checked once, before either backend runs, so both raise
     the same error: every axis value, and a fixed ``f``, must be finite and
     > 0 (:class:`NonResonantReceiverError` for an inductance <= 0); a result
-    past double precision is a ValueError naming its axis value, with no warning.
+    past double precision raises ``NonFiniteResultError`` naming its axis value.
     """
     values = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):
@@ -164,24 +160,17 @@ def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple
         raise NonResonantReceiverError(
             "an inductance sweep needs every l > 0; l = 0 has no resonant frequency"
         )
-    _require_positive(f"every {axis} value", values)
+    _require_range(f"every {axis} value", values)
     if axis == "frequency":
         return values, {}
     if axis == "inductance":
         freqs = _resonance(values, rx.c_ret + rx.c_gb)  # an underflowing L*C gives inf
-        _require_positive("the resonant frequency of every inductance", freqs)
+        _require_range("the resonant frequency of every inductance", freqs)
         return freqs, {"l": values}
     if f is None:
         raise ValueError(f"a sweep along {axis!r} needs a fixed frequency f")
-    _require_positive(f"the fixed frequency f of the {axis} sweep", f)
+    _require_range(f"the fixed frequency f of the {axis} sweep", f)
     return f, {"r_l" if axis == "load" else "v_in": values}
-
-
-def _require_positive(what: str, x) -> None:
-    x = np.asarray(x, dtype=float)
-    bad = ~(np.isfinite(x) & (x > 0.0))
-    if bad.any():
-        raise ValueError(f"{what} must be finite and > 0, got {float(x[bad][0])!r}")
 
 
 def find_resonant_peak(sweep: SweepResult) -> tuple:
@@ -299,10 +288,8 @@ def _parabolic_vertex(x3, p3) -> tuple:
 
 def fit_total_capacitance(l: float, f_peak: float) -> float:
     """Invert the resonance relation: C_ret + C_GB = 1 / (L * (2*pi*f_peak)^2)."""
-    if not 0.0 < l < math.inf:
-        raise ValueError(f"l must be > 0, got {l!r}")
-    if not 0.0 < f_peak < math.inf:
-        raise ValueError(f"f_peak must be > 0, got {f_peak!r}")
+    _require_range("l", l)
+    _require_range("f_peak", f_peak)
     w = 2.0 * math.pi * f_peak
     return 1.0 / (l * w * w)
 
@@ -314,8 +301,7 @@ def capacitance_ratio_from_power(p_rms: float, r_l: float, v_b_rms: float) -> fl
     the lossless channel can at best deliver the body potential.
     """
     for name, value in (("p_rms", p_rms), ("r_l", r_l), ("v_b_rms", v_b_rms)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        _require_range(name, value)
     gain = math.sqrt(p_rms * r_l) / v_b_rms
     if gain > 1.0:
         raise InconsistentMeasurementError(
@@ -413,11 +399,9 @@ def fit_params(
             f"{len(observed)} observation(s) cannot constrain {len(free)} free "
             f"parameter(s) {free}; need at least {2 * len(free)} rows"
         )
-    if np.any(observed.p_out_rms <= 0.0):
-        raise ValueError("observed powers must be > 0 to fit in log space")
+    _require_range("every observed power", observed.p_out_rms)  # the fit is in log space
     freqs = observed.values
-    if not freqs[0] > 0.0:  # the axis is increasing: the first is the lowest
-        raise ValueError(f"observed frequency must be > 0, got {freqs[0]!r}")
+    _require_range("every observed frequency", freqs)
 
     theta = []
     for name in free:
@@ -630,7 +614,7 @@ def sensitivity(
     ``"power"`` (received power at ``f``, which also needs ``src`` and
     ``body``).  Each is a closed form; the power's is P * d log P / d theta,
     from the kernel's analytic gradient (``channel._power_and_log_gradient``),
-    for every field and every value, 0 included.
+    for every field and every value, 0 included (``NonFiniteResultError`` if not finite).
     """
     if target not in ("f0", "gain", "power"):
         raise ValueError(f"unknown target {target!r}")
@@ -641,10 +625,11 @@ def sensitivity(
     if target == "power":
         if f is None or src is None or body is None:
             raise ValueError("target 'power' needs f, src, and body")
-        if not 0.0 < f < math.inf:
-            raise ValueError(f"frequency must be finite and > 0, got {f!r}")
-        p, g = _power_and_log_gradient(rx, src, body, np.array([f], dtype=float), (param,))
+        _require_range("frequency", f)
+        with np.errstate(all="ignore"):
+            p, g = _power_and_log_gradient(rx, src, body, np.array([f], dtype=float), (param,))
         value = float(p[0] * g[0, 0])
+        _require_finite(f"d p_out_rms / d {param}", value, f)
     elif target == "f0":
         # f0 is proportional to (L * (C_ret + C_GB))**-0.5.
         f0 = resonant_frequency(rx)

@@ -21,6 +21,7 @@ silent factor of 8 into power results.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -28,7 +29,7 @@ from typing import Union
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-#: Upper end of the field range checks: ``lo < x < _INF`` rejects NaN and both
+#: Upper end of the range check: ``low < x < _INF`` rejects NaN and both
 #: infinities in one comparison chain (a module global: dataclass construction
 #: sits inside the optimizers' inner loops).
 _INF = math.inf
@@ -48,6 +49,33 @@ class NonResonantReceiverError(ValueError):
 class NonFiniteResultError(ValueError):
     """Raised when the closed form gives a number that is not finite: the
     inputs lie outside the range that double precision can evaluate."""
+
+
+def _require_range(name: str, value, low: float = 0.0, inclusive: bool = False) -> None:
+    """The one input range check: ``value`` must be finite and > ``low`` (>= when
+    ``inclusive``).  A scalar is compared by the chain itself, so a str, None, a
+    complex or a list raises TypeError; an ndarray (an argument that broadcasts)
+    must hold at every element, and the ValueError names its first bad one."""
+    if type(value) is np.ndarray:
+        bad = ~(((value >= low) if inclusive else (value > low)) & (value < _INF))
+        if not bad.any():
+            return
+        value = float(value[bad][0])
+    elif low <= value < _INF if inclusive else low < value < _INF:
+        return
+    raise ValueError(f"{name} must be finite and {'>=' if inclusive else '>'} {low:g}, got {value!r}")
+
+
+def _require_finite(name: str, x, at, axis: str = "frequency") -> None:
+    """The one check on a result ``x``: raise :class:`NonFiniteResultError` naming the
+    first value of ``axis`` (``at``, which broadcasts to ``x``) where it is not finite."""
+    if not isinstance(x, np.ndarray) and cmath.isfinite(x):  # a scalar, without numpy
+        return
+    x = np.asarray(x)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        where, value = np.broadcast_to(at, x.shape)[bad][0].item(), x[bad][0].item()
+        raise NonFiniteResultError(f"{name} must be finite; at {axis} = {where!r} it is {value!r}")
 
 
 def _unknown_convention(convention) -> ValueError:
@@ -93,18 +121,12 @@ class ReceiverParams:
     r_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c_ret < _INF:
-            raise ValueError(f"c_ret must be finite and > 0, got {self.c_ret!r}")
-        if not 0.0 < self.r_l < _INF:
-            raise ValueError(f"r_l must be finite and > 0 (degenerate load), got {self.r_l!r}")
-        if not 0.0 <= self.l < _INF:
-            raise ValueError(f"l must be finite and >= 0, got {self.l!r}")
-        if not 0.0 <= self.c_gb < _INF:
-            raise ValueError(f"c_gb must be finite and >= 0, got {self.c_gb!r}")
-        if not 0.0 <= self.c_l < _INF:
-            raise ValueError(f"c_l must be finite and >= 0, got {self.c_l!r}")
-        if not 0.0 <= self.r_s < _INF:
-            raise ValueError(f"r_s must be finite and >= 0, got {self.r_s!r}")
+        _require_range("c_ret", self.c_ret)
+        _require_range("r_l", self.r_l)
+        _require_range("l", self.l, inclusive=True)
+        _require_range("c_gb", self.c_gb, inclusive=True)
+        _require_range("c_l", self.c_l, inclusive=True)
+        _require_range("r_s", self.r_s, inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -115,10 +137,8 @@ class BodyModel:
     r_b: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c_b < _INF:
-            raise ValueError(f"c_b must be finite and > 0, got {self.c_b!r}")
-        if not 0.0 <= self.r_b < _INF:
-            raise ValueError(f"r_b must be finite and >= 0, got {self.r_b!r}")
+        _require_range("c_b", self.c_b)
+        _require_range("r_b", self.r_b, inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -136,8 +156,7 @@ class GroundedTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        if not 0.0 <= self.r_src < _INF:
-            raise ValueError(f"r_src must be finite and >= 0, got {self.r_src!r}")
+        _require_range("r_src", self.r_src, inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -150,8 +169,7 @@ class WearableTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        if not 0.0 < self.c_ret_tx < _INF:
-            raise ValueError(f"c_ret_tx must be finite and > 0, got {self.c_ret_tx!r}")
+        _require_range("c_ret_tx", self.c_ret_tx)
 
 
 @dataclass(frozen=True)
@@ -165,18 +183,15 @@ class ResonantWearableTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        if not 0.0 < self.c_ret_tx < _INF:
-            raise ValueError(f"c_ret_tx must be finite and > 0, got {self.c_ret_tx!r}")
-        if not 1.0 <= self.q < _INF:
-            raise ValueError(f"q must be finite and >= 1, got {self.q!r}")
+        _require_range("c_ret_tx", self.c_ret_tx)
+        _require_range("q", self.q, low=1.0, inclusive=True)
 
 
 SourceModel = Union[GroundedTx, WearableTx, ResonantWearableTx]
 
 
 def _check_source_common(src) -> None:
-    if not 0.0 < src.v_in < _INF:
-        raise ValueError(f"v_in must be finite and > 0, got {src.v_in!r}")
+    _require_range("v_in", src.v_in)
     if src.convention not in RMS_FACTOR:
         raise _unknown_convention(src.convention)
 
@@ -205,8 +220,7 @@ def body_potential(src: SourceModel, body: BodyModel, f: float) -> float:
     the body capacitance; the resonant variant multiplies the small-ratio
     approximation of that divider by the transmit-side boost ``q``.
     """
-    if not 0.0 < f < _INF:
-        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
+    _require_range("frequency", f)
     return _body_potential(src, body, v_in_rms(src))
 
 
@@ -229,11 +243,13 @@ def transfer_function(rx: ReceiverParams, f):
         H = Z_load / ((Z_s + Z_load) * (1 + C_GB/C_ret) + 1/(j*w*C_ret))
 
     ``f`` may be a scalar or an array; the return matches the input shape.
+    A value past double precision raises :class:`NonFiniteResultError`.
     """
-    w = TWO_PI * np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(w) & (w > 0.0)):
-        raise ValueError("frequency must be finite and > 0")
-    h = _transfer(rx, w, rx.r_l, rx.l)
+    f = np.asarray(f, dtype=float)
+    _require_range("frequency", f)
+    with np.errstate(all="ignore"):
+        h = _transfer(rx, TWO_PI * f, rx.r_l, rx.l)
+    _require_finite("H", h, f)
     if np.ndim(h) == 0:
         return complex(h)
     return np.asarray(h)
@@ -394,8 +410,7 @@ def no_inductor_voltage(
         raise ValueError("no_inductor_voltage requires l = 0; use transfer_function")
     if rx.r_s != 0.0:
         raise ValueError("the inductorless divider has no series-loss term; r_s must be 0")
-    if not 0.0 <= v_b_rms < _INF:
-        raise ValueError(f"v_b_rms must be finite and >= 0, got {v_b_rms!r}")
+    _require_range("v_b_rms", v_b_rms, inclusive=True)
     if simplified:
         rx = ReceiverParams(c_ret=rx.c_ret, r_l=rx.r_l)
     return abs(v_b_rms * transfer_function(rx, f))
@@ -404,9 +419,18 @@ def no_inductor_voltage(
 def received_power(
     rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float
 ) -> OperatingPoint:
-    """Evaluate the channel at ``f``: body potential, load voltage, rms load power."""
+    """Evaluate the channel at ``f``: body potential, load voltage, rms load
+    power.  A power past double precision raises :class:`NonFiniteResultError`."""
+    with np.errstate(all="ignore"):
+        return _operating_point(rx, src, body, f)
+
+
+def _operating_point(rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float) -> OperatingPoint:
+    """:func:`received_power` under the caller's ``np.errstate``, which a
+    loop over receivers enters once (it costs about a microsecond)."""
     v_b = complex(body_potential(src, body, f))
     v_o, p = _response(rx, src, body, f)
+    _require_finite("p_out_rms", p, f)
     return OperatingPoint(frequency=f, v_b=v_b, v_o=complex(v_o), p_out_rms=float(p))
 
 
@@ -421,18 +445,17 @@ def channel_response(
     ``rx`` and ``src``.  Each point equals :func:`received_power` of the
     receiver and source with those values.  This is the one closed-form
     evaluation of the channel: the sweeps, the load optimizers and the fit
-    run the same kernel, checking their inputs once at entry.
+    run the same kernel, checking their inputs once at entry.  A power past
+    double precision raises :class:`NonFiniteResultError`.
     """
-    f = np.asarray(f, dtype=float)
-    r_l, l, v_in = (None if x is None else np.asarray(x, dtype=float) for x in (r_l, l, v_in))
-    if not (
-        np.all((0.0 < f) & (f < _INF))
-        and (r_l is None or np.all((0.0 < r_l) & (r_l < _INF)))
-        and (l is None or np.all((0.0 <= l) & (l < _INF)))
-        and (v_in is None or np.all((0.0 < v_in) & (v_in < _INF)))
-    ):
-        raise ValueError("need a finite frequency, r_l and v_in > 0 and l >= 0 at every point")
-    return _response(rx, src, body, f, r_l, l, v_in)
+    f, r_l, l, v_in = (None if x is None else np.asarray(x, dtype=float) for x in (f, r_l, l, v_in))
+    for name, x in (("frequency", f), ("r_l", r_l), ("l", l), ("v_in", v_in)):
+        if x is not None:
+            _require_range(name, x, inclusive=name == "l")
+    with np.errstate(all="ignore"):
+        v_o, p = _response(rx, src, body, f, r_l, l, v_in)
+    _require_finite("p_out_rms", p, f)
+    return v_o, p
 
 
 def _response(rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None, l=None, v_in=None):

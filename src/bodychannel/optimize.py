@@ -26,8 +26,9 @@ from .channel import (
     _INF,
     _body_potential,
     _coefficients,
+    _operating_point,
+    _require_range,
     _response,
-    received_power,
     resonant_frequency,
     transfer_function,
     v_in_rms,
@@ -119,8 +120,7 @@ def optimal_load(
     double precision's range, such as C_L = 1e300 F) raises
     :class:`~bodychannel.channel.NonFiniteResultError`.
     """
-    if not 0.0 < f < _INF:
-        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
+    _require_range("frequency", f)
     lo, hi = bounds
     if not (lo > 0.0 and hi > lo):
         raise ValueError(f"need 0 < lo < hi, got bounds={bounds!r}")
@@ -139,8 +139,7 @@ def optimal_inductor(rx: ReceiverParams, f_target: float) -> float:
     L = 1 / ((2*pi*f_target)^2 * (C_ret + C_GB)).  Raises
     :class:`~bodychannel.channel.NonFiniteResultError` when that
     denominator underflows to 0 or overflows, or L overflows."""
-    if not 0.0 < f_target < _INF:
-        raise ValueError(f"f_target must be finite and > 0, got {f_target!r}")
+    _require_range("f_target", f_target)
     w = TWO_PI * f_target
     denominator = w * w * (rx.c_ret + rx.c_gb)
     if not (0.0 < denominator < _INF and 1.0 / denominator < _INF):
@@ -172,8 +171,7 @@ def max_power_under_current_limit(
     raises :class:`~bodychannel.channel.NonFiniteResultError`, as in
     :func:`optimal_load`.
     """
-    if not 0.0 < f < _INF:
-        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
+    _require_range("frequency", f)
     if not i_limit > 0.0:
         raise ValueError(f"i_limit must be > 0, got {i_limit!r}")
     lo, hi = bounds
@@ -226,7 +224,8 @@ def multi_receiver_power(
     is normally far above the body-to-ground impedance, so it barely loads
     the body potential.  ``joint_loading_check`` quantifies that assumption.
     """
-    return [received_power(rx, src, body, resonant_frequency(rx)) for rx in receivers]
+    with np.errstate(all="ignore"):
+        return [_operating_point(rx, src, body, resonant_frequency(rx)) for rx in receivers]
 
 
 @dataclass(frozen=True)
@@ -309,12 +308,12 @@ def compare_topologies(
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or len(freqs) < 2:
         raise ValueError("freqs must be a one-dimensional grid")
-    if not (np.all(np.isfinite(freqs) & (freqs > 0.0)) and np.all(np.diff(freqs) > 0.0)):
-        raise ValueError("freqs must be finite, positive and strictly increasing")
+    _require_range("freqs", freqs)
+    if not np.all(np.diff(freqs) > 0.0):
+        raise ValueError("freqs must be strictly increasing")
     # The wearable transmitter checks c_ret_tx is finite and > 0.
     w2w_factor = _body_potential(WearableTx(1.0, "rms", c_ret_tx), body, 1.0)
-    if not 1.0 <= q < _INF:
-        raise ValueError(f"q must be finite and >= 1, got {q!r}")
+    _require_range("q", q, low=1.0, inclusive=True)
 
     f0 = resonant_frequency(rx)
     h_m2w = np.abs(transfer_function(rx, freqs))

@@ -10,13 +10,12 @@ simulation and are explicitly not evaluated; every report says so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import acnet
-from .channel import BodyModel, SourceModel, TWO_PI, _INF, _body_potential, body_potential, from_rms
+from .channel import BodyModel, SourceModel, TWO_PI, _body_potential, _require_range, body_potential, from_rms
 
 BASIC_RESTRICTIONS_NOTE = (
     "basic-restrictions not evaluated: SAR and induced in-body fields require "
@@ -72,16 +71,12 @@ class LimitTable:
 def _check_band(band: LimitBand, prev_hi: float) -> None:
     """Check one band, given where the band before it ends (0 for the first)."""
     for name, value in vars(band).items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if not (band.f_lo > 0.0 and band.f_hi > band.f_lo):
+        if value is not None:
+            _require_range(name, value)
+    if not band.f_hi > band.f_lo:
         raise ValueError(f"bad band bounds [{band.f_lo!r}, {band.f_hi!r})")
     if band.f_lo < prev_hi:
         raise ValueError("limit bands must be sorted and non-overlapping")
-    for name in ("contact_current_limit", "e_field_limit", "h_field_limit"):
-        value = getattr(band, name)
-        if value is not None and not value > 0.0:
-            raise ValueError(f"{name} must be > 0 where present, got {value!r}")
 
 
 def load_limit_table(path) -> LimitTable:
@@ -160,8 +155,7 @@ def contact_current(
     receiver loading in that netlist.  The closed form has no receiver, so
     ``rx`` without ``mna=True`` raises ValueError.
     """
-    if not 0.0 < f < _INF:
-        raise ValueError(f"frequency must be finite and > 0, got {f!r}")
+    _require_range("frequency", f)
     if not mna:
         if rx is not None:
             raise ValueError("receiver loading (rx) needs mna=True; the closed form has no receiver")
@@ -197,8 +191,8 @@ def check(
     :func:`contact_current`'s, so ``rx`` needs ``mna=True``.  A measured
     field must be finite and >= 0."""
     for name, measured in (("measured_e", measured_e), ("measured_h", measured_h)):
-        if measured is not None and not 0.0 <= measured < _INF:
-            raise ValueError(f"{name} must be finite and >= 0, got {measured!r}")
+        if measured is not None:
+            _require_range(name, measured, inclusive=True)
     band = _contact_band(table, f)
     actual = contact_current(src, body, f, rx=rx, mna=mna)
     margin = band.contact_current_limit / actual

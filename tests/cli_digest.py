@@ -21,8 +21,15 @@ purpose, regenerate the file from the repository root with
 
     PYTHONPATH=src python tests/cli_digest.py > tests/golden/cli_digest.txt
 
-and list the runs that changed.  Two trees are compared on one machine,
-every run byte for byte, with
+and list the runs that changed.  Each demo's stdout has a digest too, in
+``tests/golden/demo_digest.txt`` (checked by ``test_demos.py``), over its
+text with one value masked: demo 08's worst relative difference between
+the closed form and the netlist, which is LAPACK round-off and the only
+number of the demos that another OpenBLAS kernel moves.  Regenerate it with
+
+    PYTHONPATH=src python tests/cli_digest.py --demos > tests/golden/demo_digest.txt
+
+Two trees are compared on one machine, every run byte for byte, with
 
     PYTHONPATH=<old tree>/src python tests/cli_digest.py --exact > old.txt
     PYTHONPATH=<new tree>/src python tests/cli_digest.py --exact > new.txt
@@ -33,12 +40,14 @@ import contextlib
 import hashlib
 import io
 import os
+import re
+import runpy
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
-from helpers import shipped_cli_runs
+from helpers import REPO_ROOT, shipped_cli_runs
 
 from bodychannel import cli
 
@@ -91,5 +100,28 @@ def digest_lines(exact: bool = False) -> list:
             os.chdir(cwd)
 
 
+DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+_ROUND_OFF = re.compile(r"(worst relative difference: )\S+")
+
+
+def demo_digest(stdout: str) -> str:
+    """sha256 of a demo's stdout with its round-off value masked."""
+    return hashlib.sha256(_ROUND_OFF.sub(r"\1<round-off>", stdout).encode("utf-8")).hexdigest()
+
+
+def demo_digest_lines() -> list:
+    """``"<sha256> <file name>"`` for each demo, run in process."""
+    lines = []
+    for demo in DEMOS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            runpy.run_path(str(demo), run_name="__main__")
+        lines.append(f"{demo_digest(stdout.getvalue())} {demo.name}")
+    return lines
+
+
 if __name__ == "__main__":
-    print("\n".join(digest_lines(exact="--exact" in sys.argv[1:])))
+    if "--demos" in sys.argv[1:]:
+        print("\n".join(demo_digest_lines()))
+    else:
+        print("\n".join(digest_lines(exact="--exact" in sys.argv[1:])))

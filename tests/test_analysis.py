@@ -331,10 +331,11 @@ def test_fit_total_capacitance_values():
 
 
 @pytest.mark.parametrize(
-    ("l", "f_peak", "message"), [(math.inf, 1e6, "l must be > 0"), (1e-3, math.inf, "f_peak must be > 0")]
+    ("l", "f_peak", "message"),
+    [(math.inf, 1e6, "l must be finite and > 0, got inf"), (1e-3, math.inf, "f_peak must be finite and > 0, got inf")],
 )
 def test_fit_total_capacitance_rejects_an_infinite_input(l, f_peak, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         fit_total_capacitance(l, f_peak)
 
 
@@ -477,7 +478,7 @@ def test_fit_rejects_a_non_positive_observed_frequency():
     for f_low in (0.0, -1e3):
         values = np.concatenate(([f_low], sweep.values[1:]))
         observed = SweepResult(axis="frequency", values=values, p_out_rms=sweep.p_out_rms)
-        with pytest.raises(ValueError, match="frequency must be > 0"):
+        with pytest.raises(ValueError, match=f"^every observed frequency must be finite and > 0, got {f_low!r}$"):
             fit_params(observed, ["c_ret"], rx, SRC, BODY)
 
 
@@ -1005,6 +1006,14 @@ def test_sensitivity_validation():
         sensitivity(rx, "f0", "c_body")
     with pytest.raises(ValueError, match="needs f"):
         sensitivity(rx, "power", "l")
+
+
+@pytest.mark.parametrize("f", [5e-324, 1e-300])
+def test_power_sensitivity_past_double_precision_names_its_frequency(f):
+    # j*w*C_ret underflows, so D and the power's gradient are not finite.
+    rx = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3)
+    with pytest.raises(channel.NonFiniteResultError, match=f"^d p_out_rms / d l must be finite; at frequency = {f!r} it is nan$"):
+        sensitivity(rx, "power", "l", f=f, src=SRC, body=BODY)
 
 
 def test_sensitivity_to_a_field_at_zero():

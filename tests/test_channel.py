@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bodychannel import acnet, analysis, channel, optimize, safety
 from bodychannel.channel import (
@@ -233,7 +236,9 @@ def test_no_inductor_rejects_a_body_potential_that_is_not_finite_and_nonnegative
     ],
 )
 def test_channel_response_rejects_a_bad_point(kwargs):
-    with pytest.raises(ValueError, match="at every point"):
+    (key, (_, bad)), = kwargs.items()
+    name, op = {"f": ("frequency", ">"), "l": ("l", ">=")}.get(key, (key, ">"))
+    with pytest.raises(ValueError, match=f"^{name} must be finite and {op} 0, got {bad!r}$"):
         channel_response(RX_SIXTH, GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12), **{"f": 1e6, **kwargs})
 
 
@@ -337,30 +342,130 @@ def test_non_finite_fields_are_rejected_by_name(cls, name, bad):
         cls(**{**VALID_FIELDS[cls], name: bad})
 
 
+# ── the one range check ─────────────────────────────────────────────────
+
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, math.inf, -math.inf, math.nan)
+_FLOATS = st.one_of(st.sampled_from(_EDGES), st.floats())
+_BOUNDS = st.sampled_from([(0.0, False), (0.0, True), (1.0, True)])
+
+
+def _inline(x, low, inclusive) -> bool:
+    """The predicate each module wrote by hand: finite, and above ``low``."""
+    return bool(np.all(np.isfinite(x) & ((x >= low) if inclusive else (x > low))))
+
+
+def _message(name, low, inclusive, value) -> str:
+    return f"{name} must be finite and {'>=' if inclusive else '>'} {low:g}, got {value!r}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    value=st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(-3, 3), st.booleans()),
+    bound=_BOUNDS,
+)
+def test_the_range_check_takes_a_scalar_exactly_as_the_inline_predicate(value, bound):
+    low, inclusive = bound
+    if _inline(value, low, inclusive):
+        channel._require_range("x", value, low, inclusive)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(_message('x', low, inclusive, value))}$"):
+            channel._require_range("x", value, low, inclusive)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    x=hnp.arrays(np.float64, st.sampled_from([(), (0,), (1,), (4,), (2, 3)]), elements=_FLOATS),
+    bound=_BOUNDS,
+)
+def test_the_range_check_takes_an_array_exactly_as_the_inline_predicate_and_names_its_first_bad_value(x, bound):
+    low, inclusive = bound
+    if _inline(x, low, inclusive):
+        channel._require_range("x", x, low, inclusive)
+        return
+    first = next(v for v in x.ravel().tolist() if not _inline(v, low, inclusive))  # C order
+    with pytest.raises(ValueError, match=f"^{re.escape(_message('x', low, inclusive, first))}$"):
+        channel._require_range("x", x, low, inclusive)
+
+
+@pytest.mark.parametrize("value", ["1e-12", None, 1e-12 + 0j, [1e-12], (1e-12,)])
+def test_a_scalar_that_is_not_a_real_number_raises_type_error(value):
+    with pytest.raises(TypeError):
+        channel._require_range("x", value)
+    with pytest.raises(TypeError):
+        ReceiverParams(c_ret=value, r_l=1e3)
+
+
 _RX_LOSSY = replace(RX_SIXTH, r_s=100.0)
 _SRC, _BODY = GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12)
+_NETLIST = acnet.build_channel_netlist(RX_SIXTH, _SRC, _BODY)
+#: Each entry that takes a frequency, by the name its error gives the frequency.
 FREQUENCY_ENTRIES = {
-    "transfer_function": lambda f: transfer_function(RX_SIXTH, f),
-    "transfer_function[array]": lambda f: transfer_function(RX_SIXTH, [1e6, f]),
-    "channel_response": lambda f: channel_response(RX_SIXTH, _SRC, _BODY, f),
-    "channel_response[array]": lambda f: channel_response(RX_SIXTH, _SRC, _BODY, [1e6, f]),
-    "body_potential": lambda f: body_potential(_SRC, _BODY, f),
-    "received_power": lambda f: received_power(RX_SIXTH, _SRC, _BODY, f),
-    "optimal_load": lambda f: optimize.optimal_load(_RX_LOSSY, _SRC, _BODY, f, (10.0, 1e4)),
-    "max_power_under_current_limit": lambda f: optimize.max_power_under_current_limit(
-        _RX_LOSSY, _SRC, _BODY, f, 1e-3
+    "transfer_function": ("frequency", lambda f: transfer_function(RX_SIXTH, f)),
+    "transfer_function[array]": ("frequency", lambda f: transfer_function(RX_SIXTH, [1e6, f])),
+    "channel_response": ("frequency", lambda f: channel_response(RX_SIXTH, _SRC, _BODY, f)),
+    "channel_response[array]": ("frequency", lambda f: channel_response(RX_SIXTH, _SRC, _BODY, [1e6, f])),
+    "body_potential": ("frequency", lambda f: body_potential(_SRC, _BODY, f)),
+    "received_power": ("frequency", lambda f: received_power(RX_SIXTH, _SRC, _BODY, f)),
+    "no_inductor_voltage": (
+        "frequency",
+        lambda f: no_inductor_voltage(ReceiverParams(c_ret=1e-12, r_l=1e3), 1.0, f),
     ),
-    "optimal_inductor": lambda f: optimize.optimal_inductor(RX_SIXTH, f),
-    "compare_topologies": lambda f: optimize.compare_topologies(RX_SIXTH, _BODY, [1e6, 2e6, f], 1e-12, 10.0),
-    "contact_current": lambda f: safety.contact_current(_SRC, _BODY, f),
+    "optimal_load": ("frequency", lambda f: optimize.optimal_load(_RX_LOSSY, _SRC, _BODY, f, (10.0, 1e4))),
+    "max_power_under_current_limit": (
+        "frequency",
+        lambda f: optimize.max_power_under_current_limit(_RX_LOSSY, _SRC, _BODY, f, 1e-3),
+    ),
+    "optimal_inductor": ("f_target", lambda f: optimize.optimal_inductor(RX_SIXTH, f)),
+    "compare_topologies": (
+        "freqs",
+        lambda f: optimize.compare_topologies(RX_SIXTH, _BODY, [1e6, 2e6, f], 1e-12, 10.0),
+    ),
+    "contact_current": ("frequency", lambda f: safety.contact_current(_SRC, _BODY, f)),
+    "sensitivity[power]": (
+        "frequency",
+        lambda f: analysis.sensitivity(RX_SIXTH, "power", "l", f=f, src=_SRC, body=_BODY),
+    ),
+    "solve_many": ("frequency", lambda f: acnet.solve_many(_NETLIST, [1e6, f])),
+    "simulate[load]": (
+        "the fixed frequency f of the load sweep",
+        lambda f: analysis.simulate("load", RX_SIXTH, _SRC, _BODY, [1e2, 1e3], f=f),
+    ),
 }
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", list(FREQUENCY_ENTRIES))
 def test_non_finite_frequency_is_rejected(entry, bad):
-    with pytest.raises(ValueError, match="finite"):
-        FREQUENCY_ENTRIES[entry](bad)
+    name, call = FREQUENCY_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad!r}$"):
+        call(bad)
+
+
+_RX_OVERFLOWING = ReceiverParams(c_ret=30e-12, c_gb=1e300, l=0.33e-3, r_l=1e3, r_s=1e3)
+_F0_OVERFLOWING = resonant_frequency(_RX_OVERFLOWING)
+NON_FINITE_RESULTS = {
+    "transfer_function": ("H", 1e6, lambda: transfer_function(_RX_OVERFLOWING, 1e6)),
+    "transfer_function[array]": ("H", 1e6, lambda: transfer_function(_RX_OVERFLOWING, [1e6, 2e6])),
+    "channel_response": ("p_out_rms", 1e6, lambda: channel_response(_RX_OVERFLOWING, _SRC, _BODY, [1e6, 2e6])),
+    "received_power": (
+        "p_out_rms",
+        _F0_OVERFLOWING,
+        lambda: received_power(_RX_OVERFLOWING, _SRC, _BODY, _F0_OVERFLOWING),
+    ),
+    "multi_receiver_power": (
+        "p_out_rms",
+        _F0_OVERFLOWING,
+        lambda: optimize.multi_receiver_power([RX_SIXTH, _RX_OVERFLOWING], _SRC, _BODY),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(NON_FINITE_RESULTS))
+def test_a_closed_form_past_double_precision_names_its_frequency(entry):
+    # k = 1 + C_GB/C_ret overflows to inf, so H is inf/inf; no numpy warning escapes.
+    name, f, call = NON_FINITE_RESULTS[entry]
+    with pytest.raises(channel.NonFiniteResultError, match=rf"^{name} must be finite; at frequency = {f!r} it is \(?nan"):
+        call()
 
 
 def _readme_symbol_table() -> dict:

@@ -926,10 +926,10 @@ def test_an_oracle_run_at_an_underflowing_frequency_names_the_admittances(tmp_pa
 
 
 _NON_FINITE_MULTI = {
-    "C_GB = 1e300": {"C_GB": "1e300"},
-    "C_L = 1e300": {"C_L": "1e300"},
-    "C_ret = 1e-300, C_GB = 1e30": {"C_ret": "1e-300", "C_GB": "1e30"},
-    "C_ret = 1e-300, C_L = 1e30": {"C_ret": "1e-300", "C_L": "1e30"},
+    "C_GB = 1e300": ({"C_GB": "1e300"}, 8.761191269246237e-150),
+    "C_L = 1e300": ({"C_L": "1e300"}, 1599567.362927827),
+    "C_ret = 1e-300, C_GB = 1e30": ({"C_ret": "1e-300", "C_GB": "1e30"}, 8.761191269246238e-15),
+    "C_ret = 1e-300, C_L = 1e30": ({"C_ret": "1e-300", "C_L": "1e30"}, 8.761191269246238e150),
 }
 
 
@@ -941,14 +941,15 @@ def _fig4c_with(keys: dict) -> str:
     return text
 
 
-@pytest.mark.parametrize("keys", _NON_FINITE_MULTI.values(), ids=_NON_FINITE_MULTI)
-def test_multi_whose_cells_are_not_finite_exits_3(tmp_path, capsys, keys):
+@pytest.mark.parametrize(("keys", "f0"), _NON_FINITE_MULTI.values(), ids=_NON_FINITE_MULTI)
+def test_multi_whose_cells_are_not_finite_exits_3(tmp_path, capsys, keys, f0):
     # k = 1 + C_GB/C_ret or the load's C_L overflows in Python float
-    # arithmetic, which warns nothing; the table names the first bad cell.
+    # arithmetic, which warns nothing; received_power names the receiver's
+    # resonant frequency.
     out = tmp_path / "multi.csv"
     assert _run_quietly(["multi", "--config", str(_scenario(tmp_path, _fig4c_with(keys))), "--out", str(out)]) == 3
     assert not out.exists()
-    assert capsys.readouterr().err == "model error: column 'v_o_mag[V]' of row 1 is nan, not finite\n"
+    assert capsys.readouterr().err == f"model error: p_out_rms must be finite; at frequency = {f0!r} it is nan\n"
 
 
 _OVERFLOWING_SWEEPS = {

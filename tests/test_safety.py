@@ -259,7 +259,7 @@ def test_load_limit_table_errors(tmp_path):
     "content, lineno, message",
     [
         ("source_label x\nband 1e5 1e6 10\nband 5e5 2e6 10\n", 3, "limit bands must be sorted and non-overlapping"),
-        ("source_label x\nband 1e5 1e6 10\nband 2e6 inf 10\n", 3, "f_hi must be finite, got inf"),
+        ("source_label x\nband 1e5 1e6 10\nband 2e6 inf 10\n", 3, "f_hi must be finite and > 0, got inf"),
         ("# header\nsource_label\n", 2, "source_label has no text"),
         ("source_label x\n\nband 1e5 1e6 ten\n", 3, "could not convert string to float"),
     ],
