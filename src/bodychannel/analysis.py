@@ -26,6 +26,7 @@ from .channel import (
     SourceModel,
     GroundedTx,
     _body_potential,
+    _on_scalars,
     _peak_frequency,
     _power_and_log_gradient,
     _require_finite,
@@ -138,6 +139,9 @@ def simulate(
     values = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):
         freqs, swept = _sweep_points(axis, rx, values, f)
+        # A fixed f of the load and drive axes becomes a one-point array, so
+        # the whole sweep computes in numpy arrays, inside this errstate.
+        freqs = np.array(freqs, dtype=float, ndmin=1)
         v_o, p = (acnet._response if mna else _response)(rx, src, body, freqs, **swept)
     circuit = (rx, src, body) if axis == "frequency" and not mna else None
     return SweepResult(axis=axis, values=values, p_out_rms=p, v_o=v_o, circuit=circuit)
@@ -217,7 +221,7 @@ def find_resonant_peak(sweep: SweepResult) -> tuple:
 
     if f_peak is not None:
         rx, src, body = sweep.circuit
-        return f_peak, float(_response(rx, src, body, f_peak)[1])
+        return f_peak, _on_scalars("p_out_rms", f_peak, _response, rx, src, body, f_peak)[1]
     return _parabolic_vertex(x[i - 1 : i + 2], p[i - 1 : i + 2])
 
 

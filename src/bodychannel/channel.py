@@ -66,6 +66,25 @@ def _require_range(name: str, value, low: float = 0.0, inclusive: bool = False) 
     raise ValueError(f"{name} must be finite and {'>=' if inclusive else '>'} {low:g}, got {value!r}")
 
 
+#: The numbers a model field accepts; each is stored as a Python ``float``.
+_REAL_SCALARS = (int, float, np.integer, np.floating)
+
+
+def _real_field(model, name: str, low: float = 0.0, inclusive: bool = False) -> None:
+    """Store field ``name`` of a frozen ``model`` as a Python ``float`` in the
+    range of :func:`_require_range`.  An int or a numpy real scalar converts;
+    an ndarray, a list, a str, None, a bool or a complex raises TypeError."""
+    value = getattr(model, name)
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, _REAL_SCALARS):
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+        value = float(value)
+        object.__setattr__(model, name, value)
+    # _require_range's own comparison, inline: the fit builds a model per trial.
+    if not (low <= value < _INF if inclusive else low < value < _INF):
+        _require_range(name, value, low, inclusive)
+
+
 def _require_finite(name: str, x, at, axis: str = "frequency") -> None:
     """The one check on a result ``x``: raise :class:`NonFiniteResultError` naming the
     first value of ``axis`` (``at``, which broadcasts to ``x``) where it is not finite."""
@@ -76,6 +95,24 @@ def _require_finite(name: str, x, at, axis: str = "frequency") -> None:
     if bad.any():
         where, value = np.broadcast_to(at, x.shape)[bad][0].item(), x[bad][0].item()
         raise NonFiniteResultError(f"{name} must be finite; at {axis} = {where!r} it is {value!r}")
+
+
+def _on_scalars(name: str, f: float, kernel, *args):
+    """``kernel(*args)`` in Python float and complex arithmetic at the one
+    frequency ``f``; its result, or the last item of a tuple result, is
+    ``name`` and must be finite.  Python arithmetic warns nothing and needs
+    no ``np.errstate``: it raises ZeroDivisionError or OverflowError, or it
+    gives inf or nan.  This is the one place where each of those becomes
+    :class:`NonFiniteResultError` naming ``f``."""
+    try:
+        out = kernel(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows"
+        raise NonFiniteResultError(f"{name} must be finite; at frequency = {f!r} it {what}") from None
+    x = out[-1] if type(out) is tuple else out
+    if not cmath.isfinite(x):
+        _require_finite(name, x, f)
+    return out
 
 
 def _unknown_convention(convention) -> ValueError:
@@ -121,12 +158,12 @@ class ReceiverParams:
     r_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_range("c_ret", self.c_ret)
-        _require_range("r_l", self.r_l)
-        _require_range("l", self.l, inclusive=True)
-        _require_range("c_gb", self.c_gb, inclusive=True)
-        _require_range("c_l", self.c_l, inclusive=True)
-        _require_range("r_s", self.r_s, inclusive=True)
+        _real_field(self, "c_ret")
+        _real_field(self, "r_l")
+        _real_field(self, "l", inclusive=True)
+        _real_field(self, "c_gb", inclusive=True)
+        _real_field(self, "c_l", inclusive=True)
+        _real_field(self, "r_s", inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -137,8 +174,8 @@ class BodyModel:
     r_b: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_range("c_b", self.c_b)
-        _require_range("r_b", self.r_b, inclusive=True)
+        _real_field(self, "c_b")
+        _real_field(self, "r_b", inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -156,7 +193,7 @@ class GroundedTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        _require_range("r_src", self.r_src, inclusive=True)
+        _real_field(self, "r_src", inclusive=True)
 
 
 @dataclass(frozen=True)
@@ -169,7 +206,7 @@ class WearableTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        _require_range("c_ret_tx", self.c_ret_tx)
+        _real_field(self, "c_ret_tx")
 
 
 @dataclass(frozen=True)
@@ -183,15 +220,15 @@ class ResonantWearableTx:
 
     def __post_init__(self) -> None:
         _check_source_common(self)
-        _require_range("c_ret_tx", self.c_ret_tx)
-        _require_range("q", self.q, low=1.0, inclusive=True)
+        _real_field(self, "c_ret_tx")
+        _real_field(self, "q", low=1.0, inclusive=True)
 
 
 SourceModel = Union[GroundedTx, WearableTx, ResonantWearableTx]
 
 
 def _check_source_common(src) -> None:
-    _require_range("v_in", src.v_in)
+    _real_field(src, "v_in")
     if src.convention not in RMS_FACTOR:
         raise _unknown_convention(src.convention)
 
@@ -245,6 +282,10 @@ def transfer_function(rx: ReceiverParams, f):
     ``f`` may be a scalar or an array; the return matches the input shape.
     A value past double precision raises :class:`NonFiniteResultError`.
     """
+    if isinstance(f, _REAL_SCALARS):
+        _require_range("frequency", f)
+        f = float(f)
+        return _on_scalars("H", f, _transfer, rx, TWO_PI * f, rx.r_l, rx.l)
     f = np.asarray(f, dtype=float)
     _require_range("frequency", f)
     with np.errstate(all="ignore"):
@@ -257,9 +298,28 @@ def transfer_function(rx: ReceiverParams, f):
 
 def _transfer(rx: ReceiverParams, w, r_l, l):
     """H at angular frequency ``w`` with ``r_l`` and ``l`` in place of the
-    receiver's own; the three broadcast against each other."""
+    receiver's own; the three broadcast against each other.
+
+    H = R_L / D rounds as numpy's division rounds on every path.  On an
+    array or a numpy scalar D this is numpy's division.  On a Python complex
+    D it is numpy's algorithm (Smith's, with the reciprocal of the scaled
+    denominator) written out in floats: CPython divides by that denominator
+    instead, which differs from numpy in the last bit of about 40% of
+    quotients.  Every other operation of the kernel rounds alike in Python
+    and numpy, so a scalar evaluation equals the same point of a sweep bit
+    for bit."""
     a, m, _ = _coefficients(rx, w, l)
-    return r_l / (a + r_l * m)
+    d = a + r_l * m
+    if type(d) is not complex:
+        return r_l / d
+    dr, di = d.real, d.imag
+    if abs(dr) >= abs(di):
+        ratio = di / dr
+        scale = 1.0 / (dr + di * ratio)
+        return complex((r_l + 0.0 * ratio) * scale, (0.0 - r_l * ratio) * scale)
+    ratio = dr / di
+    scale = 1.0 / (di + dr * ratio)
+    return complex((r_l * ratio + 0.0) * scale, (0.0 * ratio - r_l) * scale)
 
 
 def _coefficients(rx: ReceiverParams, w, l) -> tuple:
@@ -272,17 +332,12 @@ def _coefficients(rx: ReceiverParams, w, l) -> tuple:
     which depends on R_L.  Since Re(A*conj(M)) = k^2*r_s,
     |D|^2 = |A|^2 + 2*k^2*r_s*R_L + |M|^2*R_L^2.  With C_L = 0, M is the
     scalar k, which spares three array operations per evaluation.  A
-    scalar ``w`` so small that j*w*C_ret is 0 raises
-    :class:`NonFiniteResultError` naming the frequency.
+    Python float ``w`` gives Python complex coefficients; one so small that
+    w*C_ret is 0 raises ZeroDivisionError (see :func:`_on_scalars`).
     """
     k = 1.0 + rx.c_gb / rx.c_ret
     jw = 1j * w
-    try:
-        a = k * (rx.r_s + jw * l) + 1.0 / (jw * rx.c_ret)
-    except ZeroDivisionError:  # Python complex arithmetic: a scalar w
-        raise NonFiniteResultError(
-            f"the return-path impedance 1/(j*w*C_ret) at f = {float(w / TWO_PI)!r} Hz is not finite"
-        ) from None
+    a = k * (rx.r_s + jw * l) - 1j * (1.0 / (w * rx.c_ret))
     return a, jw * rx.c_l * a + k if rx.c_l else k, k
 
 
@@ -323,7 +378,7 @@ def _power_and_log_gradient(
         jac[:, i] = (derivative[name]() * minus_2_over_d).real
         if name == "r_l":
             jac[:, i] += 1.0 / rx.r_l
-    return np.abs(v_o) ** 2 / rx.r_l, jac
+    return _power(v_o, rx.r_l), jac
 
 
 def _resonance(l, c_total):
@@ -421,17 +476,16 @@ def received_power(
 ) -> OperatingPoint:
     """Evaluate the channel at ``f``: body potential, load voltage, rms load
     power.  A power past double precision raises :class:`NonFiniteResultError`."""
-    with np.errstate(all="ignore"):
-        return _operating_point(rx, src, body, f)
+    _require_range("frequency", f)
+    return _operating_point(rx, src, body, float(f))
 
 
 def _operating_point(rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float) -> OperatingPoint:
-    """:func:`received_power` under the caller's ``np.errstate``, which a
-    loop over receivers enters once (it costs about a microsecond)."""
-    v_b = complex(body_potential(src, body, f))
-    v_o, p = _response(rx, src, body, f)
-    _require_finite("p_out_rms", p, f)
-    return OperatingPoint(frequency=f, v_b=v_b, v_o=complex(v_o), p_out_rms=float(p))
+    """:func:`received_power` at a checked Python float ``f``: the kernel runs
+    in Python scalars (:func:`_on_scalars`)."""
+    v_o, p = _on_scalars("p_out_rms", f, _response, rx, src, body, f)
+    v_b = _body_potential(src, body, v_in_rms(src))
+    return OperatingPoint(f, complex(v_b), v_o, p)
 
 
 def channel_response(
@@ -460,10 +514,21 @@ def channel_response(
 
 def _response(rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None, l=None, v_in=None):
     """:func:`channel_response` without its input checks, for callers that
-    validated their inputs once at entry and evaluate in an inner loop."""
-    w = TWO_PI * np.asarray(f, dtype=float)
-    r_l = rx.r_l if r_l is None else np.asarray(r_l, dtype=float)
-    l = rx.l if l is None else np.asarray(l, dtype=float)
-    vin = v_in_rms(src) if v_in is None else to_rms(np.asarray(v_in, dtype=float), src.convention)
-    v_o = _body_potential(src, body, vin) * _transfer(rx, w, r_l, l)
-    return v_o, np.abs(v_o) ** 2 / r_l
+    validated their inputs once at entry and evaluate in an inner loop.
+
+    One body of code serves both paths: with Python float ``f``, ``r_l``,
+    ``l`` and ``v_in`` it computes in Python float and complex arithmetic
+    (see :func:`_on_scalars` for its failures), and with arrays in numpy.
+    Each operation rounds alike on both (see :func:`_transfer`), so a
+    Python scalar evaluation equals the same point of a sweep bit for bit."""
+    r_l = rx.r_l if r_l is None else r_l
+    vin = v_in_rms(src) if v_in is None else to_rms(v_in, src.convention)
+    v_o = _body_potential(src, body, vin) * _transfer(rx, TWO_PI * f, r_l, rx.l if l is None else l)
+    return v_o, _power(v_o, r_l)
+
+
+def _power(v_o, r_l):
+    """The rms load power |v_o|^2 / r_l.  re^2 + im^2 rounds the same on a
+    Python complex and on an array, where ``abs`` and ``np.abs`` differ in
+    the last bit."""
+    return (v_o.real * v_o.real + v_o.imag * v_o.imag) / r_l

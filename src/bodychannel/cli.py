@@ -1,15 +1,15 @@
 """Command-line surface: scenario configs, sweep orchestration, optimization
 and safety commands, CSV emission, and measured-data import.
 
-Scenario files are INI-style with strict keys; quantities are SI base units
-with optional suffix multipliers p n u m k M.  Emitted CSVs carry a
+Scenario files are a strict INI subset (``[section]`` headers, ``key = value``
+lines, ``#`` comments and blank lines); quantities are SI base units with
+optional suffix multipliers p n u m k M.  Emitted CSVs carry a
 provenance header (config hash, command, version) and re-import losslessly.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import inspect
 import math
@@ -34,8 +34,10 @@ from .channel import (
     ResonantWearableTx,
     SourceModel,
     WearableTx,
+    received_power,
     resonant_frequency,
 )
+from .safety import LimitTable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,6 +114,8 @@ class ScenarioConfig:
     body: BodyModel
     sweep: Optional[SweepSpec]
     limit_table_path: Optional[Path]
+    #: the table at ``limit_table_path``, parsed when the scenario loads
+    limit_table: Optional[LimitTable]
     fit: Optional[FitSpec]
     sha256: str
 
@@ -135,12 +139,62 @@ _SOURCES = {
 _PARAM_UNIT = {"C_ret": "F", "C_GB": "F", "r_s": "ohm", "L": "H"}
 
 
-def _section(cp: configparser.ConfigParser, name: str, required: bool = True):
-    if not cp.has_section(name):
+def _parse_sections(text: str, path) -> dict:
+    """Section name -> {key: value} of a scenario's text, both in file order.
+
+    The grammar is ``[section]`` header lines, ``key = value`` lines, ``#``
+    comments (a line of its own, or after whitespace at the end of a line)
+    and blank lines; keys keep their case.  A line that is none of these, a
+    duplicate section or key, a key before the first section, ``:`` as the
+    delimiter and an indented line (a continuation of the value above, in
+    ``configparser``) raise :class:`ConfigError` naming the file and line.
+    """
+    sections = {}
+    items = None
+
+    def error(message: str) -> ConfigError:
+        return ConfigError(f"{path}:{lineno}: {message}")
+
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        at = line.find("#")
+        while at > 0:
+            if line[at - 1].isspace():
+                line = line[:at].rstrip()
+                break
+            at = line.find("#", at + 1)
+        if raw[0].isspace():
+            raise error("a line may not be indented (values take one line)")
+        if line[0] == "[":
+            if len(line) < 3 or line[-1] != "]":
+                raise error(f"expected a [section] header, got {line!r}")
+            name = line[1:-1]
+            if name in sections:
+                raise error(f"duplicate section [{name}]")
+            items = sections[name] = {}
+            continue
+        key, equals, value = line.partition("=")
+        key = key.rstrip()
+        if ":" in key:
+            raise error("use '=' between key and value, not ':'")
+        if not (equals and key):
+            raise error(f"expected [section] or key = value, got {line!r}")
+        if items is None:
+            raise error(f"{key}: keys must live inside a section")
+        if key in items:
+            raise error(f"duplicate key {name}.{key}")
+        items[key] = value.strip()
+    return sections
+
+
+def _section(sections: dict, name: str, required: bool = True):
+    if name not in sections:
         if required:
             raise ConfigError(f"missing required section [{name}]")
         return None
-    return dict(cp.items(name))
+    return dict(sections[name])
 
 
 def _take(items: dict, section: str, key: str) -> str:
@@ -218,25 +272,17 @@ def load_scenario(path) -> ScenarioConfig:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    cp = configparser.ConfigParser(
-        inline_comment_prefixes=("#",),
-        comment_prefixes=("#",),
-        interpolation=None,
-        strict=True,
-    )
-    cp.optionxform = str  # keep key case: C_ret and c_ret differ
     try:
-        cp.read_string(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: config must be UTF-8") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if cp.defaults():
-        key = sorted(cp.defaults())[0]
+    sections = _parse_sections(text, path)
+    if sections.get("DEFAULT"):  # configparser's defaults section has no meaning here
+        key = sorted(sections["DEFAULT"])[0]
         raise ConfigError(f"{key}: keys must live inside a section")
 
     extra = []
-    for name in cp.sections():
+    for name in sections:
         if name.startswith("receiver") and name != "receiver":
             suffix = name[len("receiver"):]
             if not suffix.isdigit() or int(suffix) < 2:
@@ -247,26 +293,30 @@ def load_scenario(path) -> ScenarioConfig:
     # A stable sort by number: [receiver02] and [receiver2] both stay, in file order.
     extra.sort(key=lambda n: int(n[len("receiver"):]))
     receivers = [
-        _build(ReceiverParams, name, _section(cp, name), _RECEIVER_FIELDS)
+        _build(ReceiverParams, name, _section(sections, name), _RECEIVER_FIELDS)
         for name in ["receiver", *extra]
     ]
-    source = _build_source(_section(cp, "source"))
-    body = _build(BodyModel, "body", _section(cp, "body"), _BODY_FIELDS)
+    source = _build_source(_section(sections, "source"))
+    body = _build(BodyModel, "body", _section(sections, "body"), _BODY_FIELDS)
 
-    sweep_items = _section(cp, "sweep", required=False)
+    sweep_items = _section(sections, "sweep", required=False)
     sweep = _build_sweep(sweep_items) if sweep_items is not None else None
 
-    limit_table_path = None
-    safety_items = _section(cp, "safety", required=False)
+    limit_table_path = limit_table = None
+    safety_items = _section(sections, "safety", required=False)
     if safety_items is not None:
         rel = _take(safety_items, "safety", "limit_table")
         _reject_unknown(safety_items, "safety")
         limit_table_path = (path.parent / rel).resolve()
         if not limit_table_path.exists():
             raise ConfigError(f"safety.limit_table: file not found: {limit_table_path}")
+        try:
+            limit_table = safety.load_limit_table(limit_table_path)
+        except ValueError as exc:  # names the table's file and line
+            raise ConfigError(str(exc)) from None
 
     fit_spec = None
-    fit_items = _section(cp, "fit", required=False)
+    fit_items = _section(sections, "fit", required=False)
     if fit_items is not None:
         data_rel = _take(fit_items, "fit", "data")
         free_text = _take(fit_items, "fit", "free")
@@ -288,6 +338,7 @@ def load_scenario(path) -> ScenarioConfig:
         body=body,
         sweep=sweep,
         limit_table_path=limit_table_path,
+        limit_table=limit_table,
         fit=fit_spec,
         sha256=hashlib.sha256(raw).hexdigest(),
     )
@@ -455,8 +506,14 @@ def _sweep(axis: str, config: ScenarioConfig, points: Optional[int] = None, orac
 def _resonance(config: ScenarioConfig, oracle: bool = False) -> tuple:
     rx = config.receiver
     f0 = resonant_frequency(rx)
-    sweep = analysis.simulate("frequency", rx, config.source, config.body, [f0], mna=oracle)
-    return sweep_to_table(sweep), EXIT_OK, {}
+    if oracle:
+        sweep = analysis.simulate("frequency", rx, config.source, config.body, [f0], mna=True)
+        return sweep_to_table(sweep), EXIT_OK, {}
+    # One point of a frequency sweep, bit for bit (abs rounds as np.hypot).
+    point = received_power(rx, config.source, config.body, f0)
+    v = point.v_o
+    row = [f0, v.real, v.imag, abs(v), point.p_out_rms]
+    return ResultTable(columns=[AXIS_LABEL["frequency"], *FULL_SCHEMA_TAIL], rows=[row]), EXIT_OK, {}
 
 
 def _optimize_load(config: ScenarioConfig) -> tuple:
@@ -638,13 +695,10 @@ def run(
     return table, code
 
 
-def _load_limits(config: ScenarioConfig):
-    if config.limit_table_path is None:
+def _load_limits(config: ScenarioConfig) -> LimitTable:
+    if config.limit_table is None:
         raise ConfigError("safety commands need a [safety] section with limit_table")
-    try:
-        return safety.load_limit_table(config.limit_table_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return config.limit_table
 
 
 def _write_atomic(path: Path, text: str) -> None:

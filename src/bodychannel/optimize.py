@@ -26,7 +26,9 @@ from .channel import (
     _INF,
     _body_potential,
     _coefficients,
+    _on_scalars,
     _operating_point,
+    _require_finite,
     _require_range,
     _response,
     resonant_frequency,
@@ -64,25 +66,30 @@ class OptimizationResult:
     used_grid_fallback: bool = False
 
 
-def _at_load(rx, src, body, f, r_l: float) -> tuple:
-    """Load current and power at one load resistance.  An overflow inside the
-    kernel gives inf or nan without numpy's warning; the caller checks."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_o, p = _response(rx, src, body, f, r_l=r_l)
-    return float(abs(v_o)) / r_l, float(p)
+def _at_load(rx, src, body, f: float, r_l: float) -> tuple:
+    """Load current and power at one load resistance, in Python scalars.  A
+    power that is not finite raises NonFiniteResultError naming the load."""
+    v_o, p = _on_scalars(f"p_out_rms at R_L = {r_l!r} ohm", f, _response, rx, src, body, f, r_l)
+    return abs(v_o) / r_l, p
+
+
+def _load_coefficients(rx, f: float) -> tuple:
+    """|A|, |M| and k of ``channel._coefficients`` at frequency ``f``, in
+    Python scalars."""
+
+    def magnitudes():
+        a, m, k = _coefficients(rx, TWO_PI * f, rx.l)
+        return abs(a), abs(m), k
+
+    return _on_scalars("the channel coefficients |A|, |M| and k", f, magnitudes)
 
 
 def _optimum(rx, src, body, f, r_l: float, bounds: tuple, r_c=None) -> OptimizationResult:
     """The power at ``r_l`` clipped to ``bounds``, naming the constraint that
     holds it there: the load-current boundary ``r_c``, else a bound."""
     lo, hi = bounds
-    argmax = min(max(r_l, lo), hi)
+    argmax = float(min(max(r_l, lo), hi))
     objective = _at_load(rx, src, body, f, argmax)[1]
-    if not math.isfinite(objective):
-        raise NonFiniteResultError(
-            f"the closed-form power at R_L = {argmax!r} ohm and f = {f!r} Hz is "
-            f"{objective!r}, not finite"
-        )
     constraint = None
     if argmax == r_c:
         constraint = "load-current"
@@ -121,6 +128,7 @@ def optimal_load(
     :class:`~bodychannel.channel.NonFiniteResultError`.
     """
     _require_range("frequency", f)
+    f = float(f)
     lo, hi = bounds
     if not (lo > 0.0 and hi > lo):
         raise ValueError(f"need 0 < lo < hi, got bounds={bounds!r}")
@@ -130,8 +138,8 @@ def optimal_load(
             "independent of R_L, so P = V_o^2 / R_L is unbounded as R_L -> 0; "
             "set a nonzero series loss to model a matched-load optimum"
         )
-    a, m, _ = _coefficients(rx, TWO_PI * f, rx.l)
-    return _optimum(rx, src, body, f, abs(a) / abs(m), bounds)
+    a, m, _ = _load_coefficients(rx, f)
+    return _optimum(rx, src, body, f, a / m, bounds)
 
 
 def optimal_inductor(rx: ReceiverParams, f_target: float) -> float:
@@ -172,6 +180,7 @@ def max_power_under_current_limit(
     :func:`optimal_load`.
     """
     _require_range("frequency", f)
+    f = float(f)
     if not i_limit > 0.0:
         raise ValueError(f"i_limit must be > 0, got {i_limit!r}")
     lo, hi = bounds
@@ -192,8 +201,8 @@ def max_power_under_current_limit(
     # the limit are [r_c, inf): r_c is the positive root of
     # |M|^2*R^2 + 2*b*R + c = 0 with b = k^2*r_s (see optimal_load), or 0 when
     # c >= 0 and every load is feasible.
-    a, m, k = _coefficients(rx, TWO_PI * f, rx.l)
-    a, m, b = abs(a), abs(m), k * k * rx.r_s
+    a, m, k = _load_coefficients(rx, f)
+    b = k * k * rx.r_s
     c = a * a - (_body_potential(src, body, v_in_rms(src)) / i_limit) ** 2
     r_c = -c / (b + math.sqrt(b * b - m * m * c)) if c < 0.0 else 0.0
     if r_c > hi:
@@ -224,8 +233,7 @@ def multi_receiver_power(
     is normally far above the body-to-ground impedance, so it barely loads
     the body potential.  ``joint_loading_check`` quantifies that assumption.
     """
-    with np.errstate(all="ignore"):
-        return [_operating_point(rx, src, body, resonant_frequency(rx)) for rx in receivers]
+    return [_operating_point(rx, src, body, resonant_frequency(rx)) for rx in receivers]
 
 
 @dataclass(frozen=True)
@@ -256,6 +264,11 @@ def joint_loading_check(
         out, fg = probes[i]
         v = complex(solved.node_voltages[out][i] - solved.node_voltages[fg][i])
         p_joint = abs(v) ** 2 / rx.r_l
+        if not 0.0 < point.p_out_rms < _INF:
+            raise NonFiniteResultError(
+                f"receiver {i}: the joint loading check divides by its independent power "
+                f"{point.p_out_rms!r} W at frequency = {point.frequency!r}, which must be finite and > 0"
+            )
         deviation = (p_joint - point.p_out_rms) / point.p_out_rms
         if abs(deviation) > 0.10:
             warnings.warn(
@@ -317,23 +330,18 @@ def compare_topologies(
 
     f0 = resonant_frequency(rx)
     h_m2w = np.abs(transfer_function(rx, freqs))
-    h_w2w = w2w_factor * h_m2w
-    bandpass = 1.0 / np.sqrt(1.0 + q**2 * (freqs / f0 - f0 / freqs) ** 2)
-    h_w2w_res = h_w2w * q * bandpass
-
     c_ret_m2m = 1000.0 * rx.c_gb if rx.c_gb > 0.0 else rx.c_ret
     rx_m2m = replace(rx, c_ret=c_ret_m2m)
     rx_m2m = replace(rx_m2m, l=optimal_inductor(rx_m2m, f0))
     h_m2m = np.abs(transfer_function(rx_m2m, freqs))
-
-    def curve(name: str, gain: np.ndarray) -> TopologyCurve:
-        return TopologyCurve(
-            topology=name, frequencies=freqs, gain_db=20.0 * np.log10(gain)
-        )
-
-    return [
-        curve("M2M", h_m2m),
-        curve("M2W", h_m2w),
-        curve("W2W", h_w2w),
-        curve("W2W-resonant", h_w2w_res),
-    ]
+    # The band-pass and the dB scale can overflow or reach log10(0); they are
+    # checked as results, without numpy's warning (and q * q, unlike the
+    # Python float q**2, gives inf rather than raising OverflowError).
+    with np.errstate(all="ignore"):
+        h_w2w = w2w_factor * h_m2w
+        bandpass = 1.0 / np.sqrt(1.0 + q * q * (freqs / f0 - f0 / freqs) ** 2)
+        gains = {"M2M": h_m2m, "M2W": h_m2w, "W2W": h_w2w, "W2W-resonant": h_w2w * q * bandpass}
+        gains_db = {name: 20.0 * np.log10(gain) for name, gain in gains.items()}
+    for name, gain_db in gains_db.items():
+        _require_finite(f"the {name} gain in dB", gain_db, freqs)
+    return [TopologyCurve(topology=name, frequencies=freqs, gain_db=g) for name, g in gains_db.items()]

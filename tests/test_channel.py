@@ -342,6 +342,29 @@ def test_non_finite_fields_are_rejected_by_name(cls, name, bad):
         cls(**{**VALID_FIELDS[cls], name: bad})
 
 
+NUMERIC_FIELDS = [(cls, name) for cls, kw in VALID_FIELDS.items() for name in kw if name != "convention"]
+
+
+@pytest.mark.parametrize("value", [2, np.int64(3), np.float64(1.5e3), np.float32(2.5)], ids=repr)
+@pytest.mark.parametrize("cls, name", NUMERIC_FIELDS)
+def test_a_model_field_is_stored_as_a_python_float(cls, name, value):
+    model = cls(**{**VALID_FIELDS[cls], name: value})
+    stored = getattr(model, name)
+    assert type(stored) is float and stored == float(value)
+    assert all(type(getattr(model, other)) is float for _, other in NUMERIC_FIELDS if hasattr(model, other))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.array([1e-12, 2e-12]), np.array(1e-12), [1e-12], "1e-12", None, 1e-12 + 0j, True],
+    ids=["ndarray", "0-d ndarray", "list", "str", "None", "complex", "bool"],
+)
+@pytest.mark.parametrize("cls, name", NUMERIC_FIELDS)
+def test_a_model_field_that_is_not_a_real_number_is_a_type_error(cls, name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be a real number, got {type(value).__name__}$"):
+        cls(**{**VALID_FIELDS[cls], name: value})
+
+
 # ── the one range check ─────────────────────────────────────────────────
 
 _EDGES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, math.inf, -math.inf, math.nan)

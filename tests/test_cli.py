@@ -970,6 +970,49 @@ def test_a_sweep_past_double_precision_exits_3_without_a_numpy_warning(tmp_path,
     assert capsys.readouterr().err == f"model error: p_out_rms must be finite; at {where}\n"
 
 
+def test_multi_joint_whose_independent_power_is_zero_exits_3(tmp_path, capsys):
+    # r_s = 1e300 ohm: the independent power underflows to 0, and the joint
+    # check's relative deviation would divide by it.
+    out = tmp_path / "multi.csv"
+    path = _scenario(tmp_path, _fig4c_with({"r_s": "1e300"}))
+    assert _run_quietly(["multi", "--joint", "--config", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "model error: receiver 0: the joint loading check divides by its independent power 0.0 W "
+        "at frequency = 1599567.362927827, which must be finite and > 0\n"
+    )
+
+
+_OVERFLOWING_TOPOLOGIES = {
+    "C_ret = 1e300, r_s = 1e-15": ({"C_ret": "1e300", "r_s": "1e-15"}, "H", "(nan+nanj)"),
+    "Q = 1e200": ({"Q": "1e200"}, "the W2W-resonant gain in dB", "-inf"),
+    "C_B = 1e15, R_L = 1e-300": ({"C_B": "1e15", "R_L": "1e-300"}, "the W2W gain in dB", "-inf"),
+}
+
+
+@pytest.mark.parametrize(("keys", "name", "value"), _OVERFLOWING_TOPOLOGIES.values(), ids=_OVERFLOWING_TOPOLOGIES)
+def test_compare_topologies_past_double_precision_exits_3_without_a_numpy_warning(tmp_path, capsys, keys, name, value):
+    shutil.copytree(SCENARIO_DIR, tmp_path, dirs_exist_ok=True)  # the fit data the scenario names
+    text = (SCENARIO_DIR / "resonant_wearable.scn").read_text()
+    for key, setting in keys.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {setting}", text, flags=re.M)
+    out = tmp_path / "topologies.csv"
+    assert _run_quietly(["compare-topologies", "--config", str(_scenario(tmp_path, text)), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == f"model error: {name} must be finite; at frequency = 500000.0 it is {value}\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_bad_limit_table_fails_every_command_when_the_scenario_loads(tmp_path, capsys, command):
+    # The table is parsed once, with the scenario, so no command runs on a
+    # scenario whose table is bad.
+    path = _scenario(tmp_path, (SCENARIO_DIR / "safety_example.scn").read_text())
+    table = tmp_path / "example_limits.lmt"
+    table.write_text("source_label x\nband 1e5 one 10\n", encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {table.resolve()}:2: could not convert string to float: 'one'\n"
+
+
 def test_result_table_rejects_a_cell_that_is_not_finite():
     for value, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
         with pytest.raises(NonFiniteResultError, match=re.escape(f"column 'b' of row 2 is {shown}, not finite")):
@@ -983,8 +1026,8 @@ def test_optimize_load_whose_power_is_not_finite_exits_3(tmp_path, capsys):
     assert _run_quietly(["optimize-load", "--config", str(_scenario(tmp_path, text)), "--out", str(out)]) == 3
     assert not out.exists()
     assert capsys.readouterr().err == (
-        "model error: the closed-form power at R_L = 100.0 ohm and f = 1599567.362927827 Hz "
-        "is nan, not finite\n"
+        "model error: p_out_rms at R_L = 100.0 ohm must be finite; at frequency = 1599567.362927827 "
+        "it is nan\n"
     )
 
 
