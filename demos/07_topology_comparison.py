@@ -5,7 +5,7 @@ wearable variant."""
 
 import numpy as np
 
-from bodychannel.channel import BodyModel, ReceiverParams, resonant_frequency
+from bodychannel.channel import BodyModel, ReceiverParams, ResonantWearableTx, resonant_frequency
 from bodychannel.optimize import compare_topologies
 
 rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
@@ -13,14 +13,14 @@ body = BodyModel(c_b=100e-12)
 f0 = resonant_frequency(rx)
 freqs = np.geomspace(f0 / 30, f0 * 30, 241)
 
-curves = {c.topology: c for c in compare_topologies(rx, body, freqs, c_ret_tx=1e-12, q=10.0)}
+gains = compare_topologies(rx, ResonantWearableTx(1.0, "rms", c_ret_tx=1e-12, q=10.0), body, freqs)
 k0 = int(np.argmin(np.abs(freqs - f0)))
 
 print(f"receiver resonance: {f0 / 1e6:.3f} MHz")
 print("-" * 64)
 print("gain |V_o / V_in| at the receiver resonance:")
-for name in ("M2M", "M2W", "W2W", "W2W-resonant"):
-    print(f"  {name:13s} {curves[name].gain_db[k0]:8.2f} dB")
+for name, gain_db in gains.items():
+    print(f"  {name:13s} {gain_db[k0]:8.2f} dB")
 print("\nthe grounded transmitter wins by the wearable divider factor "
       f"(C_B + C_ret_tx)/C_ret_tx = {(100e-12 + 1e-12) / 1e-12:.0f}x "
       f"= {20 * np.log10(101):.1f} dB")
@@ -29,10 +29,7 @@ print("\ngain curves (dB vs frequency):")
 header = "  f [MHz]   " + "".join(f"{n:>14s}" for n in ("M2M", "M2W", "W2W", "W2W-res"))
 print(header)
 for k in range(0, len(freqs), 24):
-    row = f"  {freqs[k] / 1e6:8.3f} "
-    for name in ("M2M", "M2W", "W2W", "W2W-resonant"):
-        row += f"{curves[name].gain_db[k]:14.2f}"
-    print(row)
+    print(f"  {freqs[k] / 1e6:8.3f} " + "".join(f"{gain_db[k]:14.2f}" for gain_db in gains.values()))
 
 print("\nthe resonant wearable only recovers its boost inside the tank band:")
 print("it crosses below plain W2W once detuned past the band edge, which is")

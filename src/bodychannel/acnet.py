@@ -52,6 +52,7 @@ from .channel import (
     SourceModel,
     TWO_PI,
     WearableTx,
+    _power,
     _require_range,
     v_in_rms,
 )
@@ -189,10 +190,10 @@ BLOCK = 1024
 class _Stamped:
     """A netlist stamped once over its node unknowns, bordered by the
     source incidence B.  Each passive element keeps its value, its kind as
-    0/1 masks and the outer product of its incidence row (+1 at node_a, -1
-    at node_b), so that a block of points has one admittance array
-    ``y[point, element] = 1/R + s*C + 1/(s*L)`` and the node block of the
-    matrix is ``y @ outer``.  Element ``swept`` (the index of a passive in
+    0/1 masks and its incidence row (+1 at node_a, -1 at node_b), so that a
+    block of points has one admittance array
+    ``y[point, element] = 1/R + s*C + 1/(s*L)``, stamped into the node
+    block of the matrix.  Element ``swept`` (the index of a passive in
     ``elements``, or None) takes its value at each point from ``values``."""
 
     def __init__(self, netlist: Netlist, swept: Optional[int]):
@@ -212,8 +213,15 @@ class _Stamped:
                 incidence[k, index[e.node_b]] = -1.0
         self.inc = incidence[passive_at]
         self.src_inc = incidence[source_at]
-        self.outer = np.einsum("ei,ej->eij", self.inc, self.inc).reshape(len(passive_at), n * n)
         self.passives = [netlist.elements[i] for i in passive_at]
+        # Each passive's stamp: +y at (a, a) and (b, b) and -y at (a, b) and
+        # (b, a), for its terminals that are not ground.
+        self.diagonal, self.off_diagonal = [], []
+        for k, e in enumerate(self.passives):
+            ends = [index[node] for node in (e.node_a, e.node_b) if node in index]
+            self.diagonal += [(k, i) for i in ends]
+            if len(ends) == 2:
+                self.off_diagonal += [(k, *ends), (k, *ends[::-1])]
         self.values = np.array([e.value for e in self.passives])
         self.is_r, self.is_c, self.is_l = (
             np.array([e.kind is kind for e in self.passives], dtype=float)
@@ -244,7 +252,14 @@ class _Stamped:
             # An admittance that overflows leaves a point singular or failing
             # the KCL check below, which names its frequency.
             y = self.is_r / v + s * (self.is_c * v) + (self.is_l / v) / s
-            a[:, :n, :n] = (y @ self.outer).reshape(len(f), n, n)
+            # Stamped element by element, each entry sums its admittances in
+            # element order at every point.  A matrix product's order depends
+            # on the BLAS kernel, which changes with the number of points, so
+            # a point's result would depend on the block it is solved in.
+            for k, i in self.diagonal:
+                a[:, i, i] += y[:, k]
+            for k, i, j in self.off_diagonal:
+                a[:, i, j] -= y[:, k]
             try:
                 x = np.linalg.solve(a, rhs)[:, :, 0]
             except np.linalg.LinAlgError:
@@ -467,4 +482,4 @@ def _response(rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None
     v_o = solve_many(net, f, element, values).probe_voltage
     if v_in is not None:
         v_o = v_o * (v_in / src.v_in)
-    return v_o, np.abs(v_o) ** 2 / (rx.r_l if r_l is None else r_l)
+    return v_o, _power(v_o, rx.r_l if r_l is None else r_l)

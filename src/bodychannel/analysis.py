@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, truediv
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ from .channel import (
     _response,
     channel_response,
     resonant_frequency,
-    transfer_function,
     v_in_rms,
 )
 
@@ -295,7 +294,7 @@ def fit_total_capacitance(l: float, f_peak: float) -> float:
     _require_range("l", l)
     _require_range("f_peak", f_peak)
     w = 2.0 * math.pi * f_peak
-    return 1.0 / (l * w * w)
+    return _on_scalars("C_ret + C_GB", f_peak, truediv, 1.0, l * w * w)
 
 
 def capacitance_ratio_from_power(p_rms: float, r_l: float, v_b_rms: float) -> float:
@@ -312,7 +311,7 @@ def capacitance_ratio_from_power(p_rms: float, r_l: float, v_b_rms: float) -> fl
             f"implied resonant gain {gain:.6g} exceeds 1; the measured power is "
             "inconsistent with the stated body potential and load"
         )
-    return 1.0 / gain - 1.0
+    return _on_scalars("C_GB / C_ret", p_rms, truediv, 1.0, gain, axis="p_rms") - 1.0
 
 
 FIT_PARAMETERS = ("c_ret", "c_gb", "r_s", "l")
@@ -626,6 +625,8 @@ def sensitivity(
         raise ValueError(f"unknown receiver parameter {param!r}")
 
     c_total = rx.c_ret + rx.c_gb
+    # The value of ``param`` names where a closed form is not finite.
+    name, at = f"d {target} / d {param}", getattr(rx, param)
     if target == "power":
         if f is None or src is None or body is None:
             raise ValueError("target 'power' needs f, src, and body")
@@ -638,10 +639,11 @@ def sensitivity(
         # f0 is proportional to (L * (C_ret + C_GB))**-0.5.
         f0 = resonant_frequency(rx)
         scale = {"l": rx.l, "c_ret": c_total, "c_gb": c_total}.get(param)
-        value = 0.0 if scale is None else -f0 / (2.0 * scale)
+        value = 0.0 if scale is None else _on_scalars(name, at, truediv, -f0, 2.0 * scale, axis=param)
     else:
         # gain = C_ret / (C_ret + C_GB)
-        value = {"c_ret": rx.c_gb, "c_gb": -rx.c_ret}.get(param, 0.0) / c_total**2
+        numerator = {"c_ret": rx.c_gb, "c_gb": -rx.c_ret}.get(param)
+        value = 0.0 if numerator is None else _on_scalars(name, at, lambda: numerator / c_total**2, axis=param)
     return Sensitivity(value=value, analytic=value)
 
 
@@ -691,17 +693,23 @@ def q_factor(sweep: SweepResult) -> QFactorEstimate:
 
 
 def oracle_gap(rx: ReceiverParams, freqs) -> np.ndarray:
-    """Relative disagreement between the closed-form transfer function and
-    the node-level solve of the same receiver, per frequency.
+    """Relative disagreement between the closed-form load voltage and the
+    node-level solve of the same receiver, per frequency.
 
     Uses a unit grounded source with no series resistances, so the two paths
-    model the identical circuit and should agree to solver precision.
+    model the identical circuit and should agree to solver precision; the
+    closed form's load voltage is then H itself.  A gap that is not finite
+    raises ``NonFiniteResultError`` naming the frequency.
     """
     src = GroundedTx(v_in=1.0, convention="rms")
     body = BodyModel(c_b=100e-12)
     freqs = np.asarray(freqs, dtype=float)
     h_mna = acnet._response(rx, src, body, freqs)[0]
-    return np.abs(transfer_function(rx, freqs) - h_mna) / np.abs(h_mna)
+    h = channel_response(rx, src, body, freqs)[0]
+    with np.errstate(all="ignore"):
+        gap = np.abs(h - h_mna) / np.abs(h_mna)
+    _require_finite("the oracle gap", gap, freqs)
+    return gap
 
 
 def approximation_gap(
@@ -712,8 +720,13 @@ def approximation_gap(
     The closed form ignores source and tissue resistance drops (and the
     resonant wearable's small-ratio divider); the netlist includes them.
     This makes the size of those approximations visible instead of hidden.
+    A gap that is not finite raises ``NonFiniteResultError`` naming the
+    frequency.
     """
     freqs = np.asarray(freqs, dtype=float)
     _, p_closed = channel_response(rx, src, body, freqs)
     p_mna = acnet._response(rx, src, body, freqs)[1]
-    return (p_closed - p_mna) / p_mna
+    with np.errstate(all="ignore"):
+        gap = (p_closed - p_mna) / p_mna
+    _require_finite("the approximation gap", gap, freqs)
+    return gap

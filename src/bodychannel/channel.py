@@ -97,21 +97,21 @@ def _require_finite(name: str, x, at, axis: str = "frequency") -> None:
         raise NonFiniteResultError(f"{name} must be finite; at {axis} = {where!r} it is {value!r}")
 
 
-def _on_scalars(name: str, f: float, kernel, *args):
+def _on_scalars(name: str, f: float, kernel, *args, axis: str = "frequency"):
     """``kernel(*args)`` in Python float and complex arithmetic at the one
-    frequency ``f``; its result, or the last item of a tuple result, is
-    ``name`` and must be finite.  Python arithmetic warns nothing and needs
-    no ``np.errstate``: it raises ZeroDivisionError or OverflowError, or it
-    gives inf or nan.  This is the one place where each of those becomes
-    :class:`NonFiniteResultError` naming ``f``."""
+    value ``f`` of ``axis``; its result, or the last item of a tuple result,
+    is ``name`` and must be finite.  Python arithmetic warns nothing and
+    needs no ``np.errstate``: it raises ZeroDivisionError or OverflowError,
+    or it gives inf or nan.  This is the one place where each of those
+    becomes :class:`NonFiniteResultError` naming ``f``."""
     try:
         out = kernel(*args)
     except (ZeroDivisionError, OverflowError) as exc:
         what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows"
-        raise NonFiniteResultError(f"{name} must be finite; at frequency = {f!r} it {what}") from None
+        raise NonFiniteResultError(f"{name} must be finite; at {axis} = {f!r} it {what}") from None
     x = out[-1] if type(out) is tuple else out
     if not cmath.isfinite(x):
-        _require_finite(name, x, f)
+        _require_finite(name, x, f, axis)
     return out
 
 
@@ -258,7 +258,7 @@ def body_potential(src: SourceModel, body: BodyModel, f: float) -> float:
     approximation of that divider by the transmit-side boost ``q``.
     """
     _require_range("frequency", f)
-    return _body_potential(src, body, v_in_rms(src))
+    return _on_scalars("V_B", f, _body_potential, src, body, v_in_rms(src))
 
 
 def _body_potential(src: SourceModel, body: BodyModel, vin):

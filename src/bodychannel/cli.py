@@ -225,21 +225,17 @@ def _build(model, section: str, items: dict, keys: dict, **fixed):
 
 
 def _build_source(items: dict) -> SourceModel:
-    kind = _take(items, "source", "kind").strip()
+    kind = _take(items, "source", "kind")
     if kind not in _SOURCES:
         raise ConfigError(f"source.kind: expected one of {tuple(_SOURCES)}, got {kind!r}")
     v_in = parse_quantity(_take(items, "source", "V_in"), "source.V_in")
-    convention = _take(items, "source", "convention").strip()
-    if convention not in ("pp", "amplitude", "rms"):
-        raise ConfigError(
-            f"source.convention: expected pp, amplitude, or rms, got {convention!r}"
-        )
+    convention = _take(items, "source", "convention")
     model, keys = _SOURCES[kind]
     return _build(model, "source", items, keys, v_in=v_in, convention=convention)
 
 
 def _build_sweep(items: dict) -> SweepSpec:
-    axis = _take(items, "sweep", "axis").strip()
+    axis = _take(items, "sweep", "axis")
     if axis not in AXES:
         raise ConfigError(f"sweep.axis: expected one of {AXES}, got {axis!r}")
     lo = parse_quantity(_take(items, "sweep", "lo"), "sweep.lo")
@@ -249,7 +245,7 @@ def _build_sweep(items: dict) -> SweepSpec:
         points = int(points_text)
     except ValueError:
         raise ConfigError(f"sweep.points: expected an integer, got {points_text!r}") from None
-    spacing = _take(items, "sweep", "spacing").strip()
+    spacing = _take(items, "sweep", "spacing")
     if spacing not in ("lin", "log"):
         raise ConfigError(f"sweep.spacing: expected lin or log, got {spacing!r}")
     frequency = None
@@ -601,12 +597,8 @@ def _multi(config: ScenarioConfig, joint: bool = False) -> tuple:
     return ResultTable(columns=columns, rows=rows), EXIT_OK, {}
 
 
-_TOPOLOGY_COLUMNS = {
-    "M2M": "m2m_gain[dB]",
-    "M2W": "m2w_gain[dB]",
-    "W2W": "w2w_gain[dB]",
-    "W2W-resonant": "w2w_resonant_gain[dB]",
-}
+#: the columns of the four pairings, in the order ``compare_topologies`` gives them
+_TOPOLOGY_COLUMNS = ("m2m_gain[dB]", "m2w_gain[dB]", "w2w_gain[dB]", "w2w_resonant_gain[dB]")
 
 
 def _compare_topologies(config: ScenarioConfig, points: Optional[int] = None) -> tuple:
@@ -618,13 +610,10 @@ def _compare_topologies(config: ScenarioConfig, points: Optional[int] = None) ->
             "(supplies C_ret_tx and Q for the wearable curves)"
         )
     xs = spec.grid(points)
-    curves = optimize.compare_topologies(
-        config.receiver, config.body, xs, c_ret_tx=src.c_ret_tx, q=src.q
-    )
-    gains = {c.topology: c.gain_db for c in curves}
+    gains = optimize.compare_topologies(config.receiver, src, config.body, xs)
     table = ResultTable(
-        columns=["frequency[Hz]", *_TOPOLOGY_COLUMNS.values()],
-        rows=np.column_stack([xs, *(gains[name] for name in _TOPOLOGY_COLUMNS)]).tolist(),
+        columns=["frequency[Hz]", *_TOPOLOGY_COLUMNS],
+        rows=np.column_stack([xs, *gains.values()]).tolist(),
     )
     return table, EXIT_OK, {}
 

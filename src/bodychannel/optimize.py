@@ -17,9 +17,11 @@ import numpy as np
 from . import acnet, safety
 from .channel import (
     BodyModel,
+    GroundedTx,
     NonFiniteResultError,
     OperatingPoint,
     ReceiverParams,
+    ResonantWearableTx,
     SourceModel,
     TWO_PI,
     WearableTx,
@@ -28,11 +30,11 @@ from .channel import (
     _coefficients,
     _on_scalars,
     _operating_point,
+    _power,
     _require_finite,
     _require_range,
     _response,
     resonant_frequency,
-    transfer_function,
     v_in_rms,
 )
 
@@ -263,7 +265,7 @@ def joint_loading_check(
     for i, (rx, point) in enumerate(zip(receivers, independent)):
         out, fg = probes[i]
         v = complex(solved.node_voltages[out][i] - solved.node_voltages[fg][i])
-        p_joint = abs(v) ** 2 / rx.r_l
+        p_joint = _power(v, rx.r_l)
         if not 0.0 < point.p_out_rms < _INF:
             raise NonFiniteResultError(
                 f"receiver {i}: the joint loading check divides by its independent power "
@@ -291,32 +293,22 @@ def joint_loading_check(
     return records
 
 
-@dataclass(frozen=True)
-class TopologyCurve:
-    """Channel gain |V_o / V_IN| in dB over frequency for one pairing."""
-
-    topology: str
-    frequencies: np.ndarray
-    gain_db: np.ndarray
-
-
 def compare_topologies(
-    rx: ReceiverParams,
-    body: BodyModel,
-    freqs,
-    c_ret_tx: float,
-    q: float,
-) -> list:
-    """Gain curves for the four transmitter/receiver pairings.
+    rx: ReceiverParams, src: ResonantWearableTx, body: BodyModel, freqs
+) -> dict:
+    """Gain |V_o / V_IN| in dB over ``freqs`` for the four transmitter/receiver
+    pairings, keyed ``"M2M"``, ``"M2W"``, ``"W2W"`` and ``"W2W-resonant"``.
 
-    M2W drives the body at the full input voltage; W2W loses the wearable
-    transmitter's capacitive divider c_ret_tx / (c_b + c_ret_tx); the
-    resonant W2W variant recovers a factor q, but only inside its tank's
-    band, modeled as a second-order band-pass of quality ``q`` centered on
-    the receiver's resonant frequency.  M2M keeps
-    the drive and upgrades the receiver's return path to a near-ideal
-    c_ret = 1000 * c_gb, with the inductor re-chosen so the operating
-    frequency stays put.
+    The first three are each one ``channel._response`` call at a unit rms
+    drive.  M2W drives the body at the full input voltage (a grounded
+    source); W2W loses the divider c_ret_tx / (c_b + c_ret_tx) of a
+    ``WearableTx`` with ``src.c_ret_tx``; the resonant W2W variant recovers
+    a factor ``src.q``, but only inside its tank's band, modeled as a
+    second-order band-pass of quality q centered on the receiver's resonant
+    frequency.  M2M keeps the drive and upgrades the receiver's return path
+    to a near-ideal c_ret = 1000 * c_gb, with the inductor re-chosen so the
+    operating frequency stays put.  A gain that is not finite in dB raises
+    :class:`NonFiniteResultError` naming the pairing and the frequency.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or len(freqs) < 2:
@@ -324,24 +316,24 @@ def compare_topologies(
     _require_range("freqs", freqs)
     if not np.all(np.diff(freqs) > 0.0):
         raise ValueError("freqs must be strictly increasing")
-    # The wearable transmitter checks c_ret_tx is finite and > 0.
-    w2w_factor = _body_potential(WearableTx(1.0, "rms", c_ret_tx), body, 1.0)
-    _require_range("q", q, low=1.0, inclusive=True)
 
     f0 = resonant_frequency(rx)
-    h_m2w = np.abs(transfer_function(rx, freqs))
     c_ret_m2m = 1000.0 * rx.c_gb if rx.c_gb > 0.0 else rx.c_ret
     rx_m2m = replace(rx, c_ret=c_ret_m2m)
     rx_m2m = replace(rx_m2m, l=optimal_inductor(rx_m2m, f0))
-    h_m2m = np.abs(transfer_function(rx_m2m, freqs))
-    # The band-pass and the dB scale can overflow or reach log10(0); they are
-    # checked as results, without numpy's warning (and q * q, unlike the
-    # Python float q**2, gives inf rather than raising OverflowError).
+    grounded, wearable = GroundedTx(1.0, "rms"), WearableTx(1.0, "rms", src.c_ret_tx)
+    # The kernel, the band-pass and the dB scale can overflow or reach
+    # log10(0); they are checked as results, without numpy's warning (and
+    # q * q, unlike the Python float q**2, gives inf rather than raising).
     with np.errstate(all="ignore"):
-        h_w2w = w2w_factor * h_m2w
-        bandpass = 1.0 / np.sqrt(1.0 + q * q * (freqs / f0 - f0 / freqs) ** 2)
-        gains = {"M2M": h_m2m, "M2W": h_m2w, "W2W": h_w2w, "W2W-resonant": h_w2w * q * bandpass}
+        gains = {
+            "M2M": np.abs(_response(rx_m2m, grounded, body, freqs)[0]),
+            "M2W": np.abs(_response(rx, grounded, body, freqs)[0]),
+            "W2W": np.abs(_response(rx, wearable, body, freqs)[0]),
+        }
+        bandpass = 1.0 / np.sqrt(1.0 + src.q * src.q * (freqs / f0 - f0 / freqs) ** 2)
+        gains["W2W-resonant"] = gains["W2W"] * src.q * bandpass
         gains_db = {name: 20.0 * np.log10(gain) for name, gain in gains.items()}
     for name, gain_db in gains_db.items():
         _require_finite(f"the {name} gain in dB", gain_db, freqs)
-    return [TopologyCurve(topology=name, frequencies=freqs, gain_db=g) for name, g in gains_db.items()]
+    return gains_db

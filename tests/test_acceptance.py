@@ -15,6 +15,7 @@ from bodychannel.channel import (
     BodyModel,
     GroundedTx,
     ReceiverParams,
+    ResonantWearableTx,
     body_potential,
     resonant_frequency,
     resonant_gain,
@@ -128,15 +129,11 @@ def test_c07_topology_ordering():
     c_ret_tx = 1e-12
     f0 = resonant_frequency(rx)
     freqs = np.unique(np.concatenate([np.geomspace(f0 / 10, f0 * 10, 801), [f0]]))
-    curves = {
-        c.topology: c
-        for c in optimize.compare_topologies(rx, body, freqs, c_ret_tx=c_ret_tx, q=10.0)
-    }
+    src = ResonantWearableTx(1.0, "rms", c_ret_tx=c_ret_tx, q=10.0)
+    gains = optimize.compare_topologies(rx, src, body, freqs)
     k = int(np.where(freqs == f0)[0][0])
-    ordered = (
-        curves["M2M"].gain_db[k] >= curves["M2W"].gain_db[k] >= curves["W2W"].gain_db[k]
-    )
-    ratio = 10 ** ((curves["M2W"].gain_db[k] - curves["W2W"].gain_db[k]) / 20.0)
+    ordered = gains["M2M"][k] >= gains["M2W"][k] >= gains["W2W"][k]
+    ratio = 10 ** ((gains["M2W"][k] - gains["W2W"][k]) / 20.0)
     expected = (body.c_b + c_ret_tx) / c_ret_tx
     ratio_ok = abs(ratio - expected) < 1e-9 * expected
     ok = bool(ordered and ratio_ok)

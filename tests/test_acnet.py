@@ -34,6 +34,7 @@ from bodychannel.channel import (
     ReceiverParams,
     ResonantWearableTx,
     WearableTx,
+    _power,
     _response as closed_form_response,
     channel_response,
     resonant_frequency,
@@ -622,6 +623,21 @@ def test_grid_longer_than_a_block_equals_points_solved_alone():
         assert solve_many(net, freqs[k], load, loads[k]).probe_voltage[0] == swept.probe_voltage[k]
 
 
+def test_a_load_sweep_point_equals_the_point_solved_alone():
+    # Three or more admittances meet at the body node.  Their sum must not
+    # depend on how many points share a block: a matrix product's BLAS
+    # kernel, which changes with the row count, summed these in another order.
+    rx = ReceiverParams(c_ret=math.exp(-27.0), r_l=math.exp(5.0), c_gb=math.exp(-26.0), c_l=math.exp(-27.0))
+    net = build_channel_netlist(rx, WearableTx(1.0, "pp", c_ret_tx=math.exp(-27.0)), BodyModel(math.exp(-22.0), math.exp(3.0)))
+    load = net.elements.index(resistor(*net.output_probe, rx.r_l))
+    loads = rx.r_l * np.geomspace(0.5, 2.0, 5)
+    swept = solve_many(net, math.exp(15.5), load, loads)
+    for k, r_l in enumerate(loads):
+        alone = solve_many(net, math.exp(15.5), load, r_l)
+        for node, v in alone.node_voltages.items():
+            assert v[0] == swept.node_voltages[node][k]
+
+
 @st.composite
 def _kernel_channels(draw):
     """A receiver, source and body of any of the three source kinds, with
@@ -682,7 +698,7 @@ def test_kernel_sweep_equals_a_netlist_rebuilt_at_each_point(channel, f, axis):
         for x, f_k in zip(values, np.broadcast_to(freqs, values.shape))
     ]
     ref_v = np.array([ref.probe_voltage[0] for ref in refs])
-    assert np.array_equal(p, np.abs(v_o) ** 2 / (values if axis == "load" else rx.r_l))
+    assert np.array_equal(p, _power(v_o, values if axis == "load" else rx.r_l))
     if axis == "input_voltage":
         # One solve scaled by the drive agrees to rounding, not bit for bit.
         # The probe is a difference of node voltages that can cancel, so the

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bodychannel import acnet, analysis, channel
+from bodychannel import acnet, analysis, channel, optimize, safety
 from bodychannel.analysis import (
     AmbiguousPeakError,
     IdentifiabilityError,
@@ -31,6 +31,7 @@ from bodychannel.channel import (
     _response,
     GroundedTx,
     ReceiverParams,
+    ResonantWearableTx,
     WearableTx,
     body_potential,
     received_power,
@@ -1170,6 +1171,44 @@ def test_approximation_gap_exposes_source_resistance_drop():
     assert np.all(gaps > 0.0)
     ideal = analysis.approximation_gap(rx, GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12), freqs)
     assert float(np.max(np.abs(ideal))) < 1e-9
+
+
+def test_the_gaps_and_the_topology_comparison_never_call_transfer_function(monkeypatch):
+    # Each takes its closed-form side from the channel kernel, so a
+    # transfer_function that raises, wherever a module looks it up, changes none of them.
+    rx = ReceiverParams(c_ret=6e-12, c_gb=2e-12, r_l=1000.0, l=4.222e-3, r_s=20.0)
+    src, body = GroundedTx(5.0, "pp", r_src=50.0), BodyModel(c_b=150e-12, r_b=500.0)
+    tx = ResonantWearableTx(5.0, "pp", c_ret_tx=1e-12, q=10.0)
+    freqs = np.geomspace(5e5, 2e6, 8)
+
+    def evaluate():
+        return (
+            analysis.oracle_gap(rx, freqs),
+            analysis.approximation_gap(rx, src, body, freqs),
+            *optimize.compare_topologies(rx, tx, body, freqs).values(),
+        )
+
+    expected = evaluate()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("transfer_function was called")
+
+    for module in (channel, acnet, analysis, optimize, safety):
+        monkeypatch.setattr(module, "transfer_function", unreachable, raising=False)
+    with pytest.raises(AssertionError, match="transfer_function was called"):
+        channel.transfer_function(rx, 1e6)
+    assert all(np.array_equal(a, b) for a, b in zip(evaluate(), expected, strict=True))
+
+
+def test_the_approximation_gap_names_a_frequency_where_it_is_not_finite():
+    # At 1e200 Hz both powers underflow to 0, so the gap is 0/0; numpy's
+    # warning (an error in this suite) stays inside.
+    rx = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3)
+    with pytest.raises(
+        channel.NonFiniteResultError,
+        match=r"^the approximation gap must be finite; at frequency = 1e\+200 it is nan$",
+    ):
+        analysis.approximation_gap(rx, GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12), [1e5, 1e200])
 
 
 def test_input_voltage_sweep_is_quadratic():

@@ -441,7 +441,9 @@ FREQUENCY_ENTRIES = {
     "optimal_inductor": ("f_target", lambda f: optimize.optimal_inductor(RX_SIXTH, f)),
     "compare_topologies": (
         "freqs",
-        lambda f: optimize.compare_topologies(RX_SIXTH, _BODY, [1e6, 2e6, f], 1e-12, 10.0),
+        lambda f: optimize.compare_topologies(
+            RX_SIXTH, ResonantWearableTx(1.0, "rms", 1e-12, 10.0), _BODY, [1e6, 2e6, f]
+        ),
     ),
     "contact_current": ("frequency", lambda f: safety.contact_current(_SRC, _BODY, f)),
     "sensitivity[power]": (

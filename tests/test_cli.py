@@ -984,7 +984,7 @@ def test_multi_joint_whose_independent_power_is_zero_exits_3(tmp_path, capsys):
 
 
 _OVERFLOWING_TOPOLOGIES = {
-    "C_ret = 1e300, r_s = 1e-15": ({"C_ret": "1e300", "r_s": "1e-15"}, "H", "(nan+nanj)"),
+    "C_ret = 1e300, r_s = 1e-15": ({"C_ret": "1e300", "r_s": "1e-15"}, "the M2M gain in dB", "nan"),
     "Q = 1e200": ({"Q": "1e200"}, "the W2W-resonant gain in dB", "-inf"),
     "C_B = 1e15, R_L = 1e-300": ({"C_B": "1e15", "R_L": "1e-300"}, "the W2W gain in dB", "-inf"),
 }
@@ -992,14 +992,44 @@ _OVERFLOWING_TOPOLOGIES = {
 
 @pytest.mark.parametrize(("keys", "name", "value"), _OVERFLOWING_TOPOLOGIES.values(), ids=_OVERFLOWING_TOPOLOGIES)
 def test_compare_topologies_past_double_precision_exits_3_without_a_numpy_warning(tmp_path, capsys, keys, name, value):
-    shutil.copytree(SCENARIO_DIR, tmp_path, dirs_exist_ok=True)  # the fit data the scenario names
-    text = (SCENARIO_DIR / "resonant_wearable.scn").read_text()
-    for key, setting in keys.items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {setting}", text, flags=re.M)
+    path = _shipped_with(tmp_path, "resonant_wearable.scn", keys)
     out = tmp_path / "topologies.csv"
-    assert _run_quietly(["compare-topologies", "--config", str(_scenario(tmp_path, text)), "--out", str(out)]) == 3
+    assert _run_quietly(["compare-topologies", "--config", str(path), "--out", str(out)]) == 3
     assert not out.exists()
     assert capsys.readouterr().err == f"model error: {name} must be finite; at frequency = 500000.0 it is {value}\n"
+
+
+def _shipped_with(tmp_path, scenario: str, keys: dict):
+    """A copy of the shipped ``scenario`` (beside the files it names) with
+    each key of ``keys`` set to its value."""
+    shutil.copytree(SCENARIO_DIR, tmp_path, dirs_exist_ok=True)
+    text = (SCENARIO_DIR / scenario).read_text()
+    for key, value in keys.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return _scenario(tmp_path, text)
+
+
+def test_oracle_check_whose_gap_is_not_finite_exits_3_without_a_numpy_warning(tmp_path, capsys):
+    # Up to hi = 1e300 Hz the MNA load voltage underflows to 0, and the gap divides by it.
+    out = tmp_path / "gaps.csv"
+    path = _shipped_with(tmp_path, "fig4a.scn", {"hi": "1e300"})
+    assert _run_quietly(["oracle-check", "--config", str(path), "--points", "50", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "model error: the oracle gap must be finite; at frequency = 3.7275937203148007e+173 it is inf\n"
+    )
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed form", "oracle"])
+def test_safety_whose_contact_current_underflows_exits_3(tmp_path, capsys, oracle):
+    # V_in = 5e-324 V: the contact current is 0, and the margin divides by it.
+    out = tmp_path / "safety.csv"
+    path = _shipped_with(tmp_path, "safety_example.scn", {"V_in": "5e-324"})
+    assert _run_quietly(["safety", "--config", str(path), *oracle, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "model error: the margin must be finite; at frequency = 1747000.0 it divides by zero\n"
+    )
 
 
 @pytest.mark.parametrize("command", COMMANDS)

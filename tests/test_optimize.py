@@ -14,6 +14,7 @@ from bodychannel.channel import (
     GroundedTx,
     NonFiniteResultError,
     ReceiverParams,
+    ResonantWearableTx,
     WearableTx,
     body_potential,
     channel_response,
@@ -366,25 +367,27 @@ def test_duplicated_receiver_shares_the_body_potential():
 
 # ── topology comparison ─────────────────────────────────────────────────
 
+TX = ResonantWearableTx(1.0, "rms", c_ret_tx=1e-12, q=10.0)
+
 
 def test_topology_ordering_at_receiver_resonance():
     rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
     body = BodyModel(c_b=100e-12)
     f0 = resonant_frequency(rx)
     freqs = np.geomspace(f0 / 10, f0 * 10, 1601)
-    curves = {c.topology: c for c in compare_topologies(rx, body, freqs, c_ret_tx=1e-12, q=10.0)}
+    gains = compare_topologies(rx, TX, body, freqs)
     k = int(np.argmin(np.abs(freqs - f0)))
-    assert curves["M2M"].gain_db[k] >= curves["M2W"].gain_db[k] >= curves["W2W"].gain_db[k]
-    for curve in curves.values():
-        assert np.all(np.isfinite(curve.gain_db))
+    assert gains["M2M"][k] >= gains["M2W"][k] >= gains["W2W"][k]
+    for gain_db in gains.values():
+        assert np.all(np.isfinite(gain_db))
 
 
 def test_wearable_divider_ratio_is_exact():
     rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
     body = BodyModel(c_b=100e-12)
     freqs = np.geomspace(1e5, 1e7, 101)
-    curves = {c.topology: c for c in compare_topologies(rx, body, freqs, c_ret_tx=1e-12, q=10.0)}
-    ratio = 10 ** ((curves["M2W"].gain_db - curves["W2W"].gain_db) / 20.0)
+    gains = compare_topologies(rx, TX, body, freqs)
+    ratio = 10 ** ((gains["M2W"] - gains["W2W"]) / 20.0)
     expected = (100e-12 + 1e-12) / 1e-12
     assert np.max(np.abs(ratio - expected)) < 1e-9 * expected
 
@@ -395,25 +398,25 @@ def test_resonant_wearable_recovers_q_at_center():
     f0 = resonant_frequency(rx)
     freqs = np.unique(np.concatenate([np.geomspace(1e5, 1e7, 101), [f0]]))
     q = 10.0
-    curves = {c.topology: c for c in compare_topologies(rx, body, freqs, c_ret_tx=1e-12, q=q)}
+    gains = compare_topologies(rx, ResonantWearableTx(1.0, "rms", c_ret_tx=1e-12, q=q), body, freqs)
     k = int(np.where(freqs == f0)[0][0])
-    boost = curves["W2W-resonant"].gain_db[k] - curves["W2W"].gain_db[k]
+    boost = gains["W2W-resonant"][k] - gains["W2W"][k]
     assert boost == pytest.approx(20 * math.log10(q), abs=1e-9)
     # Far from the center the tank helps less than its peak boost.
-    assert curves["W2W-resonant"].gain_db[0] - curves["W2W"].gain_db[0] < boost
+    assert gains["W2W-resonant"][0] - gains["W2W"][0] < boost
 
 
 def test_compare_topologies_validation():
     rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
     body = BodyModel(c_b=100e-12)
     with pytest.raises(ValueError):
-        compare_topologies(rx, body, [1e6], c_ret_tx=1e-12, q=10.0)
+        compare_topologies(rx, TX, body, [1e6])
     with pytest.raises(ValueError):
-        compare_topologies(rx, body, [2e6, 1e6], c_ret_tx=1e-12, q=10.0)
+        compare_topologies(rx, TX, body, [2e6, 1e6])
     with pytest.raises(ValueError):
-        compare_topologies(rx, body, [1e6, 2e6], c_ret_tx=0.0, q=10.0)
+        compare_topologies(rx, ResonantWearableTx(1.0, "rms", c_ret_tx=0.0, q=10.0), body, [1e6, 2e6])
     with pytest.raises(ValueError):
-        compare_topologies(rx, body, [1e6, 2e6], c_ret_tx=1e-12, q=0.5)
+        compare_topologies(rx, ResonantWearableTx(1.0, "rms", c_ret_tx=1e-12, q=0.5), body, [1e6, 2e6])
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -421,6 +424,6 @@ def test_compare_topologies_rejects_non_finite_c_ret_tx_and_q(bad):
     rx = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
     body = BodyModel(c_b=100e-12)
     with pytest.raises(ValueError, match="c_ret_tx must be finite"):
-        compare_topologies(rx, body, [1e6, 2e6], c_ret_tx=bad, q=10.0)
+        compare_topologies(rx, ResonantWearableTx(1.0, "rms", c_ret_tx=bad, q=10.0), body, [1e6, 2e6])
     with pytest.raises(ValueError, match="q must be finite"):
-        compare_topologies(rx, body, [1e6, 2e6], c_ret_tx=1e-12, q=bad)
+        compare_topologies(rx, ResonantWearableTx(1.0, "rms", c_ret_tx=1e-12, q=bad), body, [1e6, 2e6])

@@ -126,6 +126,7 @@ REJECTED = [
     ("grounded", "body", "C_B", "-150p", "c_b", -150e-12),
     ("grounded", "source", "V_in", "-1", "v_in", -1.0),
     ("grounded", "source", "R_S", "-50", "r_src", -50.0),
+    ("grounded", "source", "convention", "x", "convention", "x"),
     ("wearable", "source", "C_ret_tx", "0", "c_ret_tx", 0.0),
     ("resonant-wearable", "source", "Q", "0.5", "q", 0.5),
 ]
