@@ -26,7 +26,7 @@ from .channel import (
     SourceModel,
     GroundedTx,
     _body_potential,
-    _on_scalars,
+    _evaluate,
     _peak_frequency,
     _power_and_log_gradient,
     _require_finite,
@@ -172,7 +172,7 @@ def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple
         return freqs, {"l": values}
     if f is None:
         raise ValueError(f"a sweep along {axis!r} needs a fixed frequency f")
-    _require_range(f"the fixed frequency f of the {axis} sweep", f)
+    f = _require_range(f"the fixed frequency f of the {axis} sweep", f)
     return f, {"r_l" if axis == "load" else "v_in": values}
 
 
@@ -220,7 +220,7 @@ def find_resonant_peak(sweep: SweepResult) -> tuple:
 
     if f_peak is not None:
         rx, src, body = sweep.circuit
-        return f_peak, _on_scalars("p_out_rms", f_peak, _response, rx, src, body, f_peak)[1]
+        return f_peak, _evaluate("p_out_rms", f_peak, _response, rx, src, body, f_peak)[1]
     return _parabolic_vertex(x[i - 1 : i + 2], p[i - 1 : i + 2])
 
 
@@ -291,10 +291,10 @@ def _parabolic_vertex(x3, p3) -> tuple:
 
 def fit_total_capacitance(l: float, f_peak: float) -> float:
     """Invert the resonance relation: C_ret + C_GB = 1 / (L * (2*pi*f_peak)^2)."""
-    _require_range("l", l)
-    _require_range("f_peak", f_peak)
+    l = _require_range("l", l)
+    f_peak = _require_range("f_peak", f_peak)
     w = 2.0 * math.pi * f_peak
-    return _on_scalars("C_ret + C_GB", f_peak, truediv, 1.0, l * w * w)
+    return _evaluate("C_ret + C_GB", f_peak, truediv, 1.0, l * w * w)
 
 
 def capacitance_ratio_from_power(p_rms: float, r_l: float, v_b_rms: float) -> float:
@@ -303,15 +303,16 @@ def capacitance_ratio_from_power(p_rms: float, r_l: float, v_b_rms: float) -> fl
     The implied gain g = sqrt(P * R_L) / V_B must not exceed 1; at resonance
     the lossless channel can at best deliver the body potential.
     """
-    for name, value in (("p_rms", p_rms), ("r_l", r_l), ("v_b_rms", v_b_rms)):
-        _require_range(name, value)
+    p_rms = _require_range("p_rms", p_rms)
+    r_l = _require_range("r_l", r_l)
+    v_b_rms = _require_range("v_b_rms", v_b_rms)
     gain = math.sqrt(p_rms * r_l) / v_b_rms
     if gain > 1.0:
         raise InconsistentMeasurementError(
             f"implied resonant gain {gain:.6g} exceeds 1; the measured power is "
             "inconsistent with the stated body potential and load"
         )
-    return _on_scalars("C_GB / C_ret", p_rms, truediv, 1.0, gain, axis="p_rms") - 1.0
+    return _evaluate("C_GB / C_ret", p_rms, truediv, 1.0, gain, axis="p_rms") - 1.0
 
 
 FIT_PARAMETERS = ("c_ret", "c_gb", "r_s", "l")
@@ -630,20 +631,22 @@ def sensitivity(
     if target == "power":
         if f is None or src is None or body is None:
             raise ValueError("target 'power' needs f, src, and body")
-        _require_range("frequency", f)
-        with np.errstate(all="ignore"):
-            p, g = _power_and_log_gradient(rx, src, body, np.array([f], dtype=float), (param,))
-        value = float(p[0] * g[0, 0])
-        _require_finite(f"d p_out_rms / d {param}", value, f)
+        freqs = np.array([_require_range("frequency", f)])
+
+        def p_times_log_gradient():
+            p, g = _power_and_log_gradient(rx, src, body, freqs, (param,))
+            return p[0] * g[0, 0]
+
+        value = float(_evaluate(f"d p_out_rms / d {param}", freqs, p_times_log_gradient))
     elif target == "f0":
         # f0 is proportional to (L * (C_ret + C_GB))**-0.5.
         f0 = resonant_frequency(rx)
         scale = {"l": rx.l, "c_ret": c_total, "c_gb": c_total}.get(param)
-        value = 0.0 if scale is None else _on_scalars(name, at, truediv, -f0, 2.0 * scale, axis=param)
+        value = 0.0 if scale is None else _evaluate(name, at, truediv, -f0, 2.0 * scale, axis=param)
     else:
         # gain = C_ret / (C_ret + C_GB)
         numerator = {"c_ret": rx.c_gb, "c_gb": -rx.c_ret}.get(param)
-        value = 0.0 if numerator is None else _on_scalars(name, at, lambda: numerator / c_total**2, axis=param)
+        value = 0.0 if numerator is None else _evaluate(name, at, lambda: numerator / c_total**2, axis=param)
     return Sensitivity(value=value, analytic=value)
 
 
@@ -704,12 +707,13 @@ def oracle_gap(rx: ReceiverParams, freqs) -> np.ndarray:
     src = GroundedTx(v_in=1.0, convention="rms")
     body = BodyModel(c_b=100e-12)
     freqs = np.asarray(freqs, dtype=float)
-    h_mna = acnet._response(rx, src, body, freqs)[0]
-    h = channel_response(rx, src, body, freqs)[0]
-    with np.errstate(all="ignore"):
-        gap = np.abs(h - h_mna) / np.abs(h_mna)
-    _require_finite("the oracle gap", gap, freqs)
-    return gap
+
+    def gap():
+        h_mna = acnet._response(rx, src, body, freqs)[0]
+        h = channel_response(rx, src, body, freqs)[0]
+        return np.abs(h - h_mna) / np.abs(h_mna)
+
+    return _evaluate("the oracle gap", freqs, gap)
 
 
 def approximation_gap(
@@ -724,9 +728,10 @@ def approximation_gap(
     frequency.
     """
     freqs = np.asarray(freqs, dtype=float)
-    _, p_closed = channel_response(rx, src, body, freqs)
-    p_mna = acnet._response(rx, src, body, freqs)[1]
-    with np.errstate(all="ignore"):
-        gap = (p_closed - p_mna) / p_mna
-    _require_finite("the approximation gap", gap, freqs)
-    return gap
+
+    def gap():
+        p_closed = channel_response(rx, src, body, freqs)[1]
+        p_mna = acnet._response(rx, src, body, freqs)[1]
+        return (p_closed - p_mna) / p_mna
+
+    return _evaluate("the approximation gap", freqs, gap)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import truediv
 from typing import Union
 
 import numpy as np
@@ -51,18 +52,19 @@ class NonFiniteResultError(ValueError):
     inputs lie outside the range that double precision can evaluate."""
 
 
-def _require_range(name: str, value, low: float = 0.0, inclusive: bool = False) -> None:
-    """The one input range check: ``value`` must be finite and > ``low`` (>= when
-    ``inclusive``).  A scalar is compared by the chain itself, so a str, None, a
-    complex or a list raises TypeError; an ndarray (an argument that broadcasts)
-    must hold at every element, and the ValueError names its first bad one."""
+def _require_range(name: str, value, low: float = 0.0, inclusive: bool = False):
+    """The one input rule: ``value`` must be finite and > ``low`` (>= when
+    ``inclusive``).  A real scalar returns as a Python ``float``; a str, None,
+    a complex or a list fails the comparison chain with TypeError.  An ndarray
+    (an argument that broadcasts) must hold at every element and returns as
+    it is; the ValueError names its first bad element."""
     if type(value) is np.ndarray:
         bad = ~(((value >= low) if inclusive else (value > low)) & (value < _INF))
         if not bad.any():
-            return
+            return value
         value = float(value[bad][0])
     elif low <= value < _INF if inclusive else low < value < _INF:
-        return
+        return float(value)
     raise ValueError(f"{name} must be finite and {'>=' if inclusive else '>'} {low:g}, got {value!r}")
 
 
@@ -90,51 +92,56 @@ def _require_finite(name: str, x, at, axis: str = "frequency") -> None:
     first value of ``axis`` (``at``, which broadcasts to ``x``) where it is not finite."""
     if not isinstance(x, np.ndarray) and cmath.isfinite(x):  # a scalar, without numpy
         return
-    x = np.asarray(x)
+    at, x = np.broadcast_arrays(at, x)
     bad = ~np.isfinite(x)
     if bad.any():
-        where, value = np.broadcast_to(at, x.shape)[bad][0].item(), x[bad][0].item()
+        where, value = at[bad][0].item(), x[bad][0].item()
         raise NonFiniteResultError(f"{name} must be finite; at {axis} = {where!r} it is {value!r}")
 
 
-def _on_scalars(name: str, f: float, kernel, *args, axis: str = "frequency"):
-    """``kernel(*args)`` in Python float and complex arithmetic at the one
-    value ``f`` of ``axis``; its result, or the last item of a tuple result,
-    is ``name`` and must be finite.  Python arithmetic warns nothing and
-    needs no ``np.errstate``: it raises ZeroDivisionError or OverflowError,
-    or it gives inf or nan.  This is the one place where each of those
-    becomes :class:`NonFiniteResultError` naming ``f``."""
+def _evaluate(name: str, at, kernel, *args, axis: str = "frequency"):
+    """The one result guard: ``kernel(*args)``, whose result (or the last item
+    of a tuple result) is ``name`` at the value ``at`` of ``axis``.  At a
+    Python float ``at`` the kernel computes in Python scalars, which warn
+    nothing but raise ZeroDivisionError or OverflowError or give inf or nan;
+    at an array it runs under one ``np.errstate``.  Each bad result becomes
+    one :class:`NonFiniteResultError` naming the first bad value of ``axis``."""
     try:
-        out = kernel(*args)
+        if type(at) is float:
+            out = kernel(*args)
+        else:
+            with np.errstate(all="ignore"):
+                out = kernel(*args)
     except (ZeroDivisionError, OverflowError) as exc:
         what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows"
-        raise NonFiniteResultError(f"{name} must be finite; at {axis} = {f!r} it {what}") from None
+        raise NonFiniteResultError(f"{name} must be finite; at {axis} = {at!r} it {what}") from None
     x = out[-1] if type(out) is tuple else out
-    if not cmath.isfinite(x):
-        _require_finite(name, x, f, axis)
+    if type(at) is not float or not cmath.isfinite(x):
+        _require_finite(name, x, at, axis)
     return out
 
 
-def _unknown_convention(convention) -> ValueError:
-    return ValueError(
-        f"unknown amplitude convention {convention!r}; expected one of {sorted(RMS_FACTOR)}"
-    )
+def _rms_factor(convention: str) -> float:
+    """``RMS_FACTOR[convention]``, or a ValueError naming the conventions."""
+    try:
+        return RMS_FACTOR[convention]
+    except KeyError:
+        raise ValueError(
+            f"unknown amplitude convention {convention!r}; expected one of {sorted(RMS_FACTOR)}"
+        ) from None
 
 
 def to_rms(value: float, convention: str) -> float:
-    """Convert an amplitude tagged with ``convention`` to rms."""
-    try:
-        return value * RMS_FACTOR[convention]
-    except KeyError:
-        raise _unknown_convention(convention) from None
+    """Convert an amplitude (finite and >= 0) tagged with ``convention`` to rms."""
+    return _require_range("the amplitude", value, inclusive=True) * _rms_factor(convention)
 
 
 def from_rms(value: float, convention: str) -> float:
-    """Convert an rms amplitude back to the tagged convention."""
-    try:
-        return value / RMS_FACTOR[convention]
-    except KeyError:
-        raise _unknown_convention(convention) from None
+    """Convert an rms amplitude (finite and >= 0) back to the tagged
+    convention; one past double precision raises :class:`NonFiniteResultError`."""
+    value = _require_range("the rms amplitude", value, inclusive=True)
+    factor = _rms_factor(convention)
+    return _evaluate(f"the {convention} amplitude", value, truediv, value, factor, axis="rms amplitude")
 
 
 @dataclass(frozen=True)
@@ -229,8 +236,7 @@ SourceModel = Union[GroundedTx, WearableTx, ResonantWearableTx]
 
 def _check_source_common(src) -> None:
     _real_field(src, "v_in")
-    if src.convention not in RMS_FACTOR:
-        raise _unknown_convention(src.convention)
+    _rms_factor(src.convention)
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,7 @@ class OperatingPoint:
 
 def v_in_rms(src: SourceModel) -> float:
     """Drive amplitude of ``src`` in rms volts."""
-    return to_rms(src.v_in, src.convention)
+    return src.v_in * RMS_FACTOR[src.convention]
 
 
 def body_potential(src: SourceModel, body: BodyModel, f: float) -> float:
@@ -257,8 +263,7 @@ def body_potential(src: SourceModel, body: BodyModel, f: float) -> float:
     the body capacitance; the resonant variant multiplies the small-ratio
     approximation of that divider by the transmit-side boost ``q``.
     """
-    _require_range("frequency", f)
-    return _on_scalars("V_B", f, _body_potential, src, body, v_in_rms(src))
+    return _evaluate("V_B", _require_range("frequency", f), _body_potential, src, body, v_in_rms(src))
 
 
 def _body_potential(src: SourceModel, body: BodyModel, vin):
@@ -282,18 +287,10 @@ def transfer_function(rx: ReceiverParams, f):
     ``f`` may be a scalar or an array; the return matches the input shape.
     A value past double precision raises :class:`NonFiniteResultError`.
     """
-    if isinstance(f, _REAL_SCALARS):
-        _require_range("frequency", f)
-        f = float(f)
-        return _on_scalars("H", f, _transfer, rx, TWO_PI * f, rx.r_l, rx.l)
-    f = np.asarray(f, dtype=float)
-    _require_range("frequency", f)
-    with np.errstate(all="ignore"):
-        h = _transfer(rx, TWO_PI * f, rx.r_l, rx.l)
-    _require_finite("H", h, f)
-    if np.ndim(h) == 0:
-        return complex(h)
-    return np.asarray(h)
+    if type(f) is not float:
+        f = np.asarray(f, dtype=float)[()]  # a 0-d array becomes a scalar
+    f = _require_range("frequency", f)
+    return _evaluate("H", f, _transfer, rx, TWO_PI * f, rx.r_l, rx.l)
 
 
 def _transfer(rx: ReceiverParams, w, r_l, l):
@@ -333,7 +330,7 @@ def _coefficients(rx: ReceiverParams, w, l) -> tuple:
     |D|^2 = |A|^2 + 2*k^2*r_s*R_L + |M|^2*R_L^2.  With C_L = 0, M is the
     scalar k, which spares three array operations per evaluation.  A
     Python float ``w`` gives Python complex coefficients; one so small that
-    w*C_ret is 0 raises ZeroDivisionError (see :func:`_on_scalars`).
+    w*C_ret is 0 raises ZeroDivisionError (see :func:`_evaluate`).
     """
     k = 1.0 + rx.c_gb / rx.c_ret
     jw = 1j * w
@@ -465,10 +462,11 @@ def no_inductor_voltage(
         raise ValueError("no_inductor_voltage requires l = 0; use transfer_function")
     if rx.r_s != 0.0:
         raise ValueError("the inductorless divider has no series-loss term; r_s must be 0")
-    _require_range("v_b_rms", v_b_rms, inclusive=True)
+    v_b_rms = _require_range("v_b_rms", v_b_rms, inclusive=True)
     if simplified:
         rx = ReceiverParams(c_ret=rx.c_ret, r_l=rx.r_l)
-    return abs(v_b_rms * transfer_function(rx, f))
+    h = transfer_function(rx, f)
+    return _evaluate("|V_o|", f, lambda: abs(v_b_rms * h))
 
 
 def received_power(
@@ -476,14 +474,13 @@ def received_power(
 ) -> OperatingPoint:
     """Evaluate the channel at ``f``: body potential, load voltage, rms load
     power.  A power past double precision raises :class:`NonFiniteResultError`."""
-    _require_range("frequency", f)
-    return _operating_point(rx, src, body, float(f))
+    return _operating_point(rx, src, body, _require_range("frequency", f))
 
 
 def _operating_point(rx: ReceiverParams, src: SourceModel, body: BodyModel, f: float) -> OperatingPoint:
     """:func:`received_power` at a checked Python float ``f``: the kernel runs
-    in Python scalars (:func:`_on_scalars`)."""
-    v_o, p = _on_scalars("p_out_rms", f, _response, rx, src, body, f)
+    in Python scalars (:func:`_evaluate`)."""
+    v_o, p = _evaluate("p_out_rms", f, _response, rx, src, body, f)
     v_b = _body_potential(src, body, v_in_rms(src))
     return OperatingPoint(f, complex(v_b), v_o, p)
 
@@ -506,10 +503,7 @@ def channel_response(
     for name, x in (("frequency", f), ("r_l", r_l), ("l", l), ("v_in", v_in)):
         if x is not None:
             _require_range(name, x, inclusive=name == "l")
-    with np.errstate(all="ignore"):
-        v_o, p = _response(rx, src, body, f, r_l, l, v_in)
-    _require_finite("p_out_rms", p, f)
-    return v_o, p
+    return _evaluate("p_out_rms", f, _response, rx, src, body, f, r_l, l, v_in)
 
 
 def _response(rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None, l=None, v_in=None):
@@ -518,11 +512,11 @@ def _response(rx: ReceiverParams, src: SourceModel, body: BodyModel, f, r_l=None
 
     One body of code serves both paths: with Python float ``f``, ``r_l``,
     ``l`` and ``v_in`` it computes in Python float and complex arithmetic
-    (see :func:`_on_scalars` for its failures), and with arrays in numpy.
+    (see :func:`_evaluate` for its failures), and with arrays in numpy.
     Each operation rounds alike on both (see :func:`_transfer`), so a
     Python scalar evaluation equals the same point of a sweep bit for bit."""
     r_l = rx.r_l if r_l is None else r_l
-    vin = v_in_rms(src) if v_in is None else to_rms(v_in, src.convention)
+    vin = v_in_rms(src) if v_in is None else v_in * RMS_FACTOR[src.convention]
     v_o = _body_potential(src, body, vin) * _transfer(rx, TWO_PI * f, r_l, rx.l if l is None else l)
     return v_o, _power(v_o, r_l)
 

@@ -28,7 +28,7 @@ from .channel import (
     _INF,
     _body_potential,
     _coefficients,
-    _on_scalars,
+    _evaluate,
     _operating_point,
     _power,
     _require_finite,
@@ -71,26 +71,38 @@ class OptimizationResult:
 def _at_load(rx, src, body, f: float, r_l: float) -> tuple:
     """Load current and power at one load resistance, in Python scalars.  A
     power that is not finite raises NonFiniteResultError naming the load."""
-    v_o, p = _on_scalars(f"p_out_rms at R_L = {r_l!r} ohm", f, _response, rx, src, body, f, r_l)
+    v_o, p = _evaluate(f"p_out_rms at R_L = {r_l!r} ohm", f, _response, rx, src, body, f, r_l)
     return abs(v_o) / r_l, p
 
 
-def _load_coefficients(rx, f: float) -> tuple:
-    """|A|, |M| and k of ``channel._coefficients`` at frequency ``f``, in
-    Python scalars."""
+def _load_optima(rx, f: float, d_limit: float) -> tuple:
+    """``(R*, r_c)`` at frequency ``f`` in Python scalars: the matched load
+    R* = |A| / |M| of :func:`optimal_load`, and r_c, the least load R with
+    |A + R*M| >= ``d_limit`` (|V_B| over the current limit; 0 for none): the
+    positive root of |M|^2*R^2 + 2*b*R + c = 0 with b = k^2*r_s and
+    c = |A|^2 - d_limit^2, or 0 when c >= 0 and every load is feasible."""
+    a, m, k = _coefficients(rx, TWO_PI * f, rx.l)
+    a, m = abs(a), abs(m)
+    b, c = k * k * rx.r_s, a * a - d_limit**2
+    return a / m, -c / (b + math.sqrt(b * b - m * m * c)) if c < 0.0 else 0.0
 
-    def magnitudes():
-        a, m, k = _coefficients(rx, TWO_PI * f, rx.l)
-        return abs(a), abs(m), k
 
-    return _on_scalars("the channel coefficients |A|, |M| and k", f, magnitudes)
+def _bounds(bounds: tuple) -> tuple:
+    """The load ``bounds`` (lo, hi) as Python floats with 0 < lo < hi."""
+    lo, hi = bounds
+    # _require_range's own comparison, inline: each load optimizer call checks its bounds.
+    if type(lo) is float and type(hi) is float and 0.0 < lo < hi < _INF:
+        return lo, hi
+    lo = _require_range("the lower load bound", lo)
+    return lo, _require_range("the upper load bound", hi, low=lo)
 
 
 def _optimum(rx, src, body, f, r_l: float, bounds: tuple, r_c=None) -> OptimizationResult:
-    """The power at ``r_l`` clipped to ``bounds``, naming the constraint that
-    holds it there: the load-current boundary ``r_c``, else a bound."""
+    """The power at ``r_l`` clipped to the checked ``bounds``, naming the
+    constraint that holds it there: the load-current boundary ``r_c``, else
+    a bound."""
     lo, hi = bounds
-    argmax = float(min(max(r_l, lo), hi))
+    argmax = min(max(r_l, lo), hi)
     objective = _at_load(rx, src, body, f, argmax)[1]
     constraint = None
     if argmax == r_c:
@@ -129,19 +141,16 @@ def optimal_load(
     double precision's range, such as C_L = 1e300 F) raises
     :class:`~bodychannel.channel.NonFiniteResultError`.
     """
-    _require_range("frequency", f)
-    f = float(f)
-    lo, hi = bounds
-    if not (lo > 0.0 and hi > lo):
-        raise ValueError(f"need 0 < lo < hi, got bounds={bounds!r}")
+    f = _require_range("frequency", f)
+    bounds = _bounds(bounds)
     if rx.r_s == 0.0:
         raise UnboundedObjectiveError(
             "lossless receiver (r_s = 0): at resonance the output voltage is "
             "independent of R_L, so P = V_o^2 / R_L is unbounded as R_L -> 0; "
             "set a nonzero series loss to model a matched-load optimum"
         )
-    a, m, _ = _load_coefficients(rx, f)
-    return _optimum(rx, src, body, f, a / m, bounds)
+    r_star = _evaluate("the matched load R*", f, _load_optima, rx, f, 0.0)[0]
+    return _optimum(rx, src, body, f, r_star, bounds)
 
 
 def optimal_inductor(rx: ReceiverParams, f_target: float) -> float:
@@ -149,7 +158,7 @@ def optimal_inductor(rx: ReceiverParams, f_target: float) -> float:
     L = 1 / ((2*pi*f_target)^2 * (C_ret + C_GB)).  Raises
     :class:`~bodychannel.channel.NonFiniteResultError` when that
     denominator underflows to 0 or overflows, or L overflows."""
-    _require_range("f_target", f_target)
+    f_target = _require_range("f_target", f_target)
     w = TWO_PI * f_target
     denominator = w * w * (rx.c_ret + rx.c_gb)
     if not (0.0 < denominator < _INF and 1.0 / denominator < _INF):
@@ -181,13 +190,9 @@ def max_power_under_current_limit(
     raises :class:`~bodychannel.channel.NonFiniteResultError`, as in
     :func:`optimal_load`.
     """
-    _require_range("frequency", f)
-    f = float(f)
-    if not i_limit > 0.0:
-        raise ValueError(f"i_limit must be > 0, got {i_limit!r}")
-    lo, hi = bounds
-    if not (lo > 0.0 and hi > lo):
-        raise ValueError(f"need 0 < lo < hi, got bounds={bounds!r}")
+    f = _require_range("frequency", f)
+    i_limit = _require_range("i_limit", i_limit)
+    lo, hi = bounds = _bounds(bounds)
 
     i_body = safety.contact_current(src, body, f)
     if i_body > i_limit:
@@ -199,14 +204,8 @@ def max_power_under_current_limit(
             violation=i_body - i_limit,
         )
 
-    # The load current falls strictly with R_L, so the loads it keeps under
-    # the limit are [r_c, inf): r_c is the positive root of
-    # |M|^2*R^2 + 2*b*R + c = 0 with b = k^2*r_s (see optimal_load), or 0 when
-    # c >= 0 and every load is feasible.
-    a, m, k = _load_coefficients(rx, f)
-    b = k * k * rx.r_s
-    c = a * a - (_body_potential(src, body, v_in_rms(src)) / i_limit) ** 2
-    r_c = -c / (b + math.sqrt(b * b - m * m * c)) if c < 0.0 else 0.0
+    d_limit = _body_potential(src, body, v_in_rms(src)) / i_limit
+    r_star, r_c = _evaluate("the load-current boundary r_c", f, _load_optima, rx, f, d_limit)
     if r_c > hi:
         i_hi = _at_load(rx, src, body, f, hi)[0]
         raise InfeasibleError(
@@ -223,7 +222,7 @@ def max_power_under_current_limit(
             "lossless (r_s = 0), so the objective is unbounded; see optimal_load"
         )
 
-    return _optimum(rx, src, body, f, max(a / m, r_c), bounds, r_c)
+    return _optimum(rx, src, body, f, max(r_star, r_c), bounds, r_c)
 
 
 def multi_receiver_power(

@@ -17,14 +17,14 @@ from typing import Optional
 
 from . import acnet
 from .channel import (
+    RMS_FACTOR,
     BodyModel,
     SourceModel,
     TWO_PI,
     _body_potential,
-    _on_scalars,
+    _evaluate,
     _require_range,
     body_potential,
-    from_rms,
 )
 
 BASIC_RESTRICTIONS_NOTE = (
@@ -165,14 +165,14 @@ def contact_current(
     receiver loading in that netlist.  The closed form has no receiver, so
     ``rx`` without ``mna=True`` raises ValueError.
     """
-    _require_range("frequency", f)
+    f = _require_range("frequency", f)
     if not mna:
         if rx is not None:
             raise ValueError("receiver loading (rx) needs mna=True; the closed form has no receiver")
-        return _on_scalars("the contact current", f, mul, TWO_PI * f * body.c_b, body_potential(src, body, f))
+        return _evaluate("the contact current", f, mul, TWO_PI * f * body.c_b, body_potential(src, body, f))
     net, _ = acnet._build_netlist(src, body, [] if rx is None else [rx], [""])
     v_body = complex(acnet.solve_many(net, f).node_voltages["body"][0])
-    return _on_scalars("the contact current", f, abs, v_body * 1j * TWO_PI * f * body.c_b)
+    return _evaluate("the contact current", f, abs, v_body * 1j * TWO_PI * f * body.c_b)
 
 
 def _contact_band(table: LimitTable, f: float) -> LimitBand:
@@ -205,7 +205,7 @@ def check(
             _require_range(name, measured, inclusive=True)
     band = _contact_band(table, f)
     actual = contact_current(src, body, f, rx=rx, mna=mna)
-    margin = _on_scalars("the margin", f, truediv, band.contact_current_limit, actual)
+    margin = _evaluate("the margin", f, truediv, band.contact_current_limit, actual)
     passed = actual <= band.contact_current_limit
 
     checks = []
@@ -243,10 +243,11 @@ def max_safe_input(body: BodyModel, f: float, table: LimitTable, src: SourceMode
     source's amplitude convention.
     """
     band = _contact_band(table, f)
-    return _on_scalars("the largest safe input", f, _safe_input, band.contact_current_limit, body, f, src)
+    f = _require_range("frequency", f)
+    return _evaluate("the largest safe input", f, _safe_input, band.contact_current_limit, body, f, src)
 
 
 def _safe_input(limit: float, body: BodyModel, f: float, src: SourceModel) -> float:
     v_b_max_rms = limit / (TWO_PI * f * body.c_b)
     slope = _body_potential(src, body, 1.0)  # V_B per rms input volt
-    return from_rms(v_b_max_rms / slope, src.convention)
+    return v_b_max_rms / slope / RMS_FACTOR[src.convention]

@@ -1,5 +1,7 @@
 """Shared draw helpers and paths for the test suite."""
 
+import importlib
+import inspect
 import math
 from pathlib import Path
 
@@ -11,6 +13,17 @@ from bodychannel.cli import COMMANDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+
+def public_functions(short: str) -> list:
+    """Functions defined in ``bodychannel.<short>`` whose names do not start
+    with an underscore: the rule perfbench/tracer.py wraps by."""
+    module = importlib.import_module(f"bodychannel.{short}")
+    return [
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == module.__name__
+    ]
 
 
 def shipped_cli_runs(out):

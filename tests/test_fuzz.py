@@ -13,15 +13,18 @@ import math
 import re
 import shutil
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bodychannel import analysis, cli, safety
+from bodychannel import analysis, channel, cli, optimize, safety
+from bodychannel.acnet import SingularNetworkError
 from bodychannel.channel import BodyModel, GroundedTx, ReceiverParams, ResonantWearableTx, WearableTx, body_potential
 from bodychannel.safety import LimitBand, LimitTable
-from helpers import SCENARIO_DIR
+from helpers import SCENARIO_DIR, public_functions
 
 VALUES = (5e-324, 1e-300, 1e300, 1e-30, 1e30, 0.0, -1.0, math.nan, math.inf, 1e-12, 30e-12, 1e3, 0.33e-3, 1e-15, 1e15)
 
@@ -34,19 +37,129 @@ _SOURCES = (
     lambda v_in, c_ret_tx: ResonantWearableTx(v_in, "rms", c_ret_tx, 10.0),
 )
 _SENSITIVITIES = [(target, param) for target in ("f0", "gain") for param in ("c_ret", "c_gb", "l")]
+_FIELDS = ("c_ret", "r_l", "l", "c_gb", "c_l", "r_s")
 #: one band over every positive frequency of VALUES
 _TABLE = LimitTable("every frequency", (LimitBand(5e-324, 1e308, contact_current_limit=0.02),))
+_BODY = BodyModel(c_b=150e-12)
+#: a lossy resonant receiver, and three of its fields drawn per selector k
+_RX = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3, r_s=50.0)
+_RX_DRAWS = (
+    ("c_ret", "c_gb", "l"),
+    ("c_ret", "r_l", "r_s"),
+    ("l", "r_l", "c_l"),
+    ("c_gb", "c_l", "r_s"),
+    ("c_ret", "l", "r_s"),
+    ("r_l", "c_gb", "l"),
+)
 
-#: name -> the call on a selector k (a source kind or a sensitivity) and four
-#: drawn values, returning the floats it gives
+
+def _receiver(k, a, b, c):
+    """``_RX`` with the three fields of ``_RX_DRAWS[k]`` set to a, b and c."""
+    return replace(_RX, **dict(zip(_RX_DRAWS[k], (a, b, c))))
+
+
+def _point(op):
+    return [op.v_b, op.v_o, op.p_out_rms]
+
+
+#: name (a public function, with a variant in brackets) -> the call on a
+#: selector k (a source kind, a sensitivity, a receiver draw) and four
+#: drawn values, returning the numbers and arrays it gives
 CLOSED_FORMS = {
+    # channel
+    "to_rms": lambda k, a, b, c, d: [channel.to_rms(a, ("pp", "amplitude", "rms")[k % 3])],
+    "from_rms": lambda k, a, b, c, d: [channel.from_rms(a, ("pp", "amplitude", "rms")[k % 3])],
+    "v_in_rms": lambda k, a, b, c, d: [channel.v_in_rms(_SOURCES[k % 3](a, b))],
+    "body_potential": lambda k, a, b, c, d: [body_potential(_SOURCES[k % 3](a, b), BodyModel(c_b=c), d)],
+    "transfer_function": lambda k, a, b, c, d: [channel.transfer_function(_receiver(k, a, b, c), d)],
+    "transfer_function [grid]": lambda k, a, b, c, d: [channel.transfer_function(_receiver(k, a, b, c), [d, 1e6])],
+    "resonant_frequency": lambda k, a, b, c, d: [channel.resonant_frequency(_receiver(k, a, b, c))],
+    "resonant_gain": lambda k, a, b, c, d: [channel.resonant_gain(_receiver(k, a, b, c))],
+    "no_inductor_voltage": lambda k, a, b, c, d: [
+        channel.no_inductor_voltage(
+            ReceiverParams(c_ret=a, r_l=b, c_gb=1e-12, c_l=1e-12 * (k % 2)), c, d, simplified=k >= 3
+        )
+    ],
+    "received_power": lambda k, a, b, c, d: _point(
+        channel.received_power(_receiver(k, a, b, c), _SOURCES[k % 3](5.0, 1e-12), _BODY, d)
+    ),
+    "channel_response": lambda k, a, b, c, d: channel.channel_response(
+        _receiver(k, a, b, c), _SOURCES[k % 3](5.0, 1e-12), _BODY, [d, 1e6]
+    ),
+    "channel_response [load]": lambda k, a, b, c, d: channel.channel_response(
+        _RX, _SOURCES[k % 3](a, 1e-12), _BODY, d, r_l=[b, c, 1e3]
+    ),
+    # analysis
+    "simulate": lambda k, a, b, c, d: [
+        getattr(
+            analysis.simulate(
+                analysis.AXES[k % 4], _receiver(k, a, b, c), _SOURCES[k % 3](5.0, 1e-12), _BODY, [d, 2.0 * d],
+                f=1e6, mna=k >= 4,
+            ),
+            name,
+        )
+        for name in ("p_out_rms", "v_o")
+    ],
+    "simulate_frequency_sweep": lambda k, a, b, c, d: [
+        analysis.simulate_frequency_sweep(_receiver(k, a, b, c), _SOURCES[k % 3](5.0, 1e-12), _BODY, [d, 2.0 * d]).p_out_rms
+    ],
     "fit_total_capacitance": lambda k, a, b, c, d: [analysis.fit_total_capacitance(a, b)],
     "capacitance_ratio_from_power": lambda k, a, b, c, d: [analysis.capacitance_ratio_from_power(a, b, c)],
     "sensitivity": lambda k, a, b, c, d: [
         analysis.sensitivity(ReceiverParams(c_ret=a, c_gb=b, l=c, r_l=1e3), *_SENSITIVITIES[k]).value
     ],
-    "body_potential": lambda k, a, b, c, d: [body_potential(_SOURCES[k % 3](a, b), BodyModel(c_b=c), d)],
+    "sensitivity [power]": lambda k, a, b, c, d: [
+        analysis.sensitivity(
+            ReceiverParams(c_ret=a, c_gb=b, l=c, r_l=1e3, r_s=50.0), "power", _FIELDS[k],
+            f=d, src=GroundedTx(1e3, "rms"), body=_BODY,
+        ).value
+    ],
+    "oracle_gap": lambda k, a, b, c, d: [analysis.oracle_gap(_receiver(k, a, b, c), [d, 2.0 * d])],
+    "approximation_gap": lambda k, a, b, c, d: [
+        analysis.approximation_gap(_receiver(k, a, b, c), _SOURCES[k % 3](5.0, 1e-12), _BODY, [d, 2.0 * d])
+    ],
+    # optimize
+    "optimal_load": lambda k, a, b, c, d: [
+        getattr(optimize.optimal_load(_receiver(k, a, b, c), _SOURCES[k % 3](5.0, 1e-12), _BODY, d, (1.0, 1e6)), name)
+        for name in ("argmax", "objective_at_argmax")
+    ],
+    "optimal_load [bounds]": lambda k, a, b, c, d: [
+        optimize.optimal_load(_RX, _SOURCES[k % 3](c, 1e-12), _BODY, d, (a, b)).objective_at_argmax
+    ],
+    "optimal_inductor": lambda k, a, b, c, d: [optimize.optimal_inductor(ReceiverParams(c_ret=a, c_gb=b, r_l=1e3), c)],
+    "max_power_under_current_limit": lambda k, a, b, c, d: [
+        getattr(
+            optimize.max_power_under_current_limit(
+                replace(_RX, c_ret=a), _SOURCES[k % 3](b, 1e-12), _BODY, c, d
+            ),
+            name,
+        )
+        for name in ("argmax", "objective_at_argmax")
+    ],
+    "max_power_under_current_limit [bounds]": lambda k, a, b, c, d: [
+        optimize.max_power_under_current_limit(
+            _RX, _SOURCES[k % 3](5.0, 1e-12), _BODY, 1.6e6, c, bounds=(a, b)
+        ).objective_at_argmax
+    ],
+    "multi_receiver_power": lambda k, a, b, c, d: [
+        x for op in optimize.multi_receiver_power([_receiver(k, a, b, c), _RX], _SOURCES[k % 3](d, 1e-12), _BODY)
+        for x in _point(op)
+    ],
+    "joint_loading_check": lambda k, a, b, c, d: [
+        x
+        for record in optimize.joint_loading_check([_receiver(k, a, b, c), _RX], _SOURCES[k % 3](d, 1e-12), _BODY)
+        for x in (record.joint_power_rms, record.deviation)
+    ],
+    "compare_topologies": lambda k, a, b, c, d: list(
+        optimize.compare_topologies(
+            _receiver(k, a, b, c), ResonantWearableTx(1.0, "rms", 1e-12, 10.0), _BODY, [d, 2.0 * d]
+        ).values()
+    ),
+    # safety
     "contact_current": lambda k, a, b, c, d: [safety.contact_current(_SOURCES[k % 3](a, b), BodyModel(c_b=c), d)],
+    "contact_current [netlist]": lambda k, a, b, c, d: [
+        safety.contact_current(_SOURCES[k % 3](a, b), BodyModel(c_b=c), d, mna=True)
+    ],
     "max_safe_input": lambda k, a, b, c, d: [
         safety.max_safe_input(BodyModel(c_b=c), d, _TABLE, _SOURCES[k % 3](1.0, b))
     ],
@@ -56,12 +169,25 @@ CLOSED_FORMS = {
     ],
 }
 
+#: public functions of channel, analysis, optimize and safety that the
+#: property does not call, and why
+EXEMPT = {
+    "load_limit_table": "reads a file; each band's numbers pass the one range rule",
+    "fit_params": "takes a SweepResult, whose constructor rejects a value that is not finite",
+    "find_resonant_peak": "takes a SweepResult, whose constructor rejects a value that is not finite",
+    "q_factor": "takes a SweepResult, whose constructor rejects a value that is not finite",
+}
 
-@settings(max_examples=1500, deadline=None, derandomize=True)
+#: a drawn value: an element of VALUES as a Python float or a numpy float64
+_VALUE = st.sampled_from(VALUES) | st.sampled_from(VALUES).map(np.float64)
+_F64 = np.float64
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True)
 @given(
     name=st.sampled_from(sorted(CLOSED_FORMS)),
     k=st.integers(0, len(_SENSITIVITIES) - 1),
-    x=st.tuples(*[st.sampled_from(VALUES)] * 4),
+    x=st.tuples(*[_VALUE] * 4),
 )
 @example(name="fit_total_capacitance", k=0, x=(5e-324, 5e-324, 0.0, 0.0))
 @example(name="fit_total_capacitance", k=0, x=(5e-324, 1.0, 0.0, 0.0))
@@ -73,14 +199,42 @@ CLOSED_FORMS = {
 @example(name="body_potential", k=2, x=(1e-300, 1e300, 5e-324, 1e6))
 @example(name="max_safe_input", k=1, x=(1.0, 5e-324, 5e-324, 1e6))
 @example(name="check", k=0, x=(5e-324, 0.0, 150e-12, 1e6))
+# (V_B / I_limit)^2 overflows in Python floats: an OverflowError, not a ValueError
+@example(name="max_power_under_current_limit", k=0, x=(30e-12, 1e300, 1e-300, 1e30))
+# p * d log P / d c_gb is 0 * inf: numpy's invalid-value warning
+@example(name="sensitivity [power]", k=3, x=(1e-30, 5e-324, 1e-12, 1e300))
+# numpy float64 arguments computed in numpy and warned
+@example(name="fit_total_capacitance", k=0, x=(_F64(5e-324), _F64(5e-324), 0.0, 0.0))
+@example(name="capacitance_ratio_from_power", k=0, x=(1e-3, 1e3, _F64(5e-324), 0.0))
+@example(name="optimal_inductor", k=0, x=(30e-12, 0.0, _F64(1e300), 0.0))
+@example(name="check", k=0, x=(5e-324, 0.0, 150e-12, _F64(1e-300)))
+# the netlist's power |v_o|^2 / R_L overflowed outside any np.errstate
+@example(name="oracle_gap", k=0, x=(1e300, 1e300, _F64(1e-15), _F64(1e3)))
+# an amplitude that is not finite, and one whose conversion overflows
+@example(name="to_rms", k=0, x=(math.inf, 0.0, 0.0, 0.0))
+@example(name="from_rms", k=0, x=(1e308, 0.0, 0.0, 0.0))
 def test_a_closed_form_gives_finite_numbers_or_a_value_error(name, k, x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the property
+        warnings.simplefilter("ignore", optimize.LoadingAssumptionWarning)  # the package's own, by design
         try:
             results = CLOSED_FORMS[name](k, *x)
-        except ValueError:
+        except (ValueError, SingularNetworkError):  # the second only from a netlist-backed call
             return
-    assert all(math.isfinite(r) for r in results), results
+    assert all(np.isfinite(r).all() for r in results), results
+
+
+@pytest.mark.parametrize("short", ("channel", "analysis", "optimize", "safety"))
+def test_the_library_property_calls_every_public_function(short):
+    covered = {name.split(" [")[0] for name in CLOSED_FORMS}
+    names = public_functions(short)
+    missing = [name for name in names if name not in covered and name not in EXEMPT]
+    assert not missing, f"bodychannel.{short} functions neither in CLOSED_FORMS nor EXEMPT: {missing}"
+
+
+def test_every_exemption_names_a_public_function():
+    public = {name for short in ("channel", "analysis", "optimize", "safety") for name in public_functions(short)}
+    assert set(EXEMPT) <= public - {name.split(" [")[0] for name in CLOSED_FORMS}
 
 
 # ── the CLI ─────────────────────────────────────────────────────────────

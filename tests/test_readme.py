@@ -1,32 +1,19 @@
 """README names the whole public API and the commands that read each flag."""
 
-import importlib
-import inspect
 import re
 
 import pytest
 
 from bodychannel import cli
-from helpers import REPO_ROOT
+from helpers import REPO_ROOT, public_functions
 
 MODULES = ("channel", "acnet", "analysis", "optimize", "safety", "cli")
-
-
-def _public_functions(short: str) -> list:
-    """Functions defined in ``bodychannel.<short>`` whose names do not start
-    with an underscore: the rule perfbench/tracer.py wraps by."""
-    module = importlib.import_module(f"bodychannel.{short}")
-    return [
-        name
-        for name, obj in vars(module).items()
-        if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == module.__name__
-    ]
 
 
 @pytest.mark.parametrize("short", MODULES)
 def test_readme_names_every_public_function(short):
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    names = _public_functions(short)
+    names = public_functions(short)
     assert names
     missing = [name for name in names if f"`{name}`" not in readme]
     assert not missing, f"bodychannel.{short} functions not named in README.md: {missing}"

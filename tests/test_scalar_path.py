@@ -138,14 +138,19 @@ def test_a_python_division_by_zero_names_its_frequency(call):
         call(rx, GroundedTx(5.0, "pp"), BodyModel(c_b=150e-12))
 
 
-def test_on_scalars_maps_overflow_and_nan_to_one_error():
+def test_evaluate_maps_overflow_and_nan_to_one_error():
     def overflows():
         return 1e200**2
 
     with pytest.raises(NonFiniteResultError, match=r"^x must be finite; at frequency = 1.0 it overflows$"):
-        channel._on_scalars("x", 1.0, overflows)
+        channel._evaluate("x", 1.0, overflows)
     with pytest.raises(NonFiniteResultError, match=r"^x must be finite; at frequency = 2.0 it is nan$"):
-        channel._on_scalars("x", 2.0, lambda: (1.0, math.nan))
+        channel._evaluate("x", 2.0, lambda: (1.0, math.nan))
     # Of a tuple, the last item is the result checked: (v_o, p) checks p.
-    v_o, p = channel._on_scalars("x", 3.0, lambda: (complex(math.nan, 0.0), 4.0))
+    v_o, p = channel._evaluate("x", 3.0, lambda: (complex(math.nan, 0.0), 4.0))
     assert p == 4.0
+    # At an array axis numpy gives inf without a warning, and the error names
+    # the first axis value where the result is not finite.
+    at = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(NonFiniteResultError, match=r"^x must be finite; at frequency = 2.0 it is inf$"):
+        channel._evaluate("x", at, lambda: np.array([1.0, 1e200, 1e300]) ** 2)
