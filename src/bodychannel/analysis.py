@@ -221,7 +221,10 @@ def find_resonant_peak(sweep: SweepResult) -> tuple:
     if f_peak is not None:
         rx, src, body = sweep.circuit
         return f_peak, _evaluate("p_out_rms", f_peak, _response, rx, src, body, f_peak)[1]
-    return _parabolic_vertex(x[i - 1 : i + 2], p[i - 1 : i + 2])
+    # In Python floats: an overflow is a NonFiniteResultError naming the grid peak.
+    return _evaluate(
+        "the peak power", float(x[i]), _parabolic_vertex, x[i - 1 : i + 2], p[i - 1 : i + 2], axis=sweep.axis
+    )
 
 
 def _prominent_peaks(p: np.ndarray, min_prominence: float) -> list:
@@ -515,22 +518,21 @@ def _linear_start(
     resonance to observed powers ``p_obs`` at ``freqs``, or None where that
     fit gives none.
 
-    With C_L = 0, k = 1 + C_GB/C_ret, alpha = k*(r_s + R_L), beta = k*L and
-    gamma = 1/C_ret, the channel gives y = |V_B|^2*R_L/P = |D|^2 =
-    c0 + c1*w^2 + c2/w^2 with c0 = alpha^2 - 2*beta*gamma, c1 = beta^2 and
-    c2 = gamma^2, which is linear in the three coefficients (Levy, IRE
-    Trans. AC-4, 1959; Sanathanan & Koerner, IEEE Trans. AC-8, 1963).  Each
+    The channel gives y = |V_B|^2*R_L/P = |D|^2, at C_L = 0 the polynomial
+    d_m1/w^2 + d0 + d1*w^2 of ``channel._denominator_polynomial`` whose x, y
+    and g are alpha = k*(r_s + R_L), beta = k*L and gamma = 1/C_ret: linear
+    in its three coefficients (Levy 1959; Sanathanan & Koerner 1963).  Each
     row of [1, w^2, w^-2] and of the target is divided by the observed y, so
     a residual is a relative error, the fit's log residual to first order;
     the rows, each column scaled by its largest entry, are solved by one
-    thin SVD.  The data pins only C_ret, k*L and k*(r_s + R_L): k comes from
-    the fixed C_GB, else from beta/L when L is fixed and > 0, else from
-    alpha/(r_s + R_L) when r_s is fixed, so C_GB, r_s and L are never
-    recovered together.  With C_L > 0 the same map is an approximation,
-    which the fit keeps only when it lowers the SSE.
+    thin SVD.  The data pins only C_ret, k*L and
+    k*(r_s + R_L): k comes from the fixed C_GB, else from beta/L when L is
+    fixed and > 0, else from alpha/(r_s + R_L) when r_s is fixed, so C_GB,
+    r_s and L are never recovered together.  With C_L > 0 the same map is
+    an approximation, which the fit keeps only when it lowers the SSE.
 
-    None for fewer than 3 rows, a rank-deficient design, c1, c2 or alpha^2
-    not > 0, or a value that is not finite and > 0.
+    None for fewer than 3 rows, a rank-deficient design, d1, d_m1 or
+    alpha^2 not > 0, or a value that is not finite and > 0.
     """
     if len(freqs) < 3:
         return None
@@ -545,11 +547,11 @@ def _linear_start(
         u, s, vt = np.linalg.svd(a / scale, full_matrices=False)
         if not s[-1] > 1e-10 * s[0]:
             return None
-        c0, c1, c2 = vt.T @ (u.sum(axis=0) / s) / scale
-        if not (c1 > 0.0 and c2 > 0.0):
+        d0, d1, d_m1 = vt.T @ (u.sum(axis=0) / s) / scale
+        if not (d1 > 0.0 and d_m1 > 0.0):
             return None
-        beta, gamma = np.sqrt(c1), np.sqrt(c2)
-        alpha2 = c0 + 2.0 * beta * gamma
+        beta, gamma = np.sqrt(d1), np.sqrt(d_m1)
+        alpha2 = d0 + 2.0 * beta * gamma
         if not alpha2 > 0.0:
             return None
         alpha = np.sqrt(alpha2)
@@ -675,7 +677,7 @@ def q_factor(sweep: SweepResult) -> QFactorEstimate:
         raise WindowTruncationError(
             "power peak sits on the window edge; half-power crossings are outside"
         )
-    half = p[i] / 2.0
+    half = float(p[i]) / 2.0
     # The nearest row at or below half power on each side of the peak.
     below_lo = np.flatnonzero(p[:i] <= half)
     below_hi = np.flatnonzero(p[i + 1 :] <= half)
@@ -686,13 +688,18 @@ def q_factor(sweep: SweepResult) -> QFactorEstimate:
 
     def crossing(a: int, b: int) -> float:
         """Linear interpolation of the half-power point between rows a and b."""
-        return float(x[a] + (half - p[a]) * (x[b] - x[a]) / (p[b] - p[a]))
+        xa, pa = float(x[a]), float(p[a])
+        return xa + (half - pa) * (float(x[b]) - xa) / (float(p[b]) - pa)
 
-    f_lo = crossing(below_lo[-1] + 1, below_lo[-1])
-    f_hi = crossing(i + below_hi[0], i + 1 + below_hi[0])
-    span = f_hi - f_lo
-    step_local = max(x[i] - x[i - 1], x[i + 1] - x[i])
-    return QFactorEstimate(q=float(x[i] / span), lower_bound=bool(span < 2.0 * step_local))
+    def span() -> float:
+        return crossing(i + below_hi[0], i + 1 + below_hi[0]) - crossing(below_lo[-1] + 1, below_lo[-1])
+
+    # In Python floats: a span that overflows, or is 0, is a NonFiniteResultError.
+    peak = float(x[i])
+    width = _evaluate("the half-power span", peak, span, axis=sweep.axis)
+    q = _evaluate("Q", peak, truediv, peak, width, axis=sweep.axis)
+    step_local = max(peak - float(x[i - 1]), float(x[i + 1]) - peak)
+    return QFactorEstimate(q=q, lower_bound=width < 2.0 * step_local)
 
 
 def oracle_gap(rx: ReceiverParams, freqs) -> np.ndarray:

@@ -396,40 +396,50 @@ def resonant_frequency(rx: ReceiverParams) -> float:
     return float(_resonance(rx.l, rx.c_ret + rx.c_gb))
 
 
+def _denominator_polynomial(rx: ReceiverParams) -> tuple:
+    """``(d_m1, d0, d1, d2)``: |D|^2 = d_m1/u + d0 + d1*u + d2*u^2 in u = w^2
+    (Levy, IRE Trans. AC-4, 1959).  With k = 1 + C_GB/C_ret, g = 1/C_ret and
+    tau = C_L*R_L, D = R_L/H = x - z*u + j*(w*y - g/w) for
+    x = k*(r_s + R_L) + tau*g, y = k*(L + r_s*tau) and z = tau*k*L."""
+    k = 1.0 + rx.c_gb / rx.c_ret
+    g = 1.0 / rx.c_ret
+    tau = rx.c_l * rx.r_l
+    x, y, z = k * (rx.r_s + rx.r_l) + tau * g, k * (rx.l + rx.r_s * tau), tau * k * rx.l
+    return g * g, x * x - 2.0 * y * g, y * y - 2.0 * x * z, z * z
+
+
 def _peak_frequency(rx: ReceiverParams):
     """Frequency of the power peak of a closed-form frequency sweep, or None
     when the power is monotone in frequency.
 
     The body potential does not depend on f, so the power peaks where
-    |H|^2 does.  With tau = C_L*R_L, u = w^2 and k and A as in
-    :func:`_coefficients`, H = R_L / (A*(1 + j*w*tau) + k*R_L), and
-    u*|A*(1 + j*w*tau) + k*R_L|^2 is the cubic
-    N(u) = c3*u^3 + c2*u^2 + c1*u + c0 with c3 = (k*L*tau)^2,
-    c2 = (k*L)^2 - 2*k*L*tau^2/C_ret - 2*k^2*L*R_L*tau + (k*r_s*tau)^2 and
-    c0 = 1/C_ret^2.  The power is proportional to u / N(u), whose
-    stationary points are the positive roots of 2*c3*u^3 + c2*u^2 - c0 = 0.
-    With c3 > 0 there is exactly one (Descartes' rule), and u / N(u)
-    vanishes at both ends of the axis, so it is the maximum.  With c3 = 0
-    (L = 0 or C_L = 0) it is u = sqrt(c0 / c2), which is w0^2 when C_L = 0;
-    when c2 = 0 too (L = 0 and r_s*C_L = 0) the power rises monotonically.
+    |D|^2 (:func:`_denominator_polynomial`) is least: at the positive root
+    of 2*d2*u^3 + d1*u^2 - d_m1, unique when d2 > 0 (Descartes' rule).
+    With d2 = 0 (L = 0 or C_L = 0) it is u = sqrt(d_m1/d1), w0^2 to
+    rounding when C_L = 0; with d1 <= 0 too, the power rises monotonically.
+    A peak, or a coefficient of its cubic, past double precision raises
+    :class:`NonFiniteResultError`.
     """
-    tau = rx.c_l * rx.r_l
-    if rx.l == 0.0:
-        # c3 = 0 and c2 = (k*r_s*tau)^2.
-        if rx.r_s * tau == 0.0:
-            return None
-        return 1.0 / (TWO_PI * math.sqrt((rx.c_ret + rx.c_gb) * rx.r_s * tau))
-    # In s = u0/u, with u0 = 1/(k*L*C_ret) = w0^2, a = c3*u0^3/c0 = (w0*tau)^2
-    # and b = c2*u0^2/c0, the root solves the monic s^3 - b*s - 2*a = 0.  Its
-    # other two roots are negative or a complex pair with negative real part
-    # (the roots sum to 0 and multiply to 2*a >= 0), so the positive root has
-    # the largest real part; one Newton step polishes the eigenvalue solve.
-    f0 = resonant_frequency(rx)
-    a = (TWO_PI * f0 * tau) ** 2
-    b = 1.0 + (rx.r_s * tau / rx.l) ** 2 - 2.0 * rx.r_l * tau / rx.l - 2.0 * a
-    s = float(np.roots([1.0, 0.0, -b, -2.0 * a]).real.max())
-    s -= (s**3 - b * s - 2.0 * a) / (3.0 * s**2 - b)
-    return f0 / math.sqrt(s)
+    d_m1, _, d1, d2 = _denominator_polynomial(rx)
+    if d2 == 0.0 and d1 <= 0.0:
+        return None
+    f = math.nan
+    if d2 == 0.0:
+        f = math.sqrt(math.sqrt(d_m1 / d1)) / TWO_PI
+    elif 0.0 < d_m1 < _INF and d2 < _INF:
+        # In s = w0^2/u the root solves s^3 - b*s - c = 0, whose positive
+        # root has the largest real part (the roots sum to 0 and multiply to
+        # c > 0); one Newton step polishes the eigenvalue solve.
+        f0 = resonant_frequency(rx)
+        u0 = (TWO_PI * f0) * (TWO_PI * f0)
+        b, c = d1 / d_m1 * u0 * u0, 2.0 * d2 / d_m1 * u0 * u0 * u0
+        if -_INF < b < _INF and 0.0 < c < _INF:
+            s = float(np.roots([1.0, 0.0, -b, -c]).real.max())
+            s -= (s * s * s - b * s - c) / (3.0 * s * s - b)
+            f = f0 / math.sqrt(s) if s > 0.0 else math.nan
+    if not 0.0 < f < _INF:
+        raise NonFiniteResultError(f"the peak frequency must be finite; for {rx!r} it is past double precision")
+    return f
 
 
 def resonant_gain(rx: ReceiverParams) -> float:

@@ -200,6 +200,7 @@ def check(
     fields) against the limit band covering ``f``.  The current is
     :func:`contact_current`'s, so ``rx`` needs ``mna=True``.  A measured
     field must be finite and >= 0."""
+    f = _require_range("frequency", f)
     for name, measured in (("measured_e", measured_e), ("measured_h", measured_h)):
         if measured is not None:
             _require_range(name, measured, inclusive=True)
@@ -242,8 +243,8 @@ def max_safe_input(body: BodyModel, f: float, table: LimitTable, src: SourceMode
     variant, so the inversion is exact; the result is expressed in the
     source's amplitude convention.
     """
-    band = _contact_band(table, f)
     f = _require_range("frequency", f)
+    band = _contact_band(table, f)
     return _evaluate("the largest safe input", f, _safe_input, band.contact_current_limit, body, f, src)
 
 

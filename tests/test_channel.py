@@ -29,7 +29,7 @@ from bodychannel.channel import (
     to_rms,
     transfer_function,
 )
-from helpers import REPO_ROOT, random_body, random_frequency, random_receiver, unit_source
+from helpers import REPO_ROOT, log_uniform_floats, mp_transfer, random_body, random_frequency, random_receiver, unit_source
 
 RX_SIXTH = ReceiverParams(c_ret=1e-12, c_gb=5e-12, l=4.222e-3, r_l=1000.0)
 
@@ -158,6 +158,50 @@ def test_peak_location_matches_formula_on_fine_grid():
         k = int(np.argmax(mags))
         step = freqs[min(k + 1, len(freqs) - 1)] - freqs[k]
         assert abs(freqs[k] - f0) <= step
+
+
+@st.composite
+def _receivers(draw):
+    """A receiver with l, c_gb, c_l and r_s each 0 or not (c_ret and r_l must be > 0)."""
+
+    def zero_or(lo, hi):
+        return draw(st.one_of(st.just(0.0), log_uniform_floats(lo, hi)))
+
+    return ReceiverParams(
+        c_ret=draw(log_uniform_floats(1e-13, 1e-10)),
+        r_l=draw(log_uniform_floats(1.0, 1e7)),
+        l=zero_or(1e-6, 1e-1),
+        c_gb=zero_or(1e-13, 1e-10),
+        c_l=zero_or(1e-13, 1e-9),
+        r_s=zero_or(1e-2, 1e4),
+    )
+
+
+#: angular frequencies at which the 50-digit |D|^2 is interpolated
+_NODES = (1e5, 1e6, 1e7, 1e8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rx=_receivers())
+def test_the_denominator_polynomial_matches_a_50_digit_interpolation(rx):
+    # u*|D|^2 = d_m1 + d0*u + d1*u^2 + d2*u^3 is a cubic in u = w^2, which four
+    # nodes fix.  Each d_i is checked against s_i, its expression with every
+    # minus turned to plus: the cancellation in d0 and d1 is float rounding.
+    mp = pytest.importorskip("mpmath")
+    d = channel._denominator_polynomial(rx)
+    k, g, tau = 1.0 + rx.c_gb / rx.c_ret, 1.0 / rx.c_ret, rx.c_l * rx.r_l
+    x, y, z = k * (rx.r_s + rx.r_l) + tau * g, k * (rx.l + rx.r_s * tau), tau * k * rx.l
+    scale = (g * g, x * x + 2.0 * y * g, y * y + 2.0 * x * z, z * z)
+    with mp.workdps(50):
+        values = [mp.mpf(v) for v in (rx.c_ret, rx.c_gb, rx.l, rx.r_l, rx.c_l, rx.r_s)]
+        nodes = [mp.mpf(w) ** 2 for w in _NODES]
+        n = [u * abs(values[3] / mp_transfer(mp.sqrt(u), *values)) ** 2 for u in nodes]
+        ref = mp.lu_solve(mp.matrix([[u**j for j in range(4)] for u in nodes]), mp.matrix(n))
+        for j, (d_j, s_j) in enumerate(zip(d, scale)):
+            if s_j:
+                assert abs(d_j - ref[j]) <= 1e-12 * s_j, (j, d_j, ref[j])
+            else:  # an exact 0, where the interpolation holds 50-digit noise
+                assert d_j == 0.0 and abs(ref[j]) * nodes[-1] ** j <= 1e-40 * max(n), (j, ref[j])
 
 
 def test_gain_monotone_in_parasitics():

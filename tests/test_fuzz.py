@@ -62,6 +62,32 @@ def _point(op):
     return [op.v_b, op.v_o, op.p_out_rms]
 
 
+#: the grid of the closed-form sweeps that the peak, Q and the fit read
+_PEAK_GRID = np.geomspace(1e2, 1e13, 201)
+#: the free fields of a fit, per receiver draw, each with a positive start in _RX
+_FREE = (("c_ret", "l"), ("r_s",), ("l", "r_s"), ("c_ret",), ("c_ret", "r_s", "l"), ("l",))
+
+
+def _closed_form_sweep(k, a, b, c, d):
+    """The closed-form frequency sweep of ``_receiver(k, a, b, c)`` from a
+    grounded source of d V peak to peak."""
+    return analysis.simulate_frequency_sweep(_receiver(k, a, b, c), GroundedTx(d, "pp"), _BODY, _PEAK_GRID)
+
+
+def _fit(k, a, b, c, d):
+    """The residual and fitted fields of a fit of ``_FREE[k]`` from ``_RX`` to
+    :func:`_closed_form_sweep`."""
+    report = analysis.fit_params(_closed_form_sweep(k, a, b, c, d), _FREE[k], _RX, GroundedTx(d, "pp"), _BODY)
+    return [report.residual_rms, *report.fitted_params.values()]
+
+
+def _bare_sweep(k, a, b, c, d):
+    """A five-row sweep with no circuit, as imported: frequencies a + i*b
+    (in Python floats, so the draw itself warns nothing), powers 0, c, d, c, 0."""
+    a, b = float(a), float(b)
+    return analysis.SweepResult("frequency", [a + i * b for i in range(5)], [0.0, c, d, c, 0.0])
+
+
 #: name (a public function, with a variant in brackets) -> the call on a
 #: selector k (a source kind, a sensitivity, a receiver draw) and four
 #: drawn values, returning the numbers and arrays it gives
@@ -114,6 +140,11 @@ CLOSED_FORMS = {
             f=d, src=GroundedTx(1e3, "rms"), body=_BODY,
         ).value
     ],
+    "find_resonant_peak": lambda k, a, b, c, d: list(analysis.find_resonant_peak(_closed_form_sweep(k, a, b, c, d))),
+    "find_resonant_peak [grid]": lambda k, a, b, c, d: list(analysis.find_resonant_peak(_bare_sweep(k, a, b, c, d))),
+    "q_factor": lambda k, a, b, c, d: [analysis.q_factor(_closed_form_sweep(k, a, b, c, d)).q],
+    "q_factor [grid]": lambda k, a, b, c, d: [analysis.q_factor(_bare_sweep(k, a, b, c, d)).q],
+    "fit_params": _fit,
     "oracle_gap": lambda k, a, b, c, d: [analysis.oracle_gap(_receiver(k, a, b, c), [d, 2.0 * d])],
     "approximation_gap": lambda k, a, b, c, d: [
         analysis.approximation_gap(_receiver(k, a, b, c), _SOURCES[k % 3](5.0, 1e-12), _BODY, [d, 2.0 * d])
@@ -173,9 +204,6 @@ CLOSED_FORMS = {
 #: property does not call, and why
 EXEMPT = {
     "load_limit_table": "reads a file; each band's numbers pass the one range rule",
-    "fit_params": "takes a SweepResult, whose constructor rejects a value that is not finite",
-    "find_resonant_peak": "takes a SweepResult, whose constructor rejects a value that is not finite",
-    "q_factor": "takes a SweepResult, whose constructor rejects a value that is not finite",
 }
 
 #: a drawn value: an element of VALUES as a Python float or a numpy float64
@@ -213,10 +241,22 @@ _F64 = np.float64
 # an amplitude that is not finite, and one whose conversion overflows
 @example(name="to_rms", k=0, x=(math.inf, 0.0, 0.0, 0.0))
 @example(name="from_rms", k=0, x=(1e308, 0.0, 0.0, 0.0))
+# the closed-form peak's cubic overflowed Python's ** (as OverflowError), with
+# C_L = 1e160 and with R_L = 1e150 (the r_s = 50 of _RX rides along)
+@example(name="find_resonant_peak", k=2, x=(1e-3, 1e3, 1e160, 5.0))
+@example(name="find_resonant_peak", k=2, x=(1e-3, 1e150, 1e4, 5.0))
+# L = 1e-300: (tau*k*L)^2 underflows to 0, and the peak is the L = 0 one
+@example(name="find_resonant_peak", k=2, x=(1e-300, 1e3, 1e-12, 5.0))
+# the parabola through the top three rows overflowed, as did Q's crossings
+@example(name="find_resonant_peak [grid]", k=0, x=(1e300, 0.2e300, 1e308, 1.7e308))
+@example(name="q_factor [grid]", k=0, x=(1e300, 0.2e300, 1e308, 1.7e308))
+# subnormal rows: the half-power span is 0, and Q divided by it
+@example(name="q_factor [grid]", k=0, x=(5e-324, 5e-324, 5e-324, 1e-323))
 def test_a_closed_form_gives_finite_numbers_or_a_value_error(name, k, x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the property
         warnings.simplefilter("ignore", optimize.LoadingAssumptionWarning)  # the package's own, by design
+        warnings.simplefilter("ignore", analysis.WindowTruncationWarning)  # likewise
         try:
             results = CLOSED_FORMS[name](k, *x)
         except (ValueError, SingularNetworkError):  # the second only from a netlist-backed call

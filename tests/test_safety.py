@@ -155,6 +155,13 @@ def test_uncovered_frequency_is_an_error():
         check(SRC12, BODY150, 5e4, TABLE)
     with pytest.raises(UncoveredBandError):
         check(SRC12, BODY150, 3e7, TABLE)  # bands are half-open [lo, hi)
+    # A frequency that no band could cover fails the range rule before the lookup.
+    for f in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"^frequency must be finite and > 0, got {f!r}$"):
+            check(SRC12, BODY150, f, TABLE)
+        with pytest.raises(ValueError, match=f"^frequency must be finite and > 0, got {f!r}$"):
+            max_safe_input(BODY150, f, TABLE, SRC12)
+    assert type(check(SRC12, BODY150, np.float64(1.6e6), TABLE).frequency) is float
 
 
 def test_missing_limits_are_errors():
