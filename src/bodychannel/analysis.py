@@ -80,7 +80,8 @@ class SweepResult:
     ``values`` must be strictly increasing; ``p_out_rms`` is nonnegative.
     ``v_o`` holds complex rms load voltages, or None for power-only data
     (e.g. imported two-column CSVs).  ``circuit`` is the ``(rx, src, body)``
-    a closed-form frequency sweep was simulated from, or None.
+    a closed-form frequency sweep was simulated from, or None: the peak of a
+    circuit-carrying sweep is its circuit's; its rows are not read.
     """
 
     axis: str
@@ -179,27 +180,26 @@ def _sweep_points(axis: str, rx: ReceiverParams, values: np.ndarray, f) -> tuple
 def find_resonant_peak(sweep: SweepResult) -> tuple:
     """Locate the power peak of a frequency sweep.
 
-    When the sweep carries its ``circuit``, the peak is the closed-form
-    maximum of that circuit's power (see ``channel._peak_frequency``), and
-    a circuit whose power rises monotonically has its peak on the upper
-    window edge.  Otherwise the grid argmax is refined by parabolic
-    interpolation through the top three grid points.  Interior local maxima
-    whose prominence exceeds 1e-6 times the peak power make the peak
-    ambiguous; a peak on the window edge only warns (the window truncates
-    the resonance).
+    A sweep that carries its ``circuit`` reads no row to find it: the peak is
+    the one maximum of the circuit's power (``channel._peak_frequency``); a
+    peak outside the window, or a monotone power, warns and gives the window
+    edge on its side.  A sweep without a circuit reads only its rows: the grid
+    argmax is refined by a parabola through the top three rows, interior local
+    maxima whose prominence exceeds 1e-6 times the peak power make the peak
+    ambiguous, and a peak on the window edge only warns.
     Returns ``(axis_value_at_peak, power_at_peak)``.
     """
     if len(sweep) < 5:
         raise ValueError(f"need at least 5 rows to locate a peak, got {len(sweep)}")
-    x = sweep.values
-    p = sweep.p_out_rms
-    f_peak = None if sweep.circuit is None else _peak_frequency(sweep.circuit[0])
-    if sweep.circuit is not None and f_peak is None:
-        # The power rises monotonically: an interior grid argmax is a top
-        # flat to round-off, so the peak is the upper edge.
-        i = len(sweep) - 1
-    else:
+    x, p = sweep.values, sweep.p_out_rms
+    if sweep.circuit is None:
         i = int(np.argmax(p))  # ties resolve to the lowest axis value
+    else:
+        rx, src, body = sweep.circuit
+        f_peak = _peak_frequency(rx)
+        if f_peak is not None and x[0] < f_peak < x[-1]:
+            return f_peak, _evaluate("p_out_rms", f_peak, _response, rx, src, body, f_peak)[1]
+        i = 0 if f_peak is not None and f_peak <= x[0] else len(sweep) - 1
     if i == 0 or i == len(sweep) - 1:
         warnings.warn(
             WindowTruncationWarning(
@@ -217,10 +217,6 @@ def find_resonant_peak(sweep: SweepResult) -> tuple:
             f"{len(peaks)} local maxima above the noise floor: {candidates}",
             candidates=candidates,
         )
-
-    if f_peak is not None:
-        rx, src, body = sweep.circuit
-        return f_peak, _evaluate("p_out_rms", f_peak, _response, rx, src, body, f_peak)[1]
     # In Python floats: an overflow is a NonFiniteResultError naming the grid peak.
     return _evaluate(
         "the peak power", float(x[i]), _parabolic_vertex, x[i - 1 : i + 2], p[i - 1 : i + 2], axis=sweep.axis
@@ -279,17 +275,18 @@ def _nearest_higher(peaks: list, heights: list, border: int) -> list:
 
 
 def _parabolic_vertex(x3, p3) -> tuple:
+    """Vertex ``(x, p)`` of the parabola through three rows, in offsets
+    t = x - x1 from the middle row: p1 + b*t + a*t^2, whose coefficients
+    come from two divided differences, so no raw axis value is squared."""
     x0, x1, x2 = (float(v) for v in x3)
     p0, p1, p2 = (float(v) for v in p3)
-    denom = (x1 - x0) * (p1 - p2) - (x1 - x2) * (p1 - p0)
-    if denom == 0.0:
+    left, right = (p1 - p0) / (x1 - x0), (p2 - p1) / (x2 - x1)
+    a = (right - left) / (x2 - x0)
+    if a == 0.0:
         return x1, p1
-    xv = x1 - 0.5 * ((x1 - x0) ** 2 * (p1 - p2) - (x1 - x2) ** 2 * (p1 - p0)) / denom
-    # Quadratic through the three points, evaluated at the vertex.
-    l0 = (xv - x1) * (xv - x2) / ((x0 - x1) * (x0 - x2))
-    l1 = (xv - x0) * (xv - x2) / ((x1 - x0) * (x1 - x2))
-    l2 = (xv - x0) * (xv - x1) / ((x2 - x0) * (x2 - x1))
-    return xv, p0 * l0 + p1 * l1 + p2 * l2
+    b = left + a * (x1 - x0)
+    t = -b / (2.0 * a)
+    return x1 + t, p1 + t * (b + a * t)
 
 
 def fit_total_capacitance(l: float, f_peak: float) -> float:
@@ -498,9 +495,15 @@ def fit_params(
         if not accepted:
             break
 
+    residual = p - observed.p_out_rms
+    with np.errstate(over="ignore"):
+        residual_rms = float(np.sqrt(np.mean(residual**2)))
+    if residual_rms == math.inf:  # the squares overflow; the rms is at most max |residual|
+        top = float(np.abs(residual).max())
+        residual_rms = top * float(np.sqrt(np.mean((residual / top) ** 2)))
     return FitReport(
         fitted_params={name: math.exp(x) for name, x in zip(free, theta)},
-        residual_rms=float(np.sqrt(np.mean((p - observed.p_out_rms) ** 2))),
+        residual_rms=residual_rms,
         iterations=iterations,
         converged=converged,
     )

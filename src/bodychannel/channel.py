@@ -417,8 +417,8 @@ def _peak_frequency(rx: ReceiverParams):
     of 2*d2*u^3 + d1*u^2 - d_m1, unique when d2 > 0 (Descartes' rule).
     With d2 = 0 (L = 0 or C_L = 0) it is u = sqrt(d_m1/d1), w0^2 to
     rounding when C_L = 0; with d1 <= 0 too, the power rises monotonically.
-    A peak, or a coefficient of its cubic, past double precision raises
-    :class:`NonFiniteResultError`.
+    The cubic's scale comes from the d's alone.  A peak, or a coefficient of
+    its cubic, past double precision raises :class:`NonFiniteResultError`.
     """
     d_m1, _, d1, d2 = _denominator_polynomial(rx)
     if d2 == 0.0 and d1 <= 0.0:
@@ -427,16 +427,15 @@ def _peak_frequency(rx: ReceiverParams):
     if d2 == 0.0:
         f = math.sqrt(math.sqrt(d_m1 / d1)) / TWO_PI
     elif 0.0 < d_m1 < _INF and d2 < _INF:
-        # In s = w0^2/u the root solves s^3 - b*s - c = 0, whose positive
-        # root has the largest real part (the roots sum to 0 and multiply to
-        # c > 0); one Newton step polishes the eigenvalue solve.
-        f0 = resonant_frequency(rx)
-        u0 = (TWO_PI * f0) * (TWO_PI * f0)
+        # In s = u0/u the root solves s^3 - b*s - c = 0 (b = 1, or c = 1 when
+        # d1 <= 0), whose positive root has the largest real part (the roots
+        # sum to 0 and multiply to c > 0); one Newton step polishes it.
+        u0 = math.sqrt(d_m1 / d1) if d1 > 0.0 else (d_m1 / (2.0 * d2)) ** (1.0 / 3.0)
         b, c = d1 / d_m1 * u0 * u0, 2.0 * d2 / d_m1 * u0 * u0 * u0
         if -_INF < b < _INF and 0.0 < c < _INF:
             s = float(np.roots([1.0, 0.0, -b, -c]).real.max())
             s -= (s * s * s - b * s - c) / (3.0 * s * s - b)
-            f = f0 / math.sqrt(s) if s > 0.0 else math.nan
+            f = math.sqrt(u0) / math.sqrt(s) / TWO_PI if s > 0.0 else math.nan
     if not 0.0 < f < _INF:
         raise NonFiniteResultError(f"the peak frequency must be finite; for {rx!r} it is past double precision")
     return f

@@ -10,6 +10,7 @@ provenance header (config hash, command, version) and re-import losslessly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import inspect
 import math
@@ -75,12 +76,16 @@ def parse_quantity(text: str, where: str = "value") -> float:
         scale = _SUFFIX[token[-1]]
         token = token[:-1]
     try:
-        value = float(token)
+        value = float(token) * scale
     except ValueError:
         raise ConfigError(f"{where}: cannot parse quantity {text!r}") from None
+    # The scaled value is the quantity: 1e308k overflows, and 1e-320p and
+    # 1e-400 underflow (a nonzero digit before the exponent reads as 0).
     if not math.isfinite(value):
         raise ConfigError(f"{where}: quantity must be finite, got {text!r}")
-    return value * scale
+    if value == 0.0 and any(c in "123456789" for c in token.lower().partition("e")[0]):
+        raise ConfigError(f"{where}: quantity underflows to 0, got {text!r}")
+    return value
 
 
 @dataclass
@@ -691,10 +696,17 @@ def _load_limits(config: ScenarioConfig) -> LimitTable:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a ``.part`` file beside it.  A path
+    that cannot be written is a ConfigError, and no ``.part`` file stays."""
     tmp = path.with_name(path.name + ".part")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_plot_data(out_path: Path, table: ResultTable) -> list:
@@ -747,21 +759,20 @@ def main(argv=None) -> int:
             raise ConfigError("--plot-data needs --out pointing at a file")
         flags = {flag: getattr(args, flag) for flag in ("points", "tolerance", "joint", "oracle")}
         table, code = run(args.command, config, **flags)
+        text = table.to_csv()
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            out_path = Path(args.out)
+            _write_atomic(out_path, text)  # a path that cannot be written is a ConfigError
+            if args.plot_data:
+                _emit_plot_data(out_path, table)
     except (ConfigError, CsvFormatError, DuplicateAxisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, acnet.SingularNetworkError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-
-    text = table.to_csv()
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        out_path = Path(args.out)
-        _write_atomic(out_path, text)
-        if args.plot_data:
-            _emit_plot_data(out_path, table)
     return code
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -166,9 +167,56 @@ def test_numerical_ripple_below_floor_is_ignored():
     sweep = simulate_frequency_sweep(rx, SRC, BODY, grid)
     p = sweep.p_out_rms.copy()
     p[20] *= 1.0 + 1e-7  # sub-floor bump far from the peak
-    rippled = SweepResult(axis="frequency", values=grid, p_out_rms=p, circuit=sweep.circuit)
+    rippled = SweepResult(axis="frequency", values=grid, p_out_rms=p)
     f_peak, _ = find_resonant_peak(rippled)
     assert f_peak == pytest.approx(resonant_frequency(rx), rel=1e-4)
+
+
+def test_a_closed_form_peak_inside_the_window_is_the_root_even_at_an_edge_argmax():
+    # f0 lies between the last two rows, nearer the last, so the grid argmax
+    # is the last row; the circuit's peak is still interior and nothing warns.
+    rx = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3)
+    sweep = simulate_frequency_sweep(rx, SRC, BODY, np.geomspace(1e5, 1.0001 * resonant_frequency(rx), 50))
+    assert np.argmax(sweep.p_out_rms) == len(sweep) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f_peak, p_peak = find_resonant_peak(sweep)
+    assert f_peak == pytest.approx(1599567.36, abs=0.01)
+    assert p_peak == received_power(rx, SRC, BODY, f_peak).p_out_rms
+
+
+@pytest.mark.parametrize("lo, hi, edge", [(2e6, 1e7, 0), (1e5, 1e6, -1)])
+def test_a_closed_form_peak_outside_the_window_gives_the_edge_on_its_side(lo, hi, edge):
+    rx = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3)
+    sweep = simulate_frequency_sweep(rx, SRC, BODY, np.geomspace(lo, hi, 64))
+    with pytest.warns(WindowTruncationWarning):
+        f_peak, p_peak = find_resonant_peak(sweep)
+    assert (f_peak, p_peak) == (sweep.values[edge], sweep.p_out_rms[edge])
+
+
+def test_a_closed_form_peak_reads_no_rows(monkeypatch):
+    # Two prominent grid maxima would be ambiguous, but a circuit-carrying
+    # sweep takes its one peak from the circuit and never scans its rows.
+    rx = ReceiverParams(c_ret=30e-12, r_l=1e3, l=0.33e-3)
+    sweep = simulate_frequency_sweep(rx, SRC, BODY, np.geomspace(1e6, 2.56e6, 101))
+    sweep.p_out_rms[10] = sweep.p_out_rms.max() * 2.0
+
+    def never(*args):
+        raise AssertionError("a circuit-carrying sweep reads its rows")
+
+    monkeypatch.setattr(analysis, "_prominent_peaks", never)
+    monkeypatch.setattr(analysis, "_parabolic_vertex", never)
+    f_peak, _ = find_resonant_peak(sweep)
+    assert f_peak == pytest.approx(resonant_frequency(rx), rel=1e-14)
+
+
+def test_a_grid_vertex_near_the_top_of_double_precision_is_found():
+    # The raw-axis parabola squares 2e299-wide steps and overflows; offsets
+    # from the middle row stay finite.
+    sweep = SweepResult(
+        "frequency", [1e300, 1.2e300, 1.4e300, 1.6e300, 1.7e300], [0.0, 1e308, 1.7e308, 1e308, 0.0]
+    )
+    assert find_resonant_peak(sweep) == (1.4e300, 1.7e308)
 
 
 def test_two_real_peaks_raise_ambiguity_with_candidates():

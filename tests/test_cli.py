@@ -449,6 +449,29 @@ def test_plot_data_writes_two_column_files(tmp_path):
     assert all(len(l.split()) == 2 for l in data_lines)
 
 
+def test_an_output_directory_exits_2_and_leaves_no_part_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["resonance", "--config", str(SCENARIO_DIR / "fig4a.scn"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_an_output_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["resonance", "--config", str(SCENARIO_DIR / "fig4a.scn"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_a_plot_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    (tmp_path / "curve.csv.p_out_rms.plot").mkdir()
+    argv = ["sweep-freq", "--config", str(_scenario(tmp_path)), "--points", "16", "--out", str(out), "--plot-data"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}.p_out_rms.plot: ")
+    assert not list(tmp_path.glob("*.part"))
+
+
 # ── multi receiver and topology commands ────────────────────────────────
 
 MULTI_SCENARIO = BASE_SCENARIO.replace("C_GB = 5p", "C_GB = 0") + """

@@ -264,6 +264,28 @@ def test_a_closed_form_gives_finite_numbers_or_a_value_error(name, k, x):
     assert all(np.isfinite(r).all() for r in results), results
 
 
+#: the fields of a valid receiver: VALUES without the negative and non-finite ones
+_FIELD_VALUES = st.sampled_from([v for v in VALUES if 0.0 <= v < math.inf])
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(fields=st.tuples(*[_FIELD_VALUES] * len(_FIELDS)))
+# L*(C_ret + C_GB) underflows, yet the peak is a representable 1.3e166 Hz.
+@example(fields=(3e-11, 3e-11, 5e-324, 1e-30, 1e300, 1e-300))
+def test_the_peak_frequency_is_none_finite_or_named_past_double_precision(fields):
+    try:
+        rx = ReceiverParams(**dict(zip(_FIELDS, fields)))
+    except ValueError:  # c_ret or r_l is 0
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            f = channel._peak_frequency(rx)
+        except channel.NonFiniteResultError:
+            return
+    assert f is None or 0.0 < f < math.inf, (rx, f)
+
+
 @pytest.mark.parametrize("short", ("channel", "analysis", "optimize", "safety"))
 def test_the_library_property_calls_every_public_function(short):
     covered = {name.split(" [")[0] for name in CLOSED_FORMS}
@@ -282,7 +304,10 @@ def test_every_exemption_names_a_public_function():
 SCENARIOS = ("fig4a.scn", "fig4c.scn", "safety_example.scn", "resonant_wearable.scn", "rx1.scn", "wearable_inductance.scn")
 KEYS = ("C_ret", "C_GB", "L", "R_L", "C_L", "r_s", "C_B", "R_B", "V_in", "lo", "hi", "frequency", "C_ret_tx", "R_S")
 #: VALUES as a scenario writes them, with SI suffixes for the typical ones
-TEXTS = ("5e-324", "1e-300", "1e300", "1e-30", "1e30", "0", "-1", "nan", "inf", "1p", "30p", "1k", "0.33m", "1e-15", "1e15")
+TEXTS = (
+    "5e-324", "1e-300", "1e300", "1e-30", "1e30", "0", "-1", "nan", "inf", "1p", "30p", "1k", "0.33m", "1e-15", "1e15",
+    "1e308k", "1e-320p",  # finite and nonzero until the suffix scales them
+)
 #: the flags drawn per run, with the value each takes when set; --points is always 50
 _FLAG_ARGS = {"tolerance": ["--tolerance", "1e-6"], "joint": ["--joint"], "oracle": ["--oracle"]}
 
@@ -312,6 +337,9 @@ def _with_key(text: str, key: str, value: str) -> str:
 )
 @example(scenario="fig4a.scn", keys=(("hi", "1e300"),) * 2, command="oracle-check", set_flags=(False,) * 3)
 @example(scenario="safety_example.scn", keys=(("V_in", "5e-324"),) * 2, command="safety", set_flags=(False,) * 3)
+@example(scenario="fig4a.scn", keys=(("hi", "1e308k"),) * 2, command="sweep-freq", set_flags=(False,) * 3)
+# The fit's residual squares overflow while its rms is finite.
+@example(scenario="resonant_wearable.scn", keys=(("R_L", "1e-300"), ("C_B", "1e-300")), command="fit", set_flags=(False,) * 3)
 def test_a_cli_run_exits_with_a_code_and_writes_finite_numbers(scenario_dir, scenario, keys, command, set_flags):
     text = (scenario_dir / scenario).read_text()
     for key, value in keys:

@@ -184,3 +184,16 @@ def test_a_fit_token_outside_the_fit_parameters_is_rejected(tmp_path, token):
     assert _error(tmp_path, sections) == (
         f"fit.free: unknown parameter {token!r}; expected from ['C_GB', 'C_ret', 'L', 'r_s']"
     )
+
+
+@pytest.mark.parametrize(
+    "section, key, text, message",
+    [
+        ("receiver", "L", "1e-320p", "quantity underflows to 0, got '1e-320p'"),
+        ("receiver", "L", "1e-400", "quantity underflows to 0, got '1e-400'"),
+        ("sweep", "hi", "1e308k", "quantity must be finite, got '1e308k'"),
+    ],
+)
+def test_a_quantity_is_checked_after_its_suffix_scales_it(tmp_path, section, key, text, message):
+    sections = _with(_sections(), section, lambda items: [(k, text if k == key else v) for k, v in items])
+    assert _error(tmp_path, sections) == f"{section}.{key}: {message}"
